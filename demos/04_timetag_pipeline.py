@@ -40,9 +40,7 @@ for i, label in enumerate(timetag.CLASS_LABELS):
 # decoy chain from the measured stream
 import numpy as np
 
-frames = timetag.frame_indices(gated.accepted.detections().ticks, phase.phase_ticks, PERIOD)
-ok = (frames >= 0) & (frames < len(result.alice_log))
-detected = np.bincount(result.alice_log.cls[frames[ok]], minlength=3)
+detected = key.detected_per_class
 sent = np.bincount(result.alice_log.cls, minlength=3)
 obs = decoy.ChannelObservables(
     q_mu=detected[0] / sent[0],

@@ -13,7 +13,6 @@ Layers, bottom up:
 
 from .config import (
     ConfigError,
-    IntensityClass,
     LinkConfig,
     Polarization,
     ProtocolConfig,
@@ -44,7 +43,7 @@ from .decoy import (
     y1_lower,
 )
 from .entropy import ConditionalProfiles, JointDistribution, h2, mi_from_profiles, mutual_information
-from .montecarlo import RunResult, RunSummary, estimate_observables, run, sample_pulse, transmit_detect
+from .montecarlo import RunResult, RunSummary, estimate_observables, run
 from .sidechannel import LeakageBudget, PulseProfile, leakage, leakage_adjusted_rate, load_profiles, synth_profiles
 from .timetag import AliceLog, TimeTagStream, decode, encode, gate, recover_phase, sift
 

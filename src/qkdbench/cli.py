@@ -1,16 +1,19 @@
 """Command-line surface: sweeps, simulations, timetag analysis, audits.
 
 Exit codes are a stable contract: 0 success, 2 usage/config error,
-3 output I/O failure.  All randomness flows from --seed; when absent a
+3 output I/O failure; malformed input ends with exit code 2 and a
+one-line message.  All randomness flows from --seed; when absent a
 random seed is drawn and printed so runs stay reproducible.  Output
-files are written atomically (temp file + rename).  The environment
-variable QKDBENCH_THREADS caps internal parallelism.
+files are written atomically (temp file + rename).  Sweeps and intensity
+searches evaluate their whole grid in one array call of the decoy chain.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
+import math
 import os
 import secrets
 import sys
@@ -25,13 +28,6 @@ from .config import ConfigError, load_config
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QKDBENCH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -56,7 +52,24 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
+def _floats(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
+    """Parse a comma-separated list of finite numbers."""
+    try:
+        values = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{what}: expected comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what}: values must be finite, got {text!r}")
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{what}: expected {count} comma-separated values, got {text!r}")
+    return values
+
+
 def _attenuations(args) -> list[float]:
+    if not all(math.isfinite(v) for v in (args.atten_min, args.atten_max, args.atten_step)):
+        raise ConfigError("--atten-min, --atten-max and --atten-step must be finite")
+    if args.atten_min < 0:
+        raise ConfigError("--atten-min must be >= 0")
     if args.atten_max < args.atten_min:
         raise ConfigError("--atten-max must be >= --atten-min")
     if args.atten_step <= 0:
@@ -68,25 +81,15 @@ def _attenuations(args) -> list[float]:
 def cmd_sweep(args) -> int:
     source, link, proto = load_config(args.config)
     attens = _attenuations(args)
-    reports = decoy.sweep(
-        link, attens, source, proto, gain_convention=args.gain_convention, max_workers=_threads()
-    )
+    reports = decoy.sweep(link, attens, source, proto, gain_convention=args.gain_convention)
     if args.format == "csv":
         buf = io.StringIO()
         decoy.write_sweep_csv(reports, buf)
         payload = buf.getvalue()
     else:  # structured text: one key=value block per attenuation
-        blocks = []
-        for r in reports:
-            o, e = r.observables, r.estimates
-            blocks.append(
-                f"attenuation_db = {r.attenuation_db!r}\n"
-                f"Q_mu = {o.q_mu!r}\nQ_nu1 = {o.q_nu1!r}\nQ_nu2 = {o.q_nu2!r}\n"
-                f"E_mu = {o.e_mu!r}\nY1_lower = {e.y1_lower!r}\nQ1_lower = {e.q1_lower!r}\n"
-                f"e1_upper = {e.e1_upper!r}\nrkr_bps = {r.raw_key_rate_bps!r}\n"
-                f"lbskr_bps = {r.secure_key_rate_bps!r}\n"
-            )
-        payload = "\n".join(blocks)
+        payload = "\n".join(
+            "".join(f"{name} = {get(r)!r}\n" for name, get, _ in decoy.SWEEP_COLUMNS) for r in reports
+        )
     _write_atomic(Path(args.out), payload)
 
     cutoff = next((r.attenuation_db for r in reports if r.qber_cutoff_hit), None)
@@ -102,15 +105,18 @@ def cmd_simulate(args) -> int:
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
     seed = _resolve_seed(args)
-    result = montecarlo.run(
-        source,
-        link,
-        proto,
-        frames=args.frames,
-        seed=seed,
-        emit_ttags=args.emit_ttags,
-        phase_ticks=args.phase_ticks,
-    )
+    try:
+        result = montecarlo.run(
+            source,
+            link,
+            proto,
+            frames=args.frames,
+            seed=seed,
+            emit_ttags=args.emit_ttags,
+            phase_ticks=args.phase_ticks,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = str(args.out)  # output prefix, suffixes appended
     _write_atomic(Path(out + ".summary.txt"), result.summary.as_text())
     if args.emit_ttags:
@@ -145,34 +151,36 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze_ttags(args) -> int:
     source, link, proto = load_config(args.config)
+    if not args.window_ns > 0:
+        raise ConfigError(f"--window-ns must be > 0, got {args.window_ns!r}")
     try:
         stream = timetag.load_ttag(args.ttags)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read timetag stream: {exc}") from exc
     if len(stream.detections()) == 0:
         raise ConfigError("no records in timetag stream")
-    alice = timetag.AliceLog.from_csv(args.alice_log)
+    try:
+        alice = timetag.AliceLog.from_csv(args.alice_log)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read alice log: {exc}") from exc
     seed = _resolve_seed(args)
 
     period = int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS))
     window = timetag.window_ticks_from_seconds(args.window_ns * 1e-9)
     window = min(window, period)
-    phase = timetag.recover_phase(stream, period)
+    try:
+        phase = timetag.recover_phase(stream, period)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if phase.low_confidence:
         print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
     sent = np.bincount(alice.cls, minlength=3)
-    det = gated.accepted.detections()
-    det_frames = timetag.frame_indices(det.ticks, phase.phase_ticks, period)
-    ok = (det_frames >= 0) & (det_frames < len(alice))
-    det_cls = alice.cls[det_frames[ok]]
-    detected = np.bincount(det_cls, minlength=3)
-
     if sent.min() == 0:
         raise ConfigError("alice log lacks pulses for at least one intensity class")
-    q = detected / sent
+    q = sifted.detected_per_class / sent
     e_mu = sifted.qber_class(0)
     e_nu1 = sifted.qber_class(1)
     if not np.isfinite(e_mu) or not np.isfinite(e_nu1):
@@ -209,13 +217,6 @@ def cmd_analyze_ttags(args) -> int:
     return EXIT_OK
 
 
-def _parse_four(text: str, what: str) -> tuple[float, float, float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"{what}: expected four comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
 def cmd_sidechannel(args) -> int:
     synth_requested = args.synth
     if synth_requested and args.profiles:
@@ -235,8 +236,8 @@ def cmd_sidechannel(args) -> int:
         else:
             budget = sidechannel.LeakageBudget(temporal=0.0, spectral=mi, spatial=spatial)
     else:
-        pedestals = _parse_four(args.pedestals, "--pedestals")
-        shifts = tuple(s * 1e-12 for s in _parse_four(args.shifts_ps, "--shifts-ps"))
+        pedestals = _floats(args.pedestals, "--pedestals", 4)
+        shifts = tuple(s * 1e-12 for s in _floats(args.shifts_ps, "--shifts-ps", 4))
         try:
             temporal, spectral = sidechannel.synth_profiles(
                 fwhm_s=args.fwhm_ps * 1e-12, tbp=args.tbp, ase_pedestal=pedestals, shifts_s=shifts
@@ -265,32 +266,35 @@ def cmd_sidechannel(args) -> int:
 
 
 def _pick_sweep_row(path: str, attenuation_db: float | None) -> tuple[float, float]:
-    import csv as _csv
-
     try:
         with open(path, newline="") as fh:
-            reader = _csv.DictReader(fh)
-            rows = list(reader)
-    except OSError as exc:
+            rows = list(csv.DictReader(fh))
+    except (OSError, csv.Error, ValueError) as exc:
         raise ConfigError(f"cannot read sweep CSV: {exc}") from exc
     if not rows:
         raise ConfigError("sweep CSV has no rows")
-    if attenuation_db is None:
-        row = rows[0]
-    else:
-        row = min(rows, key=lambda r: abs(float(r["attenuation_db"]) - attenuation_db))
-    return float(row["rkr_bps"]), float(row["lbskr_bps"])
+    try:
+        if attenuation_db is None:
+            row = rows[0]
+        else:
+            row = min(rows, key=lambda r: abs(float(r["attenuation_db"]) - attenuation_db))
+        return float(row["rkr_bps"]), float(row["lbskr_bps"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed sweep CSV {path}: {exc!r}") from exc
 
 
 def cmd_optimize(args) -> int:
     source, link, proto = load_config(args.config)
     grid = decoy.GridSpec(
-        mu_values=tuple(float(x) for x in args.mu_grid.split(",")),
-        nu1_values=tuple(float(x) for x in args.nu1_grid.split(",")),
+        mu_values=_floats(args.mu_grid, "--mu-grid"),
+        nu1_values=_floats(args.nu1_grid, "--nu1-grid"),
     )
-    result = decoy.optimize_intensities(
-        link, proto, grid, source_template=source, gain_convention=args.gain_convention
-    )
+    try:
+        result = decoy.optimize_intensities(
+            link, proto, grid, source_template=source, gain_convention=args.gain_convention
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"mu_opt = {result.mu:g}")
     print(f"nu1_opt = {result.nu1:g}")
     print(f"lbskr_bps = {result.secure_key_rate_bps:.6e}")

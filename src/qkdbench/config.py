@@ -17,7 +17,7 @@ default are listed in :data:`CONFIG_SCHEMA`.  Unknown keys are rejected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -46,20 +46,6 @@ class Polarization(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IntensityClass:
-    """One intensity level of the source: a label and its mean photon number."""
-
-    label: str
-    mean_photons: float
-
-    def __post_init__(self):
-        if self.label not in ("signal", "decoy1", "decoy2"):
-            raise ConfigError(f"unknown intensity class label {self.label!r}")
-        if not (self.mean_photons >= 0):
-            raise ConfigError(f"{self.label}: mean photon number must be >= 0")
-
-
-@dataclass(frozen=True)
 class SourceConfig:
     """Faint pulse source parameters."""
 
@@ -75,14 +61,6 @@ class SourceConfig:
     degree_of_polarization: float = 0.9968
     pulse_fwhm_s: float = 400e-12
     time_bandwidth_product: float = 0.56
-
-    @property
-    def classes(self) -> tuple[IntensityClass, IntensityClass, IntensityClass]:
-        return (
-            IntensityClass("signal", self.mu),
-            IntensityClass("decoy1", self.nu1),
-            IntensityClass("decoy2", self.nu2),
-        )
 
     @property
     def class_probs(self) -> tuple[float, float, float]:
@@ -330,15 +308,9 @@ def dump_config(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -
     return "\n".join(lines) + "\n"
 
 
-def replace_config(cfg, **changes):
-    """dataclasses.replace passthrough, re-exported for callers."""
-    return replace(cfg, **changes)
-
-
 __all__ = [
     "ConfigError",
     "Polarization",
-    "IntensityClass",
     "SourceConfig",
     "LinkConfig",
     "ProtocolConfig",
@@ -347,5 +319,4 @@ __all__ = [
     "build_configs",
     "validate",
     "dump_config",
-    "replace_config",
 ]

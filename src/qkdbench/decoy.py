@@ -13,14 +13,24 @@ pipelines.  ``attenuation-only`` uses eta = 10^(-attenuation/10) and
 reproduces the benchmark 6 dB observables (Q_mu = 1.18e-1 etc.);
 ``full-budget`` additionally applies the setup loss and detector
 efficiency and matches what the Monte Carlo engine simulates.
+
+The chain accepts scalars or broadcastable numpy arrays: ``gain``,
+``qber``, the bounds, ``decoy_estimates``, ``key_rate_lower_bound`` and
+``evaluate_link`` (with an array ``LinkConfig.attenuation_db`` or array
+``SourceConfig.mu``/``nu1``) compute element-wise in one numpy pass.
+Scalar inputs give plain Python floats and bools.  ``sweep`` and
+``optimize_intensities`` evaluate their whole grid in one such call.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .entropy import h2
@@ -29,6 +39,11 @@ from .entropy import h2
 QBER_CUTOFF = 0.11
 
 GAIN_CONVENTIONS = ("attenuation-only", "full-budget")
+
+
+def _scalar(x):
+    """A plain Python scalar for a 0-d result; arrays pass through."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -45,11 +60,11 @@ class ChannelObservables:
     def __post_init__(self):
         for name in ("q_mu", "q_nu1", "q_nu2"):
             q = getattr(self, name)
-            if not (0.0 <= q <= 1.0):
+            if not np.all((q >= 0.0) & (q <= 1.0)):
                 raise ValueError(f"{name}: gain must lie in [0, 1], got {q!r}")
         for name in ("e_mu", "e_nu1"):
-            e = getattr(self, name)
-            if not (0.0 <= e <= 0.5) and not math.isnan(e):
+            e = getattr(self, name)  # NaN (undefined) passes
+            if np.any((e < 0.0) | (e > 0.5)):
                 raise ValueError(f"{name}: QBER must lie in [0, 0.5], got {e!r}")
 
 
@@ -81,38 +96,38 @@ def transmittance(link: LinkConfig, include_detector: bool = True) -> float:
 
     eta = 10^(-(attenuation + setup_loss)/10) * efficiency.
     """
-    eta = 10.0 ** (-(link.attenuation_db + link.setup_loss_db) / 10.0)
+    eta = np.power(10.0, -(link.attenuation_db + link.setup_loss_db) / 10.0)
     if include_detector:
         eta *= link.detector_efficiency
-    return eta
+    return _scalar(eta)
 
 
 def link_eta(link: LinkConfig, gain_convention: str) -> float:
     """Transmittance under the named gain convention."""
     if gain_convention == "attenuation-only":
-        return 10.0 ** (-link.attenuation_db / 10.0)
+        return _scalar(np.power(10.0, -link.attenuation_db / 10.0))
     if gain_convention == "full-budget":
         return transmittance(link, include_detector=True)
     raise ValueError(f"unknown gain convention {gain_convention!r}; use one of {GAIN_CONVENTIONS}")
 
 
-def gain(mean_photons: float, eta: float, y0: float) -> float:
+def gain(mean_photons, eta, y0):
     """Detection probability per sent pulse of one intensity class.
 
     Q = Y0 + 1 - exp(-eta * mean), the threshold-detector gain of a
     Poissonian pulse over a channel with background yield Y0.
     """
-    return y0 - math.expm1(-eta * mean_photons)
+    return _scalar(y0 - np.expm1(-eta * mean_photons))
 
 
-def qber(mean_photons: float, eta: float, y0: float, e0: float, e_det: float) -> float:
+def qber(mean_photons, eta, y0, e0, e_det):
     """Error rate of one intensity class.
 
     E = [e0 Y0 + e_det (1 - exp(-eta*mean))] / Q: background errors are
     random (e0), transmitted photons err at the intrinsic rate e_det.
     """
-    q = gain(mean_photons, eta, y0)
-    return (e0 * y0 - e_det * math.expm1(-eta * mean_photons)) / q
+    expm1 = np.expm1(-eta * mean_photons)
+    return _scalar((e0 * y0 - e_det * expm1) / (y0 - expm1))
 
 
 def channel_observables(source: SourceConfig, link: LinkConfig, gain_convention: str) -> ChannelObservables:
@@ -134,55 +149,60 @@ def channel_observables(source: SourceConfig, link: LinkConfig, gain_convention:
     )
 
 
-def _y1_lower_raw(obs: ChannelObservables, mu: float, nu1: float, y0: float) -> float:
-    if not mu > nu1 > 0:
+def _y1_lower_raw(obs: ChannelObservables, mu, nu1, y0):
+    if not np.all((mu > nu1) & (nu1 > 0)):
         raise ValueError(f"degenerate intensities: require mu > nu1 > 0, got mu={mu}, nu1={nu1}")
     bracket = (
-        obs.q_nu1 * math.exp(nu1)
-        - obs.q_mu * math.exp(mu) * nu1**2 / mu**2
+        obs.q_nu1 * np.exp(nu1)
+        - obs.q_mu * np.exp(mu) * nu1**2 / mu**2
         - (mu**2 - nu1**2) / mu**2 * y0
     )
     return mu / (mu * nu1 - nu1**2) * bracket
 
 
-def y1_lower(obs: ChannelObservables, mu: float, nu1: float, y0: float) -> float:
+def y1_lower(obs: ChannelObservables, mu, nu1, y0):
     """Vacuum+weak-decoy lower bound on the single-photon yield Y1.
 
     Y1 >= mu/(mu*nu1 - nu1^2) * [ Q_nu1 e^nu1 - Q_mu e^mu nu1^2/mu^2
                                   - (mu^2 - nu1^2)/mu^2 * Y0 ]
     clamped into [0, 1].
     """
-    return min(max(_y1_lower_raw(obs, mu, nu1, y0), 0.0), 1.0)
+    return _scalar(np.clip(_y1_lower_raw(obs, mu, nu1, y0), 0.0, 1.0))
 
 
-def e1_upper(obs: ChannelObservables, estimates: DecoyEstimates, nu1: float, y0: float, e0: float) -> float:
+def _e1_upper_raw(obs: ChannelObservables, y1l, nu1, y0, e0):
+    return (obs.e_nu1 * obs.q_nu1 * np.exp(nu1) - e0 * y0) / (y1l * nu1)
+
+
+def e1_upper(obs: ChannelObservables, estimates: DecoyEstimates, nu1, y0, e0):
     """Upper bound on the single-photon error rate e1.
 
     e1 <= [E_nu1 Q_nu1 e^nu1 - e0 Y0] / (Y1_lower * nu1), clamped into
     [0, 0.5].  Undefined when the yield bound is zero.
     """
-    if not estimates.y1_lower > 0:
+    if not np.all(estimates.y1_lower > 0):
         raise ValueError("undefined bound: e1_upper requires Y1_lower > 0")
-    raw = (obs.e_nu1 * obs.q_nu1 * math.exp(nu1) - e0 * y0) / (estimates.y1_lower * nu1)
-    return min(max(raw, 0.0), 0.5)
+    return _scalar(np.clip(_e1_upper_raw(obs, estimates.y1_lower, nu1, y0, e0), 0.0, 0.5))
 
 
-def decoy_estimates(obs: ChannelObservables, mu: float, nu1: float, y0: float, e0: float = 0.5) -> DecoyEstimates:
-    """Chain the single-photon bounds; Q1_lower = mu e^-mu Y1_lower."""
+def decoy_estimates(obs: ChannelObservables, mu, nu1, y0, e0: float = 0.5) -> DecoyEstimates:
+    """Chain the single-photon bounds; Q1_lower = mu e^-mu Y1_lower.
+
+    Where Y1_lower is zero there is no usable single-photon signal and
+    e1_upper is the maximally pessimistic 0.5.  ``clamped`` marks the
+    elements where a bound was clipped into its range.
+    """
     y1l_raw = _y1_lower_raw(obs, mu, nu1, y0)
-    y1l = min(max(y1l_raw, 0.0), 1.0)
-    if y1l > 0:
-        e1u_raw = (obs.e_nu1 * obs.q_nu1 * math.exp(nu1) - e0 * y0) / (y1l * nu1)
-        e1u = min(max(e1u_raw, 0.0), 0.5)
-    else:
-        e1u_raw = 0.5
-        e1u = 0.5  # no usable single-photon signal; maximally pessimistic
-    clamped = (y1l != y1l_raw) or (y1l > 0 and e1u != e1u_raw)
+    y1l = np.clip(y1l_raw, 0.0, 1.0)
+    usable = y1l > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1u_raw = np.where(usable, _e1_upper_raw(obs, y1l, nu1, y0, e0), 0.5)
+    e1u = np.clip(e1u_raw, 0.0, 0.5)
     return DecoyEstimates(
-        y1_lower=y1l,
-        q1_lower=mu * math.exp(-mu) * y1l,
-        e1_upper=e1u,
-        clamped=clamped,
+        y1_lower=_scalar(y1l),
+        q1_lower=_scalar(mu * np.exp(-mu) * y1l),
+        e1_upper=_scalar(e1u),
+        clamped=_scalar((y1l != y1l_raw) | (usable & (e1u != e1u_raw))),
     )
 
 
@@ -215,26 +235,23 @@ def key_rate_lower_bound(
     R = max(0, q (N_mu/t) [ -Q_mu f(E_mu) H2(E_mu) + Q1_lower (1 - H2(e1_upper)) ])
 
     forced to zero when E_mu > 0.11.  ``f_ec`` overrides the constant
-    error-correction efficiency from the protocol config.
+    error-correction efficiency from the protocol config; it receives
+    E_mu with the shape of the observables.
     """
     q = proto.sifting_q
     rate = q * signal_pulses_per_s
-    raw = rate * obs.q_mu
     f_val = f_ec(obs.e_mu) if f_ec is not None else proto.error_correction_f
     cutoff = obs.e_mu > QBER_CUTOFF
-    if cutoff:
-        secure = 0.0
-    else:
-        secure = rate * (
-            -obs.q_mu * f_val * h2(obs.e_mu) + estimates.q1_lower * (1.0 - h2(estimates.e1_upper))
-        )
-        secure = max(secure, 0.0)
+    # entropies are not taken past the cutoff, where e1_upper may be undefined
+    e_mu = np.where(cutoff, 0.0, obs.e_mu)
+    e1u = np.where(cutoff, 0.0, estimates.e1_upper)
+    secure = rate * (-obs.q_mu * f_val * h2(e_mu) + estimates.q1_lower * (1.0 - h2(e1u)))
     return KeyRateReport(
         observables=obs,
         estimates=estimates,
-        raw_key_rate_bps=raw,
-        secure_key_rate_bps=secure,
-        qber_cutoff_hit=cutoff,
+        raw_key_rate_bps=_scalar(rate * obs.q_mu),
+        secure_key_rate_bps=_scalar(np.where(cutoff, 0.0, np.maximum(secure, 0.0))),
+        qber_cutoff_hit=_scalar(cutoff),
         attenuation_db=attenuation_db,
     )
 
@@ -244,11 +261,12 @@ def evaluate_link(
     link: LinkConfig,
     proto: ProtocolConfig,
     gain_convention: str,
-    attenuation_db: float | None = None,
 ) -> KeyRateReport:
-    """Full analytic chain for one link setting: observables -> bounds -> rate."""
-    if attenuation_db is not None:
-        link = replace(link, attenuation_db=attenuation_db)
+    """Full analytic chain for one link setting: observables -> bounds -> rate.
+
+    Array-valued ``link.attenuation_db`` or ``source.mu``/``source.nu1``
+    give an array-valued report over their broadcast shape.
+    """
     obs = channel_observables(source, link, gain_convention)
     y0 = link.background_yield * link.suppression(source)
     est = decoy_estimates(obs, source.mu, source.nu1, y0, link.background_error)
@@ -263,60 +281,53 @@ def sweep(
     source: SourceConfig,
     proto: ProtocolConfig,
     gain_convention: str = "full-budget",
-    max_workers: int = 1,
 ) -> list[KeyRateReport]:
     """Evaluate the analytic chain at each attenuation (ascending order).
 
-    Points are independent; with ``max_workers > 1`` they are evaluated
-    in a thread pool, output order staying deterministic.
+    One array call of :func:`evaluate_link` covers every point; it is
+    split into one report of plain Python floats per attenuation.
     """
-    attens = list(attenuations_db)
-    if any(b < a for a, b in zip(attens, attens[1:])):
+    attens = np.asarray(attenuations_db, dtype=float)
+    if np.any(np.diff(attens) < 0):
         raise ValueError("attenuations must be sorted ascending")
-    if max_workers > 1 and len(attens) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda a: evaluate_link(source, link, proto, gain_convention, a), attens)
-            )
-    return [evaluate_link(source, link, proto, gain_convention, a) for a in attens]
+    batch = evaluate_link(source, replace(link, attenuation_db=attens), proto, gain_convention)
+    return _unstack(batch, len(attens))
 
 
-SWEEP_CSV_HEADER = [
-    "attenuation_db",
-    "Q_mu",
-    "Q_nu1",
-    "Q_nu2",
-    "E_mu",
-    "Y1_lower",
-    "Q1_lower",
-    "e1_upper",
-    "rkr_bps",
-    "lbskr_bps",
-]
+def _unstack(obj, n: int) -> list:
+    """Split a dataclass of scalar or length-n fields into n of Python scalars."""
+    columns = [
+        _unstack(value, n) if is_dataclass(value) else np.broadcast_to(value, n).tolist()
+        for value in (getattr(obj, f.name) for f in fields(obj))
+    ]
+    return [type(obj)(*row) for row in zip(*columns)]
+
+
+#: sweep output columns: name, value of a report, CSV number format
+SWEEP_COLUMNS = tuple(
+    (name, attrgetter(path), fmt)
+    for name, path, fmt in (
+        ("attenuation_db", "attenuation_db", ""),
+        ("Q_mu", "observables.q_mu", ".8e"),
+        ("Q_nu1", "observables.q_nu1", ".8e"),
+        ("Q_nu2", "observables.q_nu2", ".8e"),
+        ("E_mu", "observables.e_mu", ".8e"),
+        ("Y1_lower", "estimates.y1_lower", ".8e"),
+        ("Q1_lower", "estimates.q1_lower", ".8e"),
+        ("e1_upper", "estimates.e1_upper", ".8e"),
+        ("rkr_bps", "raw_key_rate_bps", ".6e"),
+        ("lbskr_bps", "secure_key_rate_bps", ".6e"),
+    )
+)
+SWEEP_CSV_HEADER = [name for name, _, _ in SWEEP_COLUMNS]
 
 
 def write_sweep_csv(reports: Iterable[KeyRateReport], fileobj) -> None:
-    """Write sweep results with the fixed column order of SWEEP_CSV_HEADER."""
+    """Write sweep results with the fixed column order of SWEEP_COLUMNS."""
     writer = csv.writer(fileobj)
     writer.writerow(SWEEP_CSV_HEADER)
     for r in reports:
-        o, e = r.observables, r.estimates
-        writer.writerow(
-            [
-                r.attenuation_db,
-                f"{o.q_mu:.8e}",
-                f"{o.q_nu1:.8e}",
-                f"{o.q_nu2:.8e}",
-                f"{o.e_mu:.8e}",
-                f"{e.y1_lower:.8e}",
-                f"{e.q1_lower:.8e}",
-                f"{e.e1_upper:.8e}",
-                f"{r.raw_key_rate_bps:.6e}",
-                f"{r.secure_key_rate_bps:.6e}",
-            ]
-        )
+        writer.writerow([format(get(r), fmt) if fmt else get(r) for _, get, fmt in SWEEP_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -325,12 +336,6 @@ class GridSpec:
 
     mu_values: tuple[float, ...]
     nu1_values: tuple[float, ...]
-
-    def points(self):
-        for mu in sorted(self.mu_values):
-            for nu1 in sorted(self.nu1_values):
-                if 0.0 < nu1 < mu <= 1.0:
-                    yield mu, nu1
 
 
 @dataclass(frozen=True)
@@ -350,23 +355,26 @@ def optimize_intensities(
 ) -> OptimizeResult:
     """Grid search for the signal/decoy intensities maximizing the rate.
 
-    decoy 2 is held at exact vacuum.  Ties break toward smaller mu (the
-    scan is ascending and only strict improvements replace the argmax).
-    When the rate is zero everywhere the first grid point is reported
-    with ``all_zero`` set.
+    decoy 2 is held at exact vacuum.  The valid (mu, nu1) mesh is
+    evaluated in one array call, mu-major in ascending order, and the
+    first maximum wins, so ties break toward smaller mu.  When the rate
+    is zero everywhere the first grid point is reported with
+    ``all_zero`` set.
     """
     if source_template is None:
         source_template = SourceConfig()
-    best: tuple[float, float, float] | None = None
-    for mu, nu1 in grid.points():
-        src = replace(source_template, mu=mu, nu1=nu1, nu2=0.0)
-        report = evaluate_link(src, link, proto, gain_convention)
-        r = report.secure_key_rate_bps
-        if best is None or r > best[2]:
-            best = (mu, nu1, r)
-    if best is None:
+    mus = np.sort(np.asarray(grid.mu_values, dtype=float))
+    nus = np.sort(np.asarray(grid.nu1_values, dtype=float))
+    mu, nu1 = np.repeat(mus, len(nus)), np.tile(nus, len(mus))  # mu-major
+    valid = (0.0 < nu1) & (nu1 < mu) & (mu <= 1.0)
+    if not valid.any():
         raise ValueError("empty intensity grid")
-    return OptimizeResult(mu=best[0], nu1=best[1], secure_key_rate_bps=best[2], all_zero=best[2] == 0.0)
+    mu, nu1 = mu[valid], nu1[valid]
+    src = replace(source_template, mu=mu, nu1=nu1, nu2=0.0)
+    rates = evaluate_link(src, link, proto, gain_convention).secure_key_rate_bps
+    best = int(np.argmax(rates))
+    rate = float(rates[best])
+    return OptimizeResult(mu=float(mu[best]), nu1=float(nu1[best]), secure_key_rate_bps=rate, all_zero=rate == 0.0)
 
 
 __all__ = [
@@ -387,6 +395,7 @@ __all__ = [
     "key_rate_lower_bound",
     "evaluate_link",
     "sweep",
+    "SWEEP_COLUMNS",
     "SWEEP_CSV_HEADER",
     "write_sweep_csv",
     "GridSpec",

@@ -26,32 +26,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import LinkConfig, Polarization, ProtocolConfig, SourceConfig
+from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .decoy import ChannelObservables, transmittance
 from .timetag import CLASS_LABELS, TICK_SECONDS, AliceLog, TimeTagStream
 
 DEFAULT_BLOCK_FRAMES = 1 << 20
-
-
-@dataclass(frozen=True)
-class PulseEmission:
-    """One pulse leaving Alice."""
-
-    frame: int
-    polarization: Polarization
-    intensity_label: str
-    mean_photons: float
-    photons: int
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """At most one of these per frame survives squashing."""
-
-    frame: int
-    channel: int  # 0=H 1=V 2=D 3=A
-    arrival_offset_s: float
-    origin: str  # "signal" or "background"
 
 
 @dataclass(frozen=True)
@@ -103,77 +82,6 @@ class RunResult:
     dropped_records: int = 0
 
 
-def sample_pulse(source: SourceConfig, rng: np.random.Generator, frame: int = 0) -> PulseEmission:
-    """Draw one pulse: intensity class, polarization, Poisson photon number."""
-    idx = rng.choice(3, p=source.class_probs)
-    pol = Polarization(rng.choice(4, p=source.pol_probs))
-    mean = (source.mu, source.nu1, source.nu2)[idx]
-    return PulseEmission(
-        frame=frame,
-        polarization=pol,
-        intensity_label=CLASS_LABELS[idx],
-        mean_photons=mean,
-        photons=int(rng.poisson(mean)),
-    )
-
-
-def transmit_detect(
-    pulse: PulseEmission,
-    link: LinkConfig,
-    rng: np.random.Generator,
-    source_error: float = 0.0,
-    background_suppression: float = 1.0,
-    period_s: float = 1e-8,
-) -> DetectionEvent | None:
-    """Propagate one pulse to Bob; at most one detection per frame.
-
-    Each photon independently survives the full link budget; a surviving
-    photon picks a basis 50/50 and, in the matched basis, clicks the
-    wrong detector with probability detection_error + source_error.  A
-    background click occurs with probability Y0 * suppression on a
-    uniformly random detector.  If both fire, one is kept at random.
-    """
-    eta = transmittance(link, include_detector=True)
-    err = link.detection_error + source_error
-
-    survivors = int(rng.binomial(pulse.photons, eta)) if pulse.photons else 0
-    signal_channel = None
-    if survivors >= 1:
-        # i.i.d. photons: picking a uniform clicked detector is
-        # distribution-identical to drawing one photon's outcome
-        bob_basis = int(rng.integers(0, 2))
-        if bob_basis == (pulse.polarization.value >> 1):
-            bit = pulse.polarization.value & 1
-            if rng.random() < err:
-                bit ^= 1
-        else:
-            bit = int(rng.integers(0, 2))
-        signal_channel = bob_basis * 2 + bit
-
-    background_channel = None
-    if rng.random() < link.background_yield * background_suppression:
-        background_channel = int(rng.integers(0, 4))
-
-    if signal_channel is None and background_channel is None:
-        return None
-    if signal_channel is not None and background_channel is not None:
-        use_signal = rng.random() < 0.5
-    else:
-        use_signal = signal_channel is not None
-
-    if use_signal:
-        offset = float(rng.normal(0.0, link.jitter_sigma_s))
-    else:
-        half = background_suppression * period_s / 2.0
-        offset = float(rng.uniform(-half, half))
-    return DetectionEvent(
-        frame=pulse.frame,
-        channel=signal_channel if use_signal else background_channel,
-        arrival_offset_s=offset,
-        origin="signal" if use_signal else "background",
-    )
-
-
 def _block_sizes(frames: int, block_frames: int) -> Iterator[tuple[int, int]]:
     start = 0
     block = 0
@@ -211,6 +119,8 @@ def run(
         raise ValueError(
             f"pulse period {period_s} s is not an integer number of {TICK_SECONDS} s ticks"
         )
+    if emit_ttags and not 0 <= phase_ticks < period_ticks:
+        raise ValueError(f"phase_ticks must lie in [0, {period_ticks}), got {phase_ticks}")
 
     means = np.array([source.mu, source.nu1, source.nu2])
     probs = np.array(source.class_probs, dtype=float)
@@ -340,12 +250,8 @@ def estimate_observables(summary: RunSummary) -> ChannelObservables:
 
 __all__ = [
     "DEFAULT_BLOCK_FRAMES",
-    "PulseEmission",
-    "DetectionEvent",
     "RunSummary",
     "RunResult",
-    "sample_pulse",
-    "transmit_detect",
     "run",
     "estimate_observables",
 ]

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ProtocolConfig
 from .decoy import KeyRateReport
 from .entropy import joint_from_profiles, mi_from_profiles
 
@@ -194,19 +193,13 @@ def leakage(profiles: Sequence[PulseProfile], prior: Sequence[float] | None = No
     return mi_from_profiles(joint_from_profiles(rows, prior))
 
 
-def leakage_adjusted_rate(
-    report: KeyRateReport,
-    budget: LeakageBudget,
-    proto: ProtocolConfig | None = None,
-) -> float:
+def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float:
     """Secure rate after debiting side-channel leakage.
 
     R_adj = max(0, R - q (N_mu/t) Q_mu * total): the budget is charged
     per detected sifted signal pulse, a linear debit policy.  The raw
-    key rate in the report already equals q (N_mu/t) Q_mu, so ``proto``
-    is accepted only for call-site symmetry.
+    key rate in the report already equals q (N_mu/t) Q_mu.
     """
-    del proto
     debit = report.raw_key_rate_bps * budget.total
     return min(max(report.secure_key_rate_bps - debit, 0.0), report.secure_key_rate_bps)
 

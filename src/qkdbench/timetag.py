@@ -15,7 +15,6 @@ import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +23,6 @@ TICK_SECONDS = 78.125e-12
 MAX_TICK = (1 << 60) - 1
 CHANNEL_LABELS = ("H", "V", "D", "A")
 CLASS_LABELS = ("signal", "decoy1", "decoy2")
-
-
-class TimeTagRecord(NamedTuple):
-    tick: int
-    channel: int
 
 
 @dataclass(frozen=True)
@@ -52,9 +46,6 @@ class TimeTagStream:
 
     def __len__(self) -> int:
         return len(self.ticks)
-
-    def __getitem__(self, i: int) -> TimeTagRecord:
-        return TimeTagRecord(int(self.ticks[i]), int(self.channels[i]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -205,11 +196,14 @@ class AliceLog:
             header = next(reader, None)
             if header != ["frame", "bit", "basis", "class"]:
                 raise ValueError(f"bad alice log header: {header!r}")
-            for row in reader:
-                frames.append(int(row[0]))
-                bits.append(int(row[1]))
-                bases.append(basis_code[row[2]])
-                classes.append(cls_code[row[3]])
+            try:
+                for row in reader:
+                    frames.append(int(row[0]))
+                    bits.append(int(row[1]))
+                    bases.append(basis_code[row[2]])
+                    classes.append(cls_code[row[3]])
+            except (IndexError, KeyError, ValueError, csv.Error) as exc:
+                raise ValueError(f"alice log line {reader.line_num}: malformed row ({exc!r})") from None
         return cls(
             frame=np.asarray(frames, dtype=np.int64),
             bit=np.asarray(bits, dtype=np.uint8),
@@ -223,10 +217,9 @@ class SiftedKey:
     """Result of matching Bob's gated detections against Alice's log."""
 
     frames: np.ndarray  # frame index of each kept detection
-    bits: np.ndarray  # Bob's bit for each kept detection
-    matched: np.ndarray  # basis-match mask over kept detections
     sifted_bits: np.ndarray  # Bob's bits where bases matched
     error_positions: np.ndarray  # indices into sifted_bits that disagree with Alice
+    detected_per_class: np.ndarray  # (3,) kept detections (one per frame) per intensity class
     sifted_per_class: np.ndarray  # (3,) matched-basis detections per intensity class
     errors_per_class: np.ndarray  # (3,)
     collisions: int
@@ -253,7 +246,8 @@ def sift(
     than one accepted detection keep one chosen uniformly at random
     (counted in ``collisions``).  A detection is sifted when Bob's
     measurement basis (from the detector channel) equals Alice's
-    preparation basis.
+    preparation basis.  ``detected_per_class`` counts the kept
+    detections, so a gain derived from it counts each frame once.
     """
     det = gating.accepted.detections()
     frames = frame_indices(det.ticks, gating.phase_ticks, period_ticks)
@@ -290,10 +284,9 @@ def sift(
 
     return SiftedKey(
         frames=frames,
-        bits=bob_bit.astype(np.uint8),
-        matched=matched,
         sifted_bits=sifted_bits,
         error_positions=error_positions,
+        detected_per_class=np.bincount(a_cls, minlength=3),
         sifted_per_class=sifted_per_class,
         errors_per_class=errors_per_class,
         collisions=collisions,
@@ -305,7 +298,6 @@ __all__ = [
     "MAX_TICK",
     "CHANNEL_LABELS",
     "CLASS_LABELS",
-    "TimeTagRecord",
     "TimeTagStream",
     "encode",
     "decode",

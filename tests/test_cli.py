@@ -1,9 +1,10 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
-from qkdbench import decoy
+from qkdbench import decoy, timetag
 from qkdbench.cli import main
 
 
@@ -235,13 +236,46 @@ class TestOptimize:
         assert 0.25 <= mu <= 1.0
 
 
-class TestThreads:
-    def test_env_var_parallel_sweep_matches(self, bench_config_file, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        main(["sweep", "--config", str(bench_config_file), "--out", str(serial),
-              "--atten-min", "0", "--atten-max", "10", "--atten-step", "1"])
-        monkeypatch.setenv("QKDBENCH_THREADS", "4")
-        threaded = tmp_path / "threaded.csv"
-        main(["sweep", "--config", str(bench_config_file), "--out", str(threaded),
-              "--atten-min", "0", "--atten-max", "10", "--atten-step", "1"])
-        assert serial.read_text() == threaded.read_text()
+class TestMalformedInput:
+    @pytest.fixture
+    def inputs(self, bench_config_file, tmp_path):
+        ttag = tmp_path / "two.ttag"
+        timetag.save_ttag(ttag, timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([0, 1])))
+        alice = tmp_path / "good.alice.csv"
+        alice.write_text("frame,bit,basis,class\n0,0,Z,signal\n1,1,Z,decoy1\n")
+        bad_basis = tmp_path / "bad.alice.csv"
+        bad_basis.write_text("frame,bit,basis,class\n0,0,Q,signal\n")
+        bad_sweep = tmp_path / "bad_sweep.csv"
+        bad_sweep.write_text("x,y\n1,2\n")
+        return {
+            "cfg": str(bench_config_file),
+            "out": str(tmp_path / "out"),
+            "ttag": str(ttag),
+            "alice": str(alice),
+            "missing": str(tmp_path / "nope.csv"),
+            "bad_basis": str(bad_basis),
+            "bad_sweep": str(bad_sweep),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "optimize --config {cfg} --mu-grid 0.5,abc",
+            "optimize --config {cfg} --mu-grid 0.1 --nu1-grid 0.5",
+            "sidechannel --synth --pedestals 0,abc,0,0",
+            "sidechannel --synth --sweep-csv {bad_sweep}",
+            "sweep --config {cfg} --out {out} --atten-min nan",
+            "sweep --config {cfg} --out {out} --atten-min -100 --atten-max 0",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {missing}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {bad_basis}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice} --window-ns nan",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice}",
+            "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks -1",
+            "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks 128",
+        ],
+    )
+    def test_exits_2_with_one_line(self, inputs, argv, capsys):
+        code = main(argv.format(**inputs).split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err

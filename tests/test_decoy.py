@@ -1,10 +1,12 @@
 import io
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qkdbench.config import LinkConfig, ProtocolConfig
+from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy
 from qkdbench.decoy import (
     ChannelObservables,
@@ -225,13 +227,6 @@ class TestSweep:
                 assert r.secure_key_rate_bps == 0.0
         assert any(r.secure_key_rate_bps > 0 for r in reports)
 
-    def test_parallel_matches_serial(self, bench6db):
-        source, link, proto = bench6db
-        attens = [0.0, 5.0, 10.0, 15.0, 20.0]
-        serial = sweep(link, attens, source, proto)
-        threaded = sweep(link, attens, source, proto, max_workers=4)
-        assert [r.secure_key_rate_bps for r in serial] == [r.secure_key_rate_bps for r in threaded]
-
     def test_csv_layout(self, bench6db):
         source, link, proto = bench6db
         reports = sweep(link, [0.0, 6.0], source, proto)
@@ -339,3 +334,54 @@ class TestOptimize:
         )
         assert abs(res.mu - 0.5) <= 0.25
         assert res.secure_key_rate_bps > 0
+
+
+CHAIN_VALUES = (
+    "observables.q_mu",
+    "observables.q_nu1",
+    "observables.q_nu2",
+    "observables.e_mu",
+    "observables.e_nu1",
+    "estimates.y1_lower",
+    "estimates.q1_lower",
+    "estimates.e1_upper",
+    "raw_key_rate_bps",
+    "secure_key_rate_bps",
+)
+
+
+class TestArrayChain:
+    """Element i of an array evaluation equals the scalar chain at point i."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attens=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8),
+        intensities=st.lists(
+            st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 0.99)), min_size=1, max_size=8
+        ),
+        y0=st.floats(1e-6, 1e-1),
+        convention=st.sampled_from(decoy.GAIN_CONVENTIONS),
+    )
+    def test_matches_scalar_chain(self, attens, intensities, y0, convention):
+        source = SourceConfig()
+        link = LinkConfig(background_yield=y0, background_suppression=1.0)
+        proto = ProtocolConfig()
+        atten = np.array(attens)[:, None]
+        mu = np.array([m for m, _ in intensities])[None, :]
+        nu1 = mu * np.array([f for _, f in intensities])[None, :]
+        batch = evaluate_link(
+            replace(source, mu=mu, nu1=nu1, nu2=0.0), replace(link, attenuation_db=atten), proto, convention
+        )
+        shape = batch.secure_key_rate_bps.shape
+        for i, j in np.ndindex(shape):
+            one = evaluate_link(
+                replace(source, mu=float(mu[0, j]), nu1=float(nu1[0, j]), nu2=0.0),
+                replace(link, attenuation_db=float(atten[i, 0])),
+                proto,
+                convention,
+            )
+            for name in CHAIN_VALUES:
+                got = np.broadcast_to(attrgetter(name)(batch), shape)[i, j]
+                np.testing.assert_allclose(got, attrgetter(name)(one), rtol=1e-12, atol=0, err_msg=name)
+            assert np.broadcast_to(batch.estimates.clamped, shape)[i, j] == one.estimates.clamped
+            assert batch.qber_cutoff_hit[i, j] == one.qber_cutoff_hit

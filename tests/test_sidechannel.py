@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qkdbench.config import ProtocolConfig
 from qkdbench.decoy import ChannelObservables, DecoyEstimates, KeyRateReport
 from qkdbench.sidechannel import (
     LeakageBudget,
@@ -202,7 +201,7 @@ class TestAdjustedRate:
         report = make_report()
         budget = LeakageBudget(temporal=1.92e-3, spectral=1.75e-3, spatial=3e-5)
         assert budget.total == pytest.approx(3.7e-3)
-        adjusted = leakage_adjusted_rate(report, budget, ProtocolConfig())
+        adjusted = leakage_adjusted_rate(report, budget)
         assert adjusted == pytest.approx(2877534.0039573484, rel=1e-9)
         assert adjusted == pytest.approx(2.878e6, rel=1e-3)
 
