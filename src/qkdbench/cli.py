@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success, 2 usage/config error,
 3 output I/O failure; malformed input ends with exit code 2 and a
 one-line message.  All randomness flows from --seed; when absent a
 random seed is drawn and printed so runs stay reproducible.  Output
-files are written atomically (temp file + rename).  Sweeps and intensity
+files, the Alice log included, are written atomically (temp file +
+rename) with the mode the umask gives a new file.  Sweeps and intensity
 searches evaluate their whole grid in one array call of the decoy chain.
 """
 
@@ -32,11 +33,13 @@ EXIT_IO = 3
 
 def _write_atomic(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give what open() would
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,9 +124,7 @@ def cmd_simulate(args) -> int:
     _write_atomic(Path(out + ".summary.txt"), result.summary.as_text())
     if args.emit_ttags:
         _write_atomic(Path(out + ".ttag"), timetag.encode(result.stream))
-        log_path = Path(out + ".alice.csv")
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        result.alice_log.to_csv(log_path)
+        _write_atomic(Path(out + ".alice.csv"), result.alice_log.to_csv())
         period = int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS))
         sidecar = (
             f"period_ticks = {period}\n"
@@ -160,14 +161,14 @@ def cmd_analyze_ttags(args) -> int:
     if len(stream.detections()) == 0:
         raise ConfigError("no records in timetag stream")
     try:
-        alice = timetag.AliceLog.from_csv(args.alice_log)
+        with open(args.alice_log) as fh:
+            alice = timetag.AliceLog.from_csv(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read alice log: {exc}") from exc
     seed = _resolve_seed(args)
 
     period = int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS))
-    window = timetag.window_ticks_from_seconds(args.window_ns * 1e-9)
-    window = min(window, period)
+    window = min(timetag.window_ticks_from_seconds(args.window_ns * 1e-9), period)
     try:
         phase = timetag.recover_phase(stream, period)
     except ValueError as exc:
@@ -218,11 +219,12 @@ def cmd_analyze_ttags(args) -> int:
 
 
 def cmd_sidechannel(args) -> int:
-    synth_requested = args.synth
-    if synth_requested and args.profiles:
+    if args.synth and args.profiles:
         raise ConfigError("ambiguous input: give either --profiles or --synth, not both")
-    if not synth_requested and not args.profiles:
+    if not args.synth and not args.profiles:
         raise ConfigError("need an input: --profiles FILE or --synth")
+    if args.attenuation_db is not None and not math.isfinite(args.attenuation_db):
+        raise ConfigError(f"--attenuation-db must be finite, got {args.attenuation_db!r}")
 
     spatial = args.spatial_bits
     if args.profiles:
@@ -231,10 +233,8 @@ def cmd_sidechannel(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"malformed profiles: {exc}") from exc
         mi = sidechannel.leakage(profiles)
-        if args.domain == "temporal":
-            budget = sidechannel.LeakageBudget(temporal=mi, spectral=0.0, spatial=spatial)
-        else:
-            budget = sidechannel.LeakageBudget(temporal=0.0, spectral=mi, spatial=spatial)
+        temporal, spectral = (mi, 0.0) if args.domain == "temporal" else (0.0, mi)
+        budget = sidechannel.LeakageBudget(temporal=temporal, spectral=spectral, spatial=spatial)
     else:
         pedestals = _floats(args.pedestals, "--pedestals", 4)
         shifts = tuple(s * 1e-12 for s in _floats(args.shifts_ps, "--shifts-ps", 4))
@@ -254,10 +254,11 @@ def cmd_sidechannel(args) -> int:
     print(text, end="")
 
     if args.sweep_csv:
-        row = _pick_sweep_row(args.sweep_csv, args.attenuation_db)
-        rkr, lbskr = row
+        attenuation_db, rkr, lbskr = _pick_sweep_row(args.sweep_csv, args.attenuation_db)
         adjusted = max(0.0, lbskr - rkr * budget.total)
-        text += f"lbskr_bps = {lbskr!r}\nleakage_adjusted_bps = {adjusted!r}\n"
+        text += f"attenuation_db = {attenuation_db!r}\nlbskr_bps = {lbskr!r}\n"
+        text += f"leakage_adjusted_bps = {adjusted!r}\n"
+        print(f"attenuation_db = {attenuation_db:g}")
         print(f"lbskr_bps = {lbskr:.6e}")
         print(f"leakage_adjusted_bps = {adjusted:.6e}")
     if args.out:
@@ -265,7 +266,8 @@ def cmd_sidechannel(args) -> int:
     return EXIT_OK
 
 
-def _pick_sweep_row(path: str, attenuation_db: float | None) -> tuple[float, float]:
+def _pick_sweep_row(path: str, attenuation_db: float | None) -> tuple[float, float, float]:
+    """(attenuation_db, rkr_bps, lbskr_bps) of the row nearest the attenuation (first if None)."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -278,7 +280,7 @@ def _pick_sweep_row(path: str, attenuation_db: float | None) -> tuple[float, flo
             row = rows[0]
         else:
             row = min(rows, key=lambda r: abs(float(r["attenuation_db"]) - attenuation_db))
-        return float(row["rkr_bps"]), float(row["lbskr_bps"])
+        return float(row["attenuation_db"]), float(row["rkr_bps"]), float(row["lbskr_bps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed sweep CSV {path}: {exc!r}") from exc
 
@@ -303,8 +305,15 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (one line, exit 2); subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qkdbench", description=__doc__)
+    parser = _Parser(prog="qkdbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -358,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -296,11 +296,15 @@ def sweep(
 
 def _unstack(obj, n: int) -> list:
     """Split a dataclass of scalar or length-n fields into n of Python scalars."""
-    columns = [
-        _unstack(value, n) if is_dataclass(value) else np.broadcast_to(value, n).tolist()
-        for value in (getattr(obj, f.name) for f in fields(obj))
-    ]
-    return [type(obj)(*row) for row in zip(*columns)]
+    columns = {
+        name: _unstack(value, n) if is_dataclass(value) else np.broadcast_to(value, n).tolist()
+        for name, value in vars(obj).items()
+    }
+    # the batch passed its checks as a whole, so the parts skip __init__
+    parts = [object.__new__(type(obj)) for _ in range(n)]
+    for part, row in zip(parts, zip(*columns.values())):
+        vars(part).update(zip(columns, row))
+    return parts
 
 
 #: sweep output columns: name, value of a report, CSV number format

@@ -200,12 +200,7 @@ def run(
                 dropped = len(ticks) - cap
                 ticks, chans = ticks[:cap], chans[:cap]
         stream = TimeTagStream(ticks, chans)
-        bits = np.concatenate([c[0] for c in log_chunks])
-        bases = np.concatenate([c[1] for c in log_chunks])
-        classes = np.concatenate([c[2] for c in log_chunks])
-        alice_log = AliceLog(
-            frame=np.arange(frames, dtype=np.int64), bit=bits, basis=bases, cls=classes
-        )
+        alice_log = AliceLog(*(np.concatenate(column) for column in zip(*log_chunks)))
 
     return RunResult(summary=summary, stream=stream, alice_log=alice_log, dropped_records=dropped)
 

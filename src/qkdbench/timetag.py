@@ -7,14 +7,18 @@ Channels 0..3 are the four polarization detectors (H, V, D, A); values
 
 A 100 MHz pulse train has a period of exactly 128 ticks, so all frame
 and residue arithmetic is integer.
+
+Alice's log is CSV: the header ``bit,basis,class``, then one LF-ended
+row per frame from frame 0 on (row i is frame i), each one of 12 lines.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -165,51 +169,40 @@ def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.
     return (ticks.astype(np.int64) - phase_ticks + period_ticks // 2) // period_ticks
 
 
+#: the Alice log's header and its 12 rows, indexed by bit | basis << 1 | class << 2
+_ALICE_HEADER = "bit,basis,class\n"
+_ALICE_ROWS = tuple(f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n" for code in range(12))
+_ALICE_CODES = {row: code for code, row in enumerate(_ALICE_ROWS)}
+
+
 @dataclass(frozen=True)
 class AliceLog:
-    """Per-frame record of what the source emitted."""
+    """Per-frame record of what the source emitted; entry i is frame i."""
 
-    frame: np.ndarray  # int64, strictly increasing
     bit: np.ndarray  # uint8, 0/1
     basis: np.ndarray  # uint8, 0=Z 1=X
     cls: np.ndarray  # uint8, 0=signal 1=decoy1 2=decoy2
 
     def __len__(self) -> int:
-        return len(self.frame)
+        return len(self.bit)
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame", "bit", "basis", "class"])
-            basis_sym = np.array(["Z", "X"])
-            cls_sym = np.array(CLASS_LABELS)
-            for row in zip(self.frame.tolist(), self.bit.tolist(), basis_sym[self.basis], cls_sym[self.cls]):
-                w.writerow(row)
+    def to_csv(self) -> str:
+        """The log as CSV text: the header, then one row per frame."""
+        code = np.ravel_multi_index((self.cls, self.basis, self.bit), (3, 2, 2))  # ValueError if out of range
+        return _ALICE_HEADER + "".join(map(_ALICE_ROWS.__getitem__, code.tolist()))
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "AliceLog":
-        basis_code = {"Z": 0, "X": 1}
-        cls_code = {label: i for i, label in enumerate(CLASS_LABELS)}
-        frames, bits, bases, classes = [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["frame", "bit", "basis", "class"]:
-                raise ValueError(f"bad alice log header: {header!r}")
-            try:
-                for row in reader:
-                    frames.append(int(row[0]))
-                    bits.append(int(row[1]))
-                    bases.append(basis_code[row[2]])
-                    classes.append(cls_code[row[3]])
-            except (IndexError, KeyError, ValueError, csv.Error) as exc:
-                raise ValueError(f"alice log line {reader.line_num}: malformed row ({exc!r})") from None
-        return cls(
-            frame=np.asarray(frames, dtype=np.int64),
-            bit=np.asarray(bits, dtype=np.uint8),
-            basis=np.asarray(bases, dtype=np.uint8),
-            cls=np.asarray(classes, dtype=np.uint8),
-        )
+    def from_csv(cls, lines: Iterable[str]) -> "AliceLog":
+        """Parse LF-ended lines, e.g. an open file; an unknown row raises ValueError."""
+        lines = iter(lines)
+        header = next(lines, None)
+        if header != _ALICE_HEADER:
+            raise ValueError(f"bad alice log header: {header!r}")
+        code = np.fromiter(map(_ALICE_CODES.get, lines, repeat(len(_ALICE_ROWS))), dtype=np.uint8)
+        bad = np.flatnonzero(code == len(_ALICE_ROWS))
+        if len(bad):
+            raise ValueError(f"alice log line {int(bad[0]) + 2}: malformed row")
+        return cls(bit=code & 1, basis=code >> 1 & 1, cls=code >> 2)
 
 
 @dataclass(frozen=True)
@@ -254,8 +247,7 @@ def sift(
     channels = det.channels.astype(np.int64)
 
     # frames outside Alice's log cannot be attributed
-    lo, hi = (int(alice.frame[0]), int(alice.frame[-1])) if len(alice) else (0, -1)
-    ok = (frames >= lo) & (frames <= hi)
+    ok = (frames >= 0) & (frames < len(alice))
     frames, channels = frames[ok], channels[ok]
 
     # resolve frame collisions: random permutation, then first occurrence
@@ -266,11 +258,9 @@ def sift(
     collisions = len(frames) - len(uniq_frames)
     frames, channels = frames[keep_idx], channels[keep_idx]
 
-    # alice.frame is contiguous from its first entry
-    a_idx = frames - lo
-    a_bit = alice.bit[a_idx].astype(np.int64)
-    a_basis = alice.basis[a_idx].astype(np.int64)
-    a_cls = alice.cls[a_idx].astype(np.int64)
+    a_bit = alice.bit[frames].astype(np.int64)
+    a_basis = alice.basis[frames].astype(np.int64)
+    a_cls = alice.cls[frames].astype(np.int64)
 
     bob_basis = channels >> 1
     bob_bit = channels & 1

@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -110,6 +112,29 @@ class TestSimulate:
         assert code == 0
         assert "seed = " in capsys.readouterr().out
 
+    def test_mode_follows_umask(self, bench_config_file, tmp_path):
+        old = os.umask(0o022)
+        try:
+            code = main(
+                ["simulate", "--config", str(bench_config_file), "--frames", "20000",
+                 "--seed", "3", "--out", str(tmp_path / "run"), "--emit-ttags"]
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.glob("run*")}
+        suffixes = ("summary.txt", "ttag", "alice.csv", "sidecar.txt")
+        assert modes == {f"run.{suffix}": 0o644 for suffix in suffixes}
+
+    def test_alice_log_rows_are_frames(self, bench_config_file, tmp_path):
+        main(
+            ["simulate", "--config", str(bench_config_file), "--frames", "1000",
+             "--seed", "4", "--out", str(tmp_path / "run"), "--emit-ttags"]
+        )
+        lines = (tmp_path / "run.alice.csv").read_bytes().split(b"\n")
+        assert lines[0] == b"bit,basis,class" and lines[-1] == b""
+        assert len(lines) == 1000 + 2
+
 
 class TestAnalyzeTtags:
     @pytest.fixture
@@ -154,7 +179,7 @@ class TestAnalyzeTtags:
         empty = tmp_path / "empty.ttag"
         empty.write_bytes(b"")
         alice = tmp_path / "alice.csv"
-        alice.write_text("frame,bit,basis,class\n0,0,Z,signal\n")
+        alice.write_text("bit,basis,class\n0,Z,signal\n")
         code = main(
             ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(empty),
              "--alice-log", str(alice)]
@@ -166,7 +191,7 @@ class TestAnalyzeTtags:
         bad = tmp_path / "bad.ttag"
         bad.write_bytes(b"\x01\x02\x03")
         alice = tmp_path / "alice.csv"
-        alice.write_text("frame,bit,basis,class\n0,0,Z,signal\n")
+        alice.write_text("bit,basis,class\n0,Z,signal\n")
         code = main(
             ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(bad),
              "--alice-log", str(alice)]
@@ -223,6 +248,18 @@ class TestSidechannel:
         path.write_text("axis,stateH\n0,1\n")
         assert main(["sidechannel", "--profiles", str(path)]) == 2
 
+    def test_off_grid_attenuation_reports_row_used(self, bench_config_file, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweep.csv"
+        main(["sweep", "--config", str(bench_config_file), "--out", str(sweep_csv),
+              "--atten-min", "0", "--atten-max", "40", "--atten-step", "10"])
+        capsys.readouterr()
+        out = tmp_path / "audit.txt"
+        code = main(["sidechannel", "--synth", "--sweep-csv", str(sweep_csv),
+                     "--attenuation-db", "500", "--out", str(out)])
+        assert code == 0
+        assert "attenuation_db = 40\n" in capsys.readouterr().out
+        assert "attenuation_db = 40.0\n" in out.read_text()
+
 
 class TestOptimize:
     def test_smoke(self, bench_config_file, capsys):
@@ -242,11 +279,15 @@ class TestMalformedInput:
         ttag = tmp_path / "two.ttag"
         timetag.save_ttag(ttag, timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([0, 1])))
         alice = tmp_path / "good.alice.csv"
-        alice.write_text("frame,bit,basis,class\n0,0,Z,signal\n1,1,Z,decoy1\n")
+        alice.write_text("bit,basis,class\n0,Z,signal\n1,Z,decoy1\n")
         bad_basis = tmp_path / "bad.alice.csv"
-        bad_basis.write_text("frame,bit,basis,class\n0,0,Q,signal\n")
+        bad_basis.write_text("bit,basis,class\n0,Q,signal\n")
+        old_log = tmp_path / "old.alice.csv"
+        old_log.write_text("frame,bit,basis,class\n0,0,Z,signal\n1,1,Z,decoy1\n")
         bad_sweep = tmp_path / "bad_sweep.csv"
         bad_sweep.write_text("x,y\n1,2\n")
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(bench_config_file), "--out", str(sweep)]) == 0
         return {
             "cfg": str(bench_config_file),
             "out": str(tmp_path / "out"),
@@ -254,7 +295,9 @@ class TestMalformedInput:
             "alice": str(alice),
             "missing": str(tmp_path / "nope.csv"),
             "bad_basis": str(bad_basis),
+            "old_log": str(old_log),
             "bad_sweep": str(bad_sweep),
+            "sweep": str(sweep),
         }
 
     @pytest.mark.parametrize(
@@ -272,6 +315,10 @@ class TestMalformedInput:
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice}",
             "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks -1",
             "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks 128",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}",
+            "sweep --config {cfg} --out {out} --atten-min abc",
+            "simulate --config {cfg} --seed 1 --out {out}",
+            "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -279,3 +326,8 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_old_format_alice_log_names_header(self, inputs, capsys):
+        argv = "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}".format(**inputs)
+        assert main(argv.split()) == 2
+        assert "bad alice log header" in capsys.readouterr().err

@@ -1,8 +1,10 @@
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo, timetag
@@ -184,9 +186,12 @@ class TestGate:
         assert window_ticks_from_seconds(78.125e-12) == 1
 
 
+#: the 12 Alice log rows (without their newline), indexed by bit | basis << 1 | class << 2
+ALICE_ROWS = [f"{c & 1},{'ZX'[c >> 1 & 1]},{timetag.CLASS_LABELS[c >> 2]}" for c in range(12)]
+
+
 def make_alice(n, rng):
     return AliceLog(
-        frame=np.arange(n, dtype=np.int64),
         bit=rng.integers(0, 2, n).astype(np.uint8),
         basis=rng.integers(0, 2, n).astype(np.uint8),
         cls=rng.integers(0, 3, n).astype(np.uint8),
@@ -223,7 +228,6 @@ class TestSift:
 
     def test_collisions_resolved_and_counted(self):
         alice = AliceLog(
-            frame=np.arange(3, dtype=np.int64),
             bit=np.array([0, 1, 0], dtype=np.uint8),
             basis=np.array([0, 0, 1], dtype=np.uint8),
             cls=np.zeros(3, dtype=np.uint8),
@@ -237,7 +241,6 @@ class TestSift:
 
     def test_out_of_log_frames_dropped(self):
         alice = AliceLog(
-            frame=np.arange(2, dtype=np.int64),
             bit=np.zeros(2, dtype=np.uint8),
             basis=np.zeros(2, dtype=np.uint8),
             cls=np.zeros(2, dtype=np.uint8),
@@ -247,16 +250,59 @@ class TestSift:
         key = sift(alice, gated, PERIOD, seed=4)
         assert len(key.frames) == 1
 
-    def test_alice_log_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(402)
-        alice = make_alice(1000, rng)
-        path = tmp_path / "alice.csv"
-        alice.to_csv(path)
-        back = AliceLog.from_csv(path)
-        assert np.array_equal(back.frame, alice.frame)
+    @settings(max_examples=50, deadline=None)
+    @given(codes=st.lists(st.integers(0, 11), max_size=200), seed=st.integers(0, 2**32 - 1))
+    def test_sift_attributes_each_frame_to_its_class(self, codes, seed):
+        code = np.array(codes, dtype=np.uint8)
+        n = len(code)
+        alice = AliceLog(bit=code & 1, basis=code >> 1 & 1, cls=code >> 2)
+        rng = np.random.default_rng(seed)
+        chosen = np.flatnonzero(rng.random(n) < 0.5)
+        # one on-phase record per chosen frame, plus records past the end of the log
+        frames = np.concatenate([chosen, n + rng.integers(0, 5, size=3)])
+        ticks = (frames * PERIOD + 37).astype(np.uint64)
+        chans = rng.integers(0, 4, size=len(frames)).astype(np.uint8)
+        key = sift(alice, gate(TimeTagStream(ticks, chans), PERIOD, 37, 13), PERIOD, seed=seed)
+        assert np.array_equal(key.frames, chosen)
+        assert np.array_equal(key.detected_per_class, np.bincount(alice.cls[chosen], minlength=3))
+
+    @settings(max_examples=50, deadline=None)
+    @given(codes=st.lists(st.integers(0, 11), max_size=200))
+    def test_alice_log_csv_round_trip(self, codes):
+        code = np.array(codes, dtype=np.uint8)
+        alice = AliceLog(bit=code & 1, basis=code >> 1 & 1, cls=code >> 2)
+        text = alice.to_csv()
+        assert text == "bit,basis,class\n" + "".join(ALICE_ROWS[c] + "\n" for c in codes)
+        back = AliceLog.from_csv(io.StringIO(text))
         assert np.array_equal(back.bit, alice.bit)
         assert np.array_equal(back.basis, alice.basis)
         assert np.array_equal(back.cls, alice.cls)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 11), min_size=1, max_size=50),
+        at=st.integers(0, 49),
+        row=st.text(alphabet="01ZXsignaldecoy12,\r ", max_size=14),
+    )
+    def test_alice_log_rejects_unknown_row(self, codes, at, row):
+        assume(row not in ALICE_ROWS)
+        rows = [ALICE_ROWS[c] for c in codes]
+        at = at % (len(rows) + 1)
+        lines = ["bit,basis,class"] + rows[:at] + [row] + rows[at:]
+        with pytest.raises(ValueError, match=f"alice log line {at + 2}:"):
+            AliceLog.from_csv(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("field", ["bit", "basis", "cls"])
+    def test_alice_log_out_of_range_value_not_written(self, field):
+        values = {"bit": [0, 1], "basis": [1, 0], "cls": [2, 0]}
+        values[field] = [1, 3]
+        alice = AliceLog(**{k: np.array(v, dtype=np.uint8) for k, v in values.items()})
+        with pytest.raises(ValueError):
+            alice.to_csv()
+
+    def test_alice_log_old_header_rejected(self):
+        with pytest.raises(ValueError, match="bad alice log header"):
+            AliceLog.from_csv(io.StringIO("frame,bit,basis,class\n0,1,Z,signal\n"))
 
 
 @pytest.fixture
