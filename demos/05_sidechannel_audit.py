@@ -35,7 +35,8 @@ print(f"\n2-3 ps timing offsets alone leak {sidechannel.leakage(shifted):.3e} bi
 
 budget = sidechannel.LeakageBudget(temporal=max(i_t, 1.92e-3), spectral=max(i_f, 1.75e-3))
 print("\nworking budget (filtered floors, external spatial constant)")
-print(budget.as_text(), end="")
+for name in ("temporal", "spectral", "spatial", "total"):
+    print(f"  {name} = {getattr(budget, name):.3e} bits/pulse")
 
 source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002)
 link = LinkConfig(background_suppression=1.0)

@@ -14,7 +14,6 @@ Layers, bottom up:
 from .config import (
     ConfigError,
     LinkConfig,
-    Polarization,
     ProtocolConfig,
     SourceConfig,
     build_configs,
@@ -30,7 +29,6 @@ from .decoy import (
     OptimizeResult,
     channel_observables,
     decoy_estimates,
-    e1_upper,
     estimate_background_yield,
     evaluate_link,
     gain,
@@ -40,7 +38,6 @@ from .decoy import (
     qber,
     sweep,
     transmittance,
-    y1_lower,
 )
 from .entropy import ConditionalProfiles, JointDistribution, h2, mi_from_profiles, mutual_information
 from .montecarlo import RunResult, RunSummary, estimate_observables, run

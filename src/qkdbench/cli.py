@@ -2,11 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 2 usage/config error,
 3 output I/O failure; malformed input ends with exit code 2 and a
-one-line message.  All randomness flows from --seed; when absent a
+one-line message, printed before anything else.  Every float flag must
+be a finite number.  All randomness flows from --seed; when absent a
 random seed is drawn and printed so runs stay reproducible.  Output
 files, the Alice log included, are written atomically (temp file +
-rename) with the mode the umask gives a new file.  Sweeps and intensity
-searches evaluate their whole grid in one array call of the decoy chain.
+rename) with the mode the umask gives a new file; the text outputs are
+``key = value`` lines from one writer.  Sweeps and intensity searches
+evaluate their whole grid in one array call of the decoy chain.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+#: the most attenuations one sweep evaluates
+MAX_SWEEP_POINTS = 100_000
+
 
 def _write_atomic(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -47,38 +52,64 @@ def _write_atomic(path: Path, data) -> None:
         raise
 
 
+def _kv_text(fields: dict) -> str:
+    """``key = value`` lines, the format of every text output.
+
+    A value is written as the ``repr`` of its Python scalar (a numpy
+    scalar is converted first, so a float reads ``0.1`` under any numpy
+    version); a string is written as it is.
+    """
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, np.generic):
+            value = value.item()
+        lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}\n")
+    return "".join(lines)
+
+
 def _resolve_seed(args) -> int:
+    """--seed, or a random seed that _print_seed shows once the input is accepted."""
+    return secrets.randbits(32) if args.seed is None else args.seed
+
+
+def _print_seed(args, seed: int) -> None:
     if args.seed is None:
-        seed = secrets.randbits(32)
         print(f"seed = {seed}  (chosen at random; pass --seed to reproduce)")
-        return seed
-    return args.seed
+
+
+def _finite(text: str) -> float:
+    """The argparse type of every float flag, and of each item of a number list."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _floats(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
     """Parse a comma-separated list of finite numbers."""
     try:
-        values = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated numbers, got {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{what}: values must be finite, got {text!r}")
+        values = tuple(map(_finite, text.split(",")))
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
     if count is not None and len(values) != count:
         raise ConfigError(f"{what}: expected {count} comma-separated values, got {text!r}")
     return values
 
 
 def _attenuations(args) -> list[float]:
-    if not all(math.isfinite(v) for v in (args.atten_min, args.atten_max, args.atten_step)):
-        raise ConfigError("--atten-min, --atten-max and --atten-step must be finite")
     if args.atten_min < 0:
         raise ConfigError("--atten-min must be >= 0")
     if args.atten_max < args.atten_min:
         raise ConfigError("--atten-max must be >= --atten-min")
     if args.atten_step <= 0:
         raise ConfigError("--atten-step must be > 0")
-    n = int(round((args.atten_max - args.atten_min) / args.atten_step)) + 1
-    return [args.atten_min + i * args.atten_step for i in range(n)]
+    steps = (args.atten_max - args.atten_min) / args.atten_step  # a float: inf rather than a huge int
+    if steps + 1 > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep grid has more than {MAX_SWEEP_POINTS} points")
+    return [args.atten_min + i * args.atten_step for i in range(round(steps) + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -90,9 +121,7 @@ def cmd_sweep(args) -> int:
         decoy.write_sweep_csv(reports, buf)
         payload = buf.getvalue()
     else:  # structured text: one key=value block per attenuation
-        payload = "\n".join(
-            "".join(f"{name} = {get(r)!r}\n" for name, get, _ in decoy.SWEEP_COLUMNS) for r in reports
-        )
+        payload = "\n".join(_kv_text({name: get(r) for name, get, _ in decoy.SWEEP_COLUMNS}) for r in reports)
     _write_atomic(Path(args.out), payload)
 
     cutoff = next((r.attenuation_db for r in reports if r.qber_cutoff_hit), None)
@@ -120,23 +149,28 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    s = result.summary
+    summary = {"frames": s.frames, "simulated_s": s.simulated_s}
+    counts = {"sent": s.sent, "detected": s.detected, "sifted": s.sifted, "errors": s.errors}
+    for i, label in enumerate(timetag.CLASS_LABELS):
+        summary.update({f"{name}_{label}": c[i] for name, c in counts.items()})
+        summary.update({f"gain_{label}": s.gain_class(i), f"qber_{label}": s.qber_class(i)})
     out = str(args.out)  # output prefix, suffixes appended
-    _write_atomic(Path(out + ".summary.txt"), result.summary.as_text())
+    _write_atomic(Path(out + ".summary.txt"), _kv_text(summary))
     if args.emit_ttags:
         _write_atomic(Path(out + ".ttag"), timetag.encode(result.stream))
         _write_atomic(Path(out + ".alice.csv"), result.alice_log.to_csv())
-        period = int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS))
-        sidecar = (
-            f"period_ticks = {period}\n"
-            f"phase_ticks = {args.phase_ticks}\n"
-            f"window_ticks = {timetag.window_ticks_from_seconds(link.window_s)}\n"
-            f"channels = 0:H 1:V 2:D 3:A\n"
-            f"dropped_records = {result.dropped_records}\n"
-        )
-        _write_atomic(Path(out + ".sidecar.txt"), sidecar)
+        sidecar = {
+            "period_ticks": int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS)),
+            "phase_ticks": args.phase_ticks,
+            "window_ticks": timetag.window_ticks_from_seconds(link.window_s),
+            "channels": "0:H 1:V 2:D 3:A",
+            "dropped_records": result.dropped_records,
+        }
+        _write_atomic(Path(out + ".sidecar.txt"), _kv_text(sidecar))
 
     obs_model = decoy.channel_observables(source, link, "full-budget")
-    s = result.summary
+    _print_seed(args, seed)
     print(f"frames = {s.frames}, simulated {s.simulated_s:g} s")
     for i, (label, q_model) in enumerate(
         zip(timetag.CLASS_LABELS, (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2))
@@ -168,13 +202,12 @@ def cmd_analyze_ttags(args) -> int:
     seed = _resolve_seed(args)
 
     period = int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS))
-    window = min(timetag.window_ticks_from_seconds(args.window_ns * 1e-9), period)
+    # clamped in seconds, so a huge window never becomes an infinite tick count
+    window = timetag.window_ticks_from_seconds(min(args.window_ns * 1e-9, 1.0 / source.pulse_rate_hz))
     try:
         phase = timetag.recover_phase(stream, period)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if phase.low_confidence:
-        print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
@@ -199,6 +232,9 @@ def cmd_analyze_ttags(args) -> int:
     report = decoy.key_rate_lower_bound(obs, est, proto, proto.signal_pulses_per_s(source))
 
     duration = len(alice) / source.pulse_rate_hz
+    _print_seed(args, seed)
+    if phase.low_confidence:
+        print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
     print(f"records = {len(stream)}, gated = {len(gated.accepted)}, rejected = {gated.rejected}")
     print(f"phase_ticks = {phase.phase_ticks}, window_ticks = {window}, collisions = {sifted.collisions}")
     print(f"sifted_rate_cps = {len(sifted.sifted_bits) / duration:.6e}")
@@ -208,13 +244,10 @@ def cmd_analyze_ttags(args) -> int:
     print(f"Y1_lower = {est.y1_lower:.6e}  Q1_lower = {est.q1_lower:.6e}  e1_upper = {est.e1_upper:.6e}")
     print(f"lbskr_bps = {report.secure_key_rate_bps:.6e}")
     if args.out:
-        text = (
-            f"q_mu = {obs.q_mu!r}\nq_nu1 = {obs.q_nu1!r}\nq_nu2 = {obs.q_nu2!r}\n"
-            f"e_mu = {obs.e_mu!r}\ne_nu1 = {obs.e_nu1!r}\ny0_est = {y0!r}\n"
-            f"y1_lower = {est.y1_lower!r}\nq1_lower = {est.q1_lower!r}\ne1_upper = {est.e1_upper!r}\n"
-            f"rkr_bps = {report.raw_key_rate_bps!r}\nlbskr_bps = {report.secure_key_rate_bps!r}\n"
-        )
-        _write_atomic(Path(args.out), text)
+        fields = {name: getattr(obs, name) for name in ("q_mu", "q_nu1", "q_nu2", "e_mu", "e_nu1")}
+        fields.update(y0_est=y0, y1_lower=est.y1_lower, q1_lower=est.q1_lower, e1_upper=est.e1_upper)
+        fields.update(rkr_bps=report.raw_key_rate_bps, lbskr_bps=report.secure_key_rate_bps)
+        _write_atomic(Path(args.out), _kv_text(fields))
     return EXIT_OK
 
 
@@ -223,10 +256,7 @@ def cmd_sidechannel(args) -> int:
         raise ConfigError("ambiguous input: give either --profiles or --synth, not both")
     if not args.synth and not args.profiles:
         raise ConfigError("need an input: --profiles FILE or --synth")
-    if args.attenuation_db is not None and not math.isfinite(args.attenuation_db):
-        raise ConfigError(f"--attenuation-db must be finite, got {args.attenuation_db!r}")
 
-    spatial = args.spatial_bits
     if args.profiles:
         try:
             profiles = sidechannel.load_profiles(args.profiles)
@@ -234,35 +264,37 @@ def cmd_sidechannel(args) -> int:
             raise ConfigError(f"malformed profiles: {exc}") from exc
         mi = sidechannel.leakage(profiles)
         temporal, spectral = (mi, 0.0) if args.domain == "temporal" else (0.0, mi)
-        budget = sidechannel.LeakageBudget(temporal=temporal, spectral=spectral, spatial=spatial)
     else:
         pedestals = _floats(args.pedestals, "--pedestals", 4)
         shifts = tuple(s * 1e-12 for s in _floats(args.shifts_ps, "--shifts-ps", 4))
         try:
-            temporal, spectral = sidechannel.synth_profiles(
+            profiles = sidechannel.synth_profiles(
                 fwhm_s=args.fwhm_ps * 1e-12, tbp=args.tbp, ase_pedestal=pedestals, shifts_s=shifts
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        budget = sidechannel.LeakageBudget(
-            temporal=sidechannel.leakage(temporal),
-            spectral=sidechannel.leakage(spectral),
-            spatial=spatial,
-        )
+        temporal, spectral = map(sidechannel.leakage, profiles)
+    try:
+        budget = sidechannel.LeakageBudget(temporal=temporal, spectral=spectral, spatial=args.spatial_bits)
+    except ValueError as exc:
+        raise ConfigError(f"--spatial-bits: {exc}") from exc
 
-    text = budget.as_text()
-    print(text, end="")
-
+    fields = {
+        "leakage_temporal_bits_per_pulse": budget.temporal,
+        "leakage_spectral_bits_per_pulse": budget.spectral,
+        "leakage_spatial_bits_per_pulse": budget.spatial,
+        "leakage_total_bits_per_pulse": budget.total,
+    }
+    shown = dict(fields)
     if args.sweep_csv:
         attenuation_db, rkr, lbskr = _pick_sweep_row(args.sweep_csv, args.attenuation_db)
         adjusted = max(0.0, lbskr - rkr * budget.total)
-        text += f"attenuation_db = {attenuation_db!r}\nlbskr_bps = {lbskr!r}\n"
-        text += f"leakage_adjusted_bps = {adjusted!r}\n"
-        print(f"attenuation_db = {attenuation_db:g}")
-        print(f"lbskr_bps = {lbskr:.6e}")
-        print(f"leakage_adjusted_bps = {adjusted:.6e}")
+        fields.update(attenuation_db=attenuation_db, lbskr_bps=lbskr, leakage_adjusted_bps=adjusted)
+        shown.update(attenuation_db=f"{attenuation_db:g}", lbskr_bps=f"{lbskr:.6e}")
+        shown.update(leakage_adjusted_bps=f"{adjusted:.6e}")
+    print(_kv_text(shown), end="")
     if args.out:
-        _write_atomic(Path(args.out), text)
+        _write_atomic(Path(args.out), _kv_text(fields))
     return EXIT_OK
 
 
@@ -322,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="attenuation sweep to CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--atten-min", type=float, default=0.0)
-    p.add_argument("--atten-max", type=float, default=40.0)
-    p.add_argument("--atten-step", type=float, default=1.0)
+    p.add_argument("--atten-min", type=_finite, default=0.0)
+    p.add_argument("--atten-max", type=_finite, default=40.0)
+    p.add_argument("--atten-step", type=_finite, default=1.0)
     p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
     p.add_argument("--format", choices=["csv", "text"], default="csv")
     p.set_defaults(func=cmd_sweep)
@@ -339,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-ttags", parents=[common], help="phase recovery, gating, sifting, key rate")
     p.add_argument("--ttags", required=True)
     p.add_argument("--alice-log", required=True)
-    p.add_argument("--window-ns", type=float, default=1.0)
+    p.add_argument("--window-ns", type=_finite, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze_ttags)
 
@@ -349,11 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth", action="store_true", help="synthesize Gaussian profiles")
     p.add_argument("--pedestals", default="0,0,0,0", help="per-state ASE floor, fraction of peak")
     p.add_argument("--shifts-ps", default="0,0,0,0", help="per-state temporal shifts, ps")
-    p.add_argument("--fwhm-ps", type=float, default=400.0)
-    p.add_argument("--tbp", type=float, default=0.56)
-    p.add_argument("--spatial-bits", type=float, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
+    p.add_argument("--fwhm-ps", type=_finite, default=400.0)
+    p.add_argument("--tbp", type=_finite, default=0.56)
+    p.add_argument("--spatial-bits", type=_finite, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
     p.add_argument("--sweep-csv", default=None, help="debit the leakage from a sweep row")
-    p.add_argument("--attenuation-db", type=float, default=None)
+    p.add_argument("--attenuation-db", type=_finite, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sidechannel)
 

@@ -16,33 +16,12 @@ default are listed in :data:`CONFIG_SCHEMA`.  Unknown keys are rejected.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Raised for unparseable config files or invariant violations."""
-
-
-class Polarization(enum.Enum):
-    """The four BB84 polarization states.
-
-    H/V span the rectilinear basis (Z), D/A the diagonal basis (X).
-    """
-
-    H = 0
-    V = 1
-    D = 2
-    A = 3
-
-    @property
-    def basis(self) -> str:
-        return "Z" if self in (Polarization.H, Polarization.V) else "X"
-
-    @property
-    def bit(self) -> int:
-        return self.value % 2
 
 
 @dataclass(frozen=True)
@@ -310,7 +289,6 @@ def dump_config(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -
 
 __all__ = [
     "ConfigError",
-    "Polarization",
     "SourceConfig",
     "LinkConfig",
     "ProtocolConfig",

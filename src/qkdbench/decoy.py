@@ -15,7 +15,7 @@ reproduces the benchmark 6 dB observables (Q_mu = 1.18e-1 etc.);
 efficiency and matches what the Monte Carlo engine simulates.
 
 The chain accepts scalars or broadcastable numpy arrays: ``gain``,
-``qber``, the bounds, ``decoy_estimates``, ``key_rate_lower_bound`` and
+``qber``, ``decoy_estimates`` (the bounds), ``key_rate_lower_bound`` and
 ``evaluate_link`` (with an array ``LinkConfig.attenuation_db`` or array
 ``SourceConfig.mu``/``nu1``) compute element-wise in one numpy pass.
 Scalar inputs give plain Python floats and bools.  ``sweep`` and
@@ -28,7 +28,7 @@ import csv
 import math
 from dataclasses import dataclass, is_dataclass, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,19 +87,16 @@ class KeyRateReport:
     raw_key_rate_bps: float
     secure_key_rate_bps: float
     qber_cutoff_hit: bool
-    leakage_adjusted_bps: float | None = None
     attenuation_db: float | None = None
 
 
-def transmittance(link: LinkConfig, include_detector: bool = True) -> float:
-    """Overall transmittance: channel + setup loss, optionally detector.
+def transmittance(link: LinkConfig) -> float:
+    """Overall transmittance: channel, setup loss and detector.
 
     eta = 10^(-(attenuation + setup_loss)/10) * efficiency.
     """
     eta = np.power(10.0, -(link.attenuation_db + link.setup_loss_db) / 10.0)
-    if include_detector:
-        eta *= link.detector_efficiency
-    return _scalar(eta)
+    return _scalar(eta * link.detector_efficiency)
 
 
 def link_eta(link: LinkConfig, gain_convention: str) -> float:
@@ -107,7 +104,7 @@ def link_eta(link: LinkConfig, gain_convention: str) -> float:
     if gain_convention == "attenuation-only":
         return _scalar(np.power(10.0, -link.attenuation_db / 10.0))
     if gain_convention == "full-budget":
-        return transmittance(link, include_detector=True)
+        return transmittance(link)
     raise ValueError(f"unknown gain convention {gain_convention!r}; use one of {GAIN_CONVENTIONS}")
 
 
@@ -149,7 +146,18 @@ def channel_observables(source: SourceConfig, link: LinkConfig, gain_convention:
     )
 
 
-def _y1_lower_raw(obs: ChannelObservables, mu, nu1, y0):
+def decoy_estimates(obs: ChannelObservables, mu, nu1, y0, e0: float = 0.5) -> DecoyEstimates:
+    """Vacuum+weak-decoy bounds on the single-photon yield and error rate.
+
+    Y1_lower = mu/(mu*nu1 - nu1^2) * [ Q_nu1 e^nu1 - Q_mu e^mu nu1^2/mu^2
+                                       - (mu^2 - nu1^2)/mu^2 * Y0 ]
+    clamped into [0, 1]; Q1_lower = mu e^-mu Y1_lower; and
+    e1_upper = [E_nu1 Q_nu1 e^nu1 - e0 Y0] / (Y1_lower * nu1) clamped
+    into [0, 0.5].  Where Y1_lower is zero there is no usable
+    single-photon signal and e1_upper is the maximally pessimistic 0.5.
+    ``clamped`` marks the elements where a bound was clipped into its
+    range.
+    """
     if not np.all((mu > nu1) & (nu1 > 0)):
         raise ValueError(f"degenerate intensities: require mu > nu1 > 0, got mu={mu}, nu1={nu1}")
     bracket = (
@@ -157,46 +165,11 @@ def _y1_lower_raw(obs: ChannelObservables, mu, nu1, y0):
         - obs.q_mu * np.exp(mu) * nu1**2 / mu**2
         - (mu**2 - nu1**2) / mu**2 * y0
     )
-    return mu / (mu * nu1 - nu1**2) * bracket
-
-
-def y1_lower(obs: ChannelObservables, mu, nu1, y0):
-    """Vacuum+weak-decoy lower bound on the single-photon yield Y1.
-
-    Y1 >= mu/(mu*nu1 - nu1^2) * [ Q_nu1 e^nu1 - Q_mu e^mu nu1^2/mu^2
-                                  - (mu^2 - nu1^2)/mu^2 * Y0 ]
-    clamped into [0, 1].
-    """
-    return _scalar(np.clip(_y1_lower_raw(obs, mu, nu1, y0), 0.0, 1.0))
-
-
-def _e1_upper_raw(obs: ChannelObservables, y1l, nu1, y0, e0):
-    return (obs.e_nu1 * obs.q_nu1 * np.exp(nu1) - e0 * y0) / (y1l * nu1)
-
-
-def e1_upper(obs: ChannelObservables, estimates: DecoyEstimates, nu1, y0, e0):
-    """Upper bound on the single-photon error rate e1.
-
-    e1 <= [E_nu1 Q_nu1 e^nu1 - e0 Y0] / (Y1_lower * nu1), clamped into
-    [0, 0.5].  Undefined when the yield bound is zero.
-    """
-    if not np.all(estimates.y1_lower > 0):
-        raise ValueError("undefined bound: e1_upper requires Y1_lower > 0")
-    return _scalar(np.clip(_e1_upper_raw(obs, estimates.y1_lower, nu1, y0, e0), 0.0, 0.5))
-
-
-def decoy_estimates(obs: ChannelObservables, mu, nu1, y0, e0: float = 0.5) -> DecoyEstimates:
-    """Chain the single-photon bounds; Q1_lower = mu e^-mu Y1_lower.
-
-    Where Y1_lower is zero there is no usable single-photon signal and
-    e1_upper is the maximally pessimistic 0.5.  ``clamped`` marks the
-    elements where a bound was clipped into its range.
-    """
-    y1l_raw = _y1_lower_raw(obs, mu, nu1, y0)
+    y1l_raw = mu / (mu * nu1 - nu1**2) * bracket
     y1l = np.clip(y1l_raw, 0.0, 1.0)
     usable = y1l > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        e1u_raw = np.where(usable, _e1_upper_raw(obs, y1l, nu1, y0, e0), 0.5)
+        e1u_raw = np.where(usable, (obs.e_nu1 * obs.q_nu1 * np.exp(nu1) - e0 * y0) / (y1l * nu1), 0.5)
     e1u = np.clip(e1u_raw, 0.0, 0.5)
     return DecoyEstimates(
         y1_lower=_scalar(y1l),
@@ -206,15 +179,14 @@ def decoy_estimates(obs: ChannelObservables, mu, nu1, y0, e0: float = 0.5) -> De
     )
 
 
-def estimate_background_yield(obs: ChannelObservables, mu: float, nu2: float, conservative: bool = False) -> float:
+def estimate_background_yield(obs: ChannelObservables, mu: float, nu2: float) -> float:
     """Estimate Y0 from the decoy-2 gain.
 
     decoy 2 is not exactly vacuum, so its gain carries a residual-signal
     term: Y0 ~= Q_nu2 - nu2 * eta.  eta is inverted from the signal gain
-    (one refinement pass).  ``conservative`` returns Q_nu2 unchanged,
-    which can only overestimate the background.
+    (one refinement pass).
     """
-    if conservative or nu2 == 0.0:
+    if nu2 == 0.0:
         return obs.q_nu2
     eta_est = -math.log(max(1.0 - obs.q_mu, 1e-300)) / mu
     y0_est = max(0.0, obs.q_nu2 - nu2 * eta_est)
@@ -227,25 +199,21 @@ def key_rate_lower_bound(
     estimates: DecoyEstimates,
     proto: ProtocolConfig,
     signal_pulses_per_s: float,
-    f_ec: Callable[[float], float] | None = None,
     attenuation_db: float | None = None,
 ) -> KeyRateReport:
     """Asymptotic secure-key-rate lower bound in bits per second.
 
     R = max(0, q (N_mu/t) [ -Q_mu f(E_mu) H2(E_mu) + Q1_lower (1 - H2(e1_upper)) ])
 
-    forced to zero when E_mu > 0.11.  ``f_ec`` overrides the constant
-    error-correction efficiency from the protocol config; it receives
-    E_mu with the shape of the observables.
+    forced to zero when E_mu > 0.11, with f the protocol's constant
+    error-correction efficiency.
     """
-    q = proto.sifting_q
-    rate = q * signal_pulses_per_s
-    f_val = f_ec(obs.e_mu) if f_ec is not None else proto.error_correction_f
+    rate = proto.sifting_q * signal_pulses_per_s
     cutoff = obs.e_mu > QBER_CUTOFF
     # entropies are not taken past the cutoff, where e1_upper may be undefined
     e_mu = np.where(cutoff, 0.0, obs.e_mu)
     e1u = np.where(cutoff, 0.0, estimates.e1_upper)
-    secure = rate * (-obs.q_mu * f_val * h2(e_mu) + estimates.q1_lower * (1.0 - h2(e1u)))
+    secure = rate * (-obs.q_mu * proto.error_correction_f * h2(e_mu) + estimates.q1_lower * (1.0 - h2(e1u)))
     return KeyRateReport(
         observables=obs,
         estimates=estimates,
@@ -392,8 +360,6 @@ __all__ = [
     "gain",
     "qber",
     "channel_observables",
-    "y1_lower",
-    "e1_upper",
     "decoy_estimates",
     "estimate_background_yield",
     "key_rate_lower_bound",

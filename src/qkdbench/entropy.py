@@ -117,11 +117,11 @@ def mi_from_profiles(cond: ConditionalProfiles) -> float:
     return mutual_information(JointDistribution(tuple(f"b{i}" for i in range(len(cond.prior))), joint))
 
 
-def joint_from_profiles(profiles: Sequence[np.ndarray], prior: Sequence[float] | None = None) -> ConditionalProfiles:
+def joint_from_profiles(profiles: Sequence[np.ndarray]) -> ConditionalProfiles:
     """Normalize raw per-state intensity rows into :class:`ConditionalProfiles`.
 
     Rows may be unnormalized (e.g. measured intensities); each is scaled
-    to unit sum.  ``prior`` defaults to uniform.
+    to unit sum, under a uniform prior.
     """
     rows = np.asarray(profiles, dtype=float)
     if rows.ndim != 2:
@@ -129,9 +129,7 @@ def joint_from_profiles(profiles: Sequence[np.ndarray], prior: Sequence[float] |
     sums = rows.sum(axis=1)
     if np.any(sums <= 0):
         raise ValueError("every profile needs positive total intensity")
-    if prior is None:
-        prior = np.full(rows.shape[0], 1.0 / rows.shape[0])
-    return ConditionalProfiles(rows / sums[:, None], np.asarray(prior, dtype=float))
+    return ConditionalProfiles(rows / sums[:, None], np.full(rows.shape[0], 1.0 / rows.shape[0]))
 
 
 __all__ = [

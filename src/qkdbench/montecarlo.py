@@ -60,19 +60,6 @@ class RunSummary:
     def qber_class(self, i: int) -> float:
         return float(self.errors[i] / self.sifted[i]) if self.sifted[i] else float("nan")
 
-    def as_text(self) -> str:
-        lines = [f"frames = {self.frames}", f"simulated_s = {self.simulated_s!r}"]
-        for i, label in enumerate(CLASS_LABELS):
-            lines += [
-                f"sent_{label} = {int(self.sent[i])}",
-                f"detected_{label} = {int(self.detected[i])}",
-                f"sifted_{label} = {int(self.sifted[i])}",
-                f"errors_{label} = {int(self.errors[i])}",
-                f"gain_{label} = {self.gain_class(i)!r}",
-                f"qber_{label} = {self.qber_class(i)!r}",
-            ]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -125,7 +112,7 @@ def run(
     means = np.array([source.mu, source.nu1, source.nu2])
     probs = np.array(source.class_probs, dtype=float)
     pol_probs = np.array(source.pol_probs, dtype=float)
-    eta = transmittance(link, include_detector=True)
+    eta = transmittance(link)
     suppression = link.suppression(source)
     y0_eff = link.background_yield * suppression
     e_eff = link.detection_error + source.source_error

@@ -25,8 +25,6 @@ from .entropy import joint_from_profiles, mi_from_profiles
 
 STATE_COLUMNS = ("stateH", "stateV", "stateD", "stateA")
 DEFAULT_SPATIAL_LEAKAGE = 1e-5
-DEFAULT_BINS = 256
-DEFAULT_SPAN_FWHM = 3.0
 TRANSFORM_LIMIT_TBP = 0.44
 
 
@@ -69,14 +67,6 @@ class LeakageBudget:
     def total(self) -> float:
         return self.temporal + self.spectral + self.spatial
 
-    def as_text(self) -> str:
-        return (
-            f"leakage_temporal_bits_per_pulse = {self.temporal!r}\n"
-            f"leakage_spectral_bits_per_pulse = {self.spectral!r}\n"
-            f"leakage_spatial_bits_per_pulse = {self.spatial!r}\n"
-            f"leakage_total_bits_per_pulse = {self.total!r}\n"
-        )
-
 
 def load_profiles(path: str | Path) -> list[PulseProfile]:
     """Read four per-state profiles sharing one axis from CSV.
@@ -107,25 +97,11 @@ def load_profiles(path: str | Path) -> list[PulseProfile]:
     ]
 
 
-def save_profiles(path: str | Path, profiles: Sequence[PulseProfile]) -> None:
-    """Inverse of :func:`load_profiles` (four profiles, common axis)."""
-    if len(profiles) != 4:
-        raise ValueError("expected four per-state profiles")
-    _common_axis(profiles)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["axis", *STATE_COLUMNS])
-        for i, x in enumerate(profiles[0].axis):
-            w.writerow([repr(float(x))] + [repr(float(p.intensity[i])) for p in profiles])
-
-
 def synth_profiles(
     fwhm_s: float = 400e-12,
     tbp: float = 0.56,
     ase_pedestal: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
     shifts_s: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
-    bins: int = DEFAULT_BINS,
-    span_fwhm: float = DEFAULT_SPAN_FWHM,
 ) -> tuple[list[PulseProfile], list[PulseProfile]]:
     """Synthesize Gaussian temporal and spectral profiles per state.
 
@@ -133,7 +109,7 @@ def synth_profiles(
     shifted per state; the spectral shape is a Gaussian of FWHM
     tbp / fwhm.  ``ase_pedestal`` adds a constant floor to both domains
     as a fraction of the pulse peak, mimicking broadband amplifier
-    noise.  Axes span +-``span_fwhm`` FWHM with ``bins`` uniform bins.
+    noise.  Axes span +-3 FWHM in 256 uniform bins.
     """
     if fwhm_s <= 0:
         raise ValueError("fwhm must be positive")
@@ -145,9 +121,9 @@ def synth_profiles(
         raise ValueError("pedestal fractions must be >= 0")
 
     states = [label[-1] for label in STATE_COLUMNS]
-    t_axis = np.linspace(-span_fwhm * fwhm_s, span_fwhm * fwhm_s, bins)
+    t_axis = np.linspace(-3.0 * fwhm_s, 3.0 * fwhm_s, 256)
     fwhm_f = tbp / fwhm_s
-    f_axis = np.linspace(-span_fwhm * fwhm_f, span_fwhm * fwhm_f, bins)
+    f_axis = np.linspace(-3.0 * fwhm_f, 3.0 * fwhm_f, 256)
 
     temporal, spectral = [], []
     for state, pedestal, shift in zip(states, ase_pedestal, shifts_s):
@@ -162,10 +138,9 @@ def _gaussian(x: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     return np.exp(-4.0 * math.log(2.0) * (x - center) ** 2 / fwhm**2)
 
 
-def remove_pedestal(profile: PulseProfile, level: float | None = None) -> PulseProfile:
-    """Subtract a constant floor (default: the profile minimum), clamping at 0."""
-    if level is None:
-        level = float(profile.intensity.min())
+def remove_pedestal(profile: PulseProfile) -> PulseProfile:
+    """Subtract the profile's minimum as a constant floor."""
+    level = float(profile.intensity.min())
     return PulseProfile(profile.axis, np.maximum(profile.intensity - level, 0.0), profile.state)
 
 
@@ -177,7 +152,7 @@ def _common_axis(profiles: Sequence[PulseProfile]) -> np.ndarray:
     return ax
 
 
-def leakage(profiles: Sequence[PulseProfile], prior: Sequence[float] | None = None) -> float:
+def leakage(profiles: Sequence[PulseProfile]) -> float:
     """Mutual information between the sent state and this observable.
 
     Profiles are normalized to conditional distributions first, so the
@@ -190,7 +165,7 @@ def leakage(profiles: Sequence[PulseProfile], prior: Sequence[float] | None = No
     rows = np.stack([p.intensity for p in profiles])
     if np.any(rows.sum(axis=1) <= 0):
         raise ValueError("all-zero profile: cannot normalize")
-    return mi_from_profiles(joint_from_profiles(rows, prior))
+    return mi_from_profiles(joint_from_profiles(rows))
 
 
 def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float:
@@ -207,13 +182,10 @@ def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float
 __all__ = [
     "STATE_COLUMNS",
     "DEFAULT_SPATIAL_LEAKAGE",
-    "DEFAULT_BINS",
-    "DEFAULT_SPAN_FWHM",
     "TRANSFORM_LIMIT_TBP",
     "PulseProfile",
     "LeakageBudget",
     "load_profiles",
-    "save_profiles",
     "synth_profiles",
     "remove_pedestal",
     "leakage",

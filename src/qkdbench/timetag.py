@@ -25,7 +25,6 @@ import numpy as np
 #: timestamp resolution of the timetagging unit
 TICK_SECONDS = 78.125e-12
 MAX_TICK = (1 << 60) - 1
-CHANNEL_LABELS = ("H", "V", "D", "A")
 CLASS_LABELS = ("signal", "decoy1", "decoy2")
 
 
@@ -87,10 +86,6 @@ def decode(data: bytes) -> TimeTagStream:
     return TimeTagStream(ticks, channels)
 
 
-def save_ttag(path: str | Path, stream: TimeTagStream) -> None:
-    Path(path).write_bytes(encode(stream))
-
-
 def load_ttag(path: str | Path) -> TimeTagStream:
     return decode(Path(path).read_bytes())
 
@@ -102,19 +97,20 @@ class PhaseEstimate:
     low_confidence: bool
 
 
-def recover_phase(stream: TimeTagStream, period_ticks: int, min_records: int = 10) -> PhaseEstimate:
+def recover_phase(stream: TimeTagStream, period_ticks: int) -> PhaseEstimate:
     """Locate the pulse-train phase from the residues of the tick stream.
 
     Histograms tick mod period over the detection records and returns the
     circular-mean peak location, rounded to the nearest tick.  Streams
     whose residue histogram has peak/mean contrast below 2 (uniform-ish
-    arrivals) are flagged low-confidence.
+    arrivals) are flagged low-confidence.  Fewer than 10 detection
+    records raise ValueError.
     """
     if period_ticks <= 0:
         raise ValueError("period must be positive")
     ticks = stream.detections().ticks
-    if len(ticks) < min_records:
-        raise ValueError(f"insufficient data: need at least {min_records} detection records, got {len(ticks)}")
+    if len(ticks) < 10:
+        raise ValueError(f"insufficient data: need at least 10 detection records, got {len(ticks)}")
     residues = (ticks % np.uint64(period_ticks)).astype(np.int64)
     hist = np.bincount(residues, minlength=period_ticks).astype(float)
     angles = 2.0 * np.pi * np.arange(period_ticks) / period_ticks
@@ -211,16 +207,10 @@ class SiftedKey:
 
     frames: np.ndarray  # frame index of each kept detection
     sifted_bits: np.ndarray  # Bob's bits where bases matched
-    error_positions: np.ndarray  # indices into sifted_bits that disagree with Alice
     detected_per_class: np.ndarray  # (3,) kept detections (one per frame) per intensity class
     sifted_per_class: np.ndarray  # (3,) matched-basis detections per intensity class
     errors_per_class: np.ndarray  # (3,)
     collisions: int
-
-    @property
-    def qber(self) -> float:
-        n = len(self.sifted_bits)
-        return len(self.error_positions) / n if n else float("nan")
 
     def qber_class(self, cls_index: int) -> float:
         n = int(self.sifted_per_class[cls_index])
@@ -267,18 +257,12 @@ def sift(
     matched = bob_basis == a_basis
     err = matched & (bob_bit != a_bit)
 
-    sifted_bits = bob_bit[matched].astype(np.uint8)
-    error_positions = np.nonzero(err[matched])[0]
-    sifted_per_class = np.bincount(a_cls[matched], minlength=3)
-    errors_per_class = np.bincount(a_cls[err], minlength=3)
-
     return SiftedKey(
         frames=frames,
-        sifted_bits=sifted_bits,
-        error_positions=error_positions,
+        sifted_bits=bob_bit[matched].astype(np.uint8),
         detected_per_class=np.bincount(a_cls, minlength=3),
-        sifted_per_class=sifted_per_class,
-        errors_per_class=errors_per_class,
+        sifted_per_class=np.bincount(a_cls[matched], minlength=3),
+        errors_per_class=np.bincount(a_cls[err], minlength=3),
         collisions=collisions,
     )
 
@@ -286,12 +270,10 @@ def sift(
 __all__ = [
     "TICK_SECONDS",
     "MAX_TICK",
-    "CHANNEL_LABELS",
     "CLASS_LABELS",
     "TimeTagStream",
     "encode",
     "decode",
-    "save_ttag",
     "load_ttag",
     "PhaseEstimate",
     "recover_phase",

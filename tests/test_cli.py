@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ class TestSimulate:
         assert (tmp_path / "run.sidecar.txt").exists()
         sidecar = (tmp_path / "run.sidecar.txt").read_text()
         assert "period_ticks = 128" in sidecar
+        assert "channels = 0:H 1:V 2:D 3:A\n" in sidecar
+
+    def test_summary_values_are_plain_numbers(self, bench_config_file, tmp_path):
+        main(
+            ["simulate", "--config", str(bench_config_file), "--frames", "10000",
+             "--seed", "4", "--out", str(tmp_path / "run")]
+        )
+        fields = dict(line.split(" = ") for line in (tmp_path / "run.summary.txt").read_text().splitlines())
+        assert "gain_signal" in fields and "qber_decoy2" in fields
+        assert int(fields["frames"]) == 10000
+        for value in fields.values():
+            float(value)  # a numpy repr such as np.int64(7) would raise
 
     def test_zero_frames(self, bench_config_file, tmp_path):
         code = main(
@@ -165,15 +178,24 @@ class TestAnalyzeTtags:
         # generous band: the small fixture has ~6k sifted signal bits
         assert abs(qber_mu - obs.e_mu) <= 4 * math.sqrt(obs.e_mu / 6000)
 
-    def test_wide_window_matches_ungated(self, bench_config_file, simulated, capsys):
+    @pytest.mark.parametrize("window_ns", ["10", "1e308"])
+    def test_wide_window_matches_ungated(self, bench_config_file, simulated, capsys, window_ns):
         ttag, alice = simulated
         code = main(
             ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
-             "--alice-log", str(alice), "--window-ns", "10", "--seed", "11"]
+             "--alice-log", str(alice), "--window-ns", window_ns, "--seed", "11"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "rejected = 0" in out
+
+    def test_random_seed_printed(self, bench_config_file, simulated, capsys):
+        ttag, alice = simulated
+        code = main(
+            ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag), "--alice-log", str(alice)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("seed = ")
 
     def test_empty_stream(self, bench_config_file, tmp_path, capsys):
         empty = tmp_path / "empty.ttag"
@@ -260,6 +282,14 @@ class TestSidechannel:
         assert "attenuation_db = 40\n" in capsys.readouterr().out
         assert "attenuation_db = 40.0\n" in out.read_text()
 
+    def test_budget_written_to_out(self, tmp_path, capsys):
+        out = tmp_path / "audit.txt"
+        assert main(["sidechannel", "--synth", "--spatial-bits", "2e-5", "--out", str(out)]) == 0
+        keys = [line.split(" = ")[0] for line in out.read_text().splitlines()]
+        assert keys == [f"leakage_{key}_bits_per_pulse" for key in ("temporal", "spectral", "spatial", "total")]
+        assert "leakage_spatial_bits_per_pulse = 2e-05\n" in out.read_text()
+        assert capsys.readouterr().out == out.read_text()
+
 
 class TestOptimize:
     def test_smoke(self, bench_config_file, capsys):
@@ -277,7 +307,7 @@ class TestMalformedInput:
     @pytest.fixture
     def inputs(self, bench_config_file, tmp_path):
         ttag = tmp_path / "two.ttag"
-        timetag.save_ttag(ttag, timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([0, 1])))
+        ttag.write_bytes(timetag.encode(timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([0, 1]))))
         alice = tmp_path / "good.alice.csv"
         alice.write_text("bit,basis,class\n0,Z,signal\n1,Z,decoy1\n")
         bad_basis = tmp_path / "bad.alice.csv"
@@ -319,13 +349,40 @@ class TestMalformedInput:
             "sweep --config {cfg} --out {out} --atten-min abc",
             "simulate --config {cfg} --seed 1 --out {out}",
             "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan",
+            "sidechannel --synth --spatial-bits -1",
+            "sidechannel --synth --spatial-bits nan",
+            "sidechannel --synth --fwhm-ps nan",
+            "sidechannel --synth --tbp inf",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice} --window-ns inf",
+            "sweep --config {cfg} --out {out} --atten-max 1e308 --atten-step 1e-308",
+            "simulate --config {cfg} --frames 100 --out {out} --emit-ttags --phase-ticks 200",
+            "sidechannel --synth --sweep-csv {missing}",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
-        code = main(argv.format(**inputs).split())
-        err = capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second line
+            code = main(argv.format(**inputs).split())
+        out, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == ""  # rejected before anything is printed
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--fwhm-ps", "sidechannel --synth --fwhm-ps nan"),
+            ("--tbp", "sidechannel --synth --tbp inf"),
+            ("--spatial-bits", "sidechannel --synth --spatial-bits nan"),
+            ("--spatial-bits", "sidechannel --synth --spatial-bits -1"),
+            ("--window-ns", "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice} --window-ns inf"),
+            ("--atten-step", "sweep --config {cfg} --out {out} --atten-step -inf"),
+            ("--attenuation-db", "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan"),
+        ],
+    )
+    def test_message_names_the_flag(self, inputs, flag, argv, capsys):
+        assert main(argv.format(**inputs).split()) == 2
+        assert flag in capsys.readouterr().err
 
     def test_old_format_alice_log_names_header(self, inputs, capsys):
         argv = "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}".format(**inputs)

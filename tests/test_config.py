@@ -5,7 +5,6 @@ import pytest
 from qkdbench.config import (
     ConfigError,
     LinkConfig,
-    Polarization,
     ProtocolConfig,
     SourceConfig,
     build_configs,
@@ -13,12 +12,6 @@ from qkdbench.config import (
     load_config,
     validate,
 )
-
-
-def test_polarization_bases():
-    assert [p.basis for p in Polarization] == ["Z", "Z", "X", "X"]
-    assert [p.bit for p in Polarization] == [0, 1, 0, 1]
-    assert len(Polarization) == 4
 
 
 def test_empty_file_gives_defaults(tmp_path):

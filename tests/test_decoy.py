@@ -13,7 +13,6 @@ from qkdbench.decoy import (
     GridSpec,
     SWEEP_CSV_HEADER,
     decoy_estimates,
-    e1_upper,
     estimate_background_yield,
     evaluate_link,
     gain,
@@ -23,7 +22,6 @@ from qkdbench.decoy import (
     sweep,
     transmittance,
     write_sweep_csv,
-    y1_lower,
 )
 
 # Frozen chain values for the 6 dB benchmark point, computed once with
@@ -54,16 +52,16 @@ def bench6db_observables():
 
 class TestTransmittance:
     def test_lossless(self):
-        link = LinkConfig(attenuation_db=0.0, setup_loss_db=0.0)
-        assert transmittance(link, include_detector=False) == 1.0
+        link = LinkConfig(attenuation_db=0.0, setup_loss_db=0.0, detector_efficiency=1.0)
+        assert transmittance(link) == 1.0
 
     def test_attenuation_only(self):
-        link = LinkConfig(attenuation_db=6.0, setup_loss_db=0.0)
-        assert transmittance(link, include_detector=False) == pytest.approx(0.2512, abs=1e-4)
+        link = LinkConfig(attenuation_db=6.0, setup_loss_db=0.0, detector_efficiency=1.0)
+        assert transmittance(link) == pytest.approx(0.2512, abs=1e-4)
 
     def test_full_budget(self):
         link = LinkConfig(attenuation_db=6.0, setup_loss_db=2.0, detector_efficiency=0.5)
-        assert transmittance(link, include_detector=True) == pytest.approx(0.0792, abs=1e-4)
+        assert transmittance(link) == pytest.approx(0.0792, abs=1e-4)
 
     def test_conventions(self):
         link = LinkConfig(attenuation_db=6.0)
@@ -98,6 +96,10 @@ class TestQber:
 
     def test_noise_free(self):
         assert qber(0.5, ETA6, 0.0, 0.5, 0.0) == 0.0
+
+
+def y1_lower(obs, mu, nu1, y0):
+    return decoy_estimates(obs, mu, nu1, y0).y1_lower
 
 
 class TestY1Lower:
@@ -145,7 +147,8 @@ class TestE1Upper:
             q_mu=gain(0.5, 0.3, 0.0), q_nu1=gain(0.066, 0.3, 0.0), q_nu2=0.0, e_mu=0.0, e_nu1=0.0
         )
         est = decoy_estimates(obs, 0.5, 0.066, 0.0)
-        assert e1_upper(obs, est, 0.066, 0.0, 0.5) == 0.0
+        assert est.e1_upper == 0.0
+        assert not est.clamped
 
     def test_noise_dominated_clamps(self):
         obs = ChannelObservables(q_mu=0.15, q_nu1=0.018, q_nu2=0.015, e_mu=0.5, e_nu1=0.5)
@@ -153,11 +156,11 @@ class TestE1Upper:
         assert est.e1_upper == 0.5
         assert est.clamped
 
-    def test_zero_yield_bound_is_error(self):
-        obs = bench6db_observables()
+    def test_zero_yield_bound_is_pessimistic(self):
+        obs = ChannelObservables(q_mu=0.1186, q_nu1=5.58e-4, q_nu2=5.58e-4, e_mu=0.01, e_nu1=0.0)
         est = decoy_estimates(obs, 0.5, 0.066, 5.58e-4)
-        with pytest.raises(ValueError, match="Y1_lower > 0"):
-            e1_upper(obs, replace(est, y1_lower=0.0), 0.066, 5.58e-4, 0.5)
+        assert est.y1_lower == 0.0
+        assert est.e1_upper == 0.5
 
 
 class TestKeyRate:
@@ -191,13 +194,6 @@ class TestKeyRate:
         proto = ProtocolConfig(error_correction_f=1.0)
         report = key_rate_lower_bound(obs, est, proto, 1e8)
         assert report.secure_key_rate_bps == pytest.approx(0.5 * 1e8 * est.q1_lower, rel=1e-12)
-
-    def test_pluggable_f(self):
-        obs = bench6db_observables()
-        est = decoy_estimates(obs, 0.5, 0.066, 5.58e-4)
-        r_flat = key_rate_lower_bound(obs, est, ProtocolConfig(), 1e8)
-        r_func = key_rate_lower_bound(obs, est, ProtocolConfig(), 1e8, f_ec=lambda e: 1.16)
-        assert r_func.secure_key_rate_bps == r_flat.secure_key_rate_bps
 
 
 class TestSweep:
@@ -295,10 +291,6 @@ class TestBackgroundEstimate:
         obs = bench6db_observables()
         est = estimate_background_yield(obs, 0.5, 0.002)
         assert est == pytest.approx(5.58e-4, rel=0.01)
-
-    def test_conservative_fallback(self):
-        obs = bench6db_observables()
-        assert estimate_background_yield(obs, 0.5, 0.002, conservative=True) == obs.q_nu2
 
     def test_exact_vacuum(self):
         obs = bench6db_observables()

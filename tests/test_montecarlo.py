@@ -18,6 +18,11 @@ def cross_val_source(**kw):
     return SourceConfig(**defaults)
 
 
+def same_summary(a: RunSummary, b: RunSummary) -> bool:
+    fields = ("frames", "simulated_s", "sent", "detected", "sifted", "errors")
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in fields)
+
+
 class TestRunEdgeCases:
     def test_vacuum_class_never_clicks(self):
         src = cross_val_source(p_mu=0.0, p_nu1=0.0, p_nu2=1.0, nu2=0.0)
@@ -57,7 +62,7 @@ class TestRunEdgeCases:
         link = LinkConfig(background_suppression=1.0)
         n = 200_000
         s = run(src, link, ProtocolConfig(), frames=n, seed=5).summary
-        eta = decoy.transmittance(link, include_detector=True)
+        eta = decoy.transmittance(link)
         q_exact = 1.0 - (1.0 - link.background_yield) * math.exp(-eta * src.mu)
         sigma = math.sqrt(q_exact * (1 - q_exact) / n)
         assert abs(s.gain_class(0) - q_exact) <= 4 * sigma
@@ -69,17 +74,14 @@ class TestRunDeterminism:
         src = cross_val_source()
         a = run(src, link, proto, frames=50_000, seed=42)
         b = run(src, link, proto, frames=50_000, seed=42)
-        assert np.array_equal(a.summary.sent, b.summary.sent)
-        assert np.array_equal(a.summary.detected, b.summary.detected)
-        assert np.array_equal(a.summary.errors, b.summary.errors)
-        assert a.summary.as_text() == b.summary.as_text()
+        assert same_summary(a.summary, b.summary)
 
     def test_emission_does_not_disturb_summary(self, bench6db):
         _, link, proto = bench6db
         src = cross_val_source()
         plain = run(src, link, proto, frames=50_000, seed=43)
         emitted = run(src, link, proto, frames=50_000, seed=43, emit_ttags=True)
-        assert plain.summary.as_text() == emitted.summary.as_text()
+        assert same_summary(plain.summary, emitted.summary)
 
     def test_different_seeds_compatible(self, bench6db):
         _, link, proto = bench6db
@@ -216,13 +218,6 @@ class TestSummary:
         )
         with pytest.raises(ValueError, match="undefined observables"):
             estimate_observables(s)
-
-    def test_text_round_trippable_keys(self, bench6db):
-        _, link, proto = bench6db
-        res = run(cross_val_source(), link, proto, frames=10_000, seed=4)
-        text = res.summary.as_text()
-        assert "gain_signal = " in text
-        assert "qber_decoy2 = " in text
 
 
 class TestEmission:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo, timetag
@@ -48,6 +48,16 @@ class TestCodec:
         decoded = decode(data)
         assert decoded == stream
         assert encode(decoded) == data
+
+    @settings(max_examples=100, deadline=None)
+    @given(ticks=st.lists(st.integers(0, MAX_TICK), min_size=1, max_size=20))
+    def test_round_trip_every_tick_on_all_16_channels(self, ticks):
+        ticks = sorted(ticks)
+        stream = TimeTagStream(np.repeat(np.array(ticks, dtype=np.uint64), 16), np.tile(np.arange(16), len(ticks)))
+        data = encode(stream)
+        words = [(t << 4) | c for t in ticks for c in range(16)]
+        assert data == b"".join(w.to_bytes(8, "little") for w in words)
+        assert decode(data) == stream
 
     def test_truncated_stream(self):
         with pytest.raises(ValueError, match="truncated"):
@@ -94,6 +104,18 @@ class TestRecoverPhase:
         est = recover_phase(TimeTagStream(ticks, np.zeros(5000, dtype=np.uint8)), PERIOD)
         assert est.low_confidence
         assert est.contrast < 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(phase=st.integers(0, PERIOD - 1), sigma=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    @example(phase=0, sigma=3.0, seed=0)
+    @example(phase=PERIOD - 1, sigma=3.0, seed=0)
+    def test_finds_any_phase_within_one_tick(self, phase, sigma, seed):
+        rng = np.random.default_rng(seed)
+        jitter = np.rint(rng.normal(0.0, sigma, size=2000)).astype(np.int64)
+        ticks = (np.arange(1, 2001) * PERIOD + phase + jitter).astype(np.uint64)
+        est = recover_phase(TimeTagStream(ticks, np.zeros(2000, dtype=np.uint8)), PERIOD)
+        off = abs(est.phase_ticks - phase)
+        assert min(off, PERIOD - off) <= 1
 
     def test_insufficient_data(self):
         ticks = np.arange(5, dtype=np.uint64) * PERIOD
@@ -144,6 +166,27 @@ class TestGate:
             for w in (1, 12, 13, 64, 128):
                 result = gate(stream, PERIOD, phase, w)
                 assert len(result.accepted) == w * reps, (phase, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        phase=st.integers(0, PERIOD - 1),
+        w=st.integers(1, PERIOD),
+        periods=st.integers(1, 4),
+        markers=st.lists(st.tuples(st.integers(0, 4 * PERIOD), st.integers(4, 15)), max_size=10),
+    )
+    def test_accepts_exactly_w_residues_and_every_marker(self, phase, w, periods, markers):
+        # one detection on every tick of whole periods, plus markers anywhere
+        n = periods * PERIOD
+        ticks = np.concatenate([np.arange(n), [t for t, _ in markers]]).astype(np.uint64)
+        chans = np.concatenate([np.arange(n) % 4, [c for _, c in markers]]).astype(np.uint8)
+        result = gate(TimeTagStream(ticks, chans), PERIOD, phase, w)
+        det = result.accepted.ticks[result.accepted.channels < 4].astype(np.int64)
+        expected = {(phase + d) % PERIOD for d in range(-(w // 2), (w - 1) // 2 + 1)}
+        assert len(det) == w * periods
+        assert set((det % PERIOD).tolist()) == expected
+        kept_markers = result.accepted.channels[result.accepted.channels >= 4]
+        assert sorted(kept_markers.tolist()) == sorted(c for _, c in markers)
+        assert result.rejected == n - w * periods
 
     def test_uniform_background_acceptance(self):
         # random uniform arrivals: acceptance = 13/128 of the stream,
@@ -209,8 +252,7 @@ class TestSift:
         gated = gate(TimeTagStream(ticks, chans), PERIOD, 37, 13)
         key = sift(alice, gated, PERIOD, seed=1)
         assert len(key.sifted_bits) == n
-        assert key.qber == 0.0
-        assert len(key.error_positions) == 0
+        assert key.errors_per_class.sum() == 0
         assert key.collisions == 0
 
     def test_uniform_bases_sift_half(self):
@@ -389,3 +431,14 @@ class TestFrameIndices:
         for jit in (-63, -50, -6, 0, 6, 50, 63):
             ticks = (frames * PERIOD + 37 + jit).astype(np.uint64)
             assert np.array_equal(frame_indices(ticks, 37, PERIOD), frames), jit
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_home_frame_for_every_offset_within_half_a_period(self, data):
+        period = data.draw(st.integers(1, 1000))
+        phase = data.draw(st.integers(0, period - 1))
+        frame = data.draw(st.integers(0, 2**50))
+        d = data.draw(st.integers(-(period // 2), (period - 1) // 2))  # -P/2 <= d < P/2
+        tick = frame * period + phase + d
+        assume(tick >= 0)
+        assert frame_indices(np.array([tick], dtype=np.uint64), phase, period).tolist() == [frame]
