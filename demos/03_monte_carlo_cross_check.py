@@ -32,10 +32,9 @@ e = summary.qber_class(0)
 sigma = math.sqrt(model.e_mu * (1 - model.e_mu) / int(summary.sifted[0]))
 print(f"{'E_signal':10} {e:12.5e} {model.e_mu:12.5e} {(e - model.e_mu) / sigma:+7.2f}")
 
-obs = montecarlo.estimate_observables(summary)
-y0 = decoy.estimate_background_yield(obs, source.mu, source.nu2)
-est = decoy.decoy_estimates(obs, source.mu, source.nu1, y0)
-report = decoy.key_rate_lower_bound(obs, est, proto, 1e8)
+_, report = decoy.rate_from_counts(
+    summary.sent, summary.detected, summary.sifted, summary.errors, source, link, proto
+)
 print(f"\nkey rate from the simulated observables: {report.secure_key_rate_bps / 1e6:.3f} Mbps")
 print(f"(analytic chain at the same budget gives "
       f"{decoy.evaluate_link(source, link, proto, 'full-budget').secure_key_rate_bps / 1e6:.3f} Mbps)")

@@ -9,6 +9,8 @@ from the measured stream alone.
 
 from dataclasses import replace
 
+import numpy as np
+
 from qkdbench import LinkConfig, ProtocolConfig, SourceConfig, decoy, montecarlo, timetag
 
 source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002, degree_of_polarization=1.0)
@@ -38,20 +40,10 @@ for i, label in enumerate(timetag.CLASS_LABELS):
     print(f"  qber_{label:7} = {key.qber_class(i):.4f}")
 
 # decoy chain from the measured stream
-import numpy as np
-
-detected = key.detected_per_class
 sent = np.bincount(result.alice_log.cls, minlength=3)
-obs = decoy.ChannelObservables(
-    q_mu=detected[0] / sent[0],
-    q_nu1=detected[1] / sent[1],
-    q_nu2=detected[2] / sent[2],
-    e_mu=key.qber_class(0),
-    e_nu1=key.qber_class(1),
+y0, report = decoy.rate_from_counts(
+    sent, key.detected_per_class, key.sifted_per_class, key.errors_per_class, source, link, proto
 )
-y0 = decoy.estimate_background_yield(obs, source.mu, source.nu2)
-est = decoy.decoy_estimates(obs, source.mu, source.nu1, y0)
-report = decoy.key_rate_lower_bound(obs, est, proto, 1e8)
 print(f"\nY0 estimate from the decoy-2 gain: {y0:.3e}")
 print(f"secure rate from the stream: {report.secure_key_rate_bps / 1e6:.3f} Mbps")
 

@@ -36,11 +36,12 @@ from .decoy import (
     link_eta,
     optimize_intensities,
     qber,
+    rate_from_counts,
     sweep,
     transmittance,
 )
-from .entropy import ConditionalProfiles, JointDistribution, h2, mi_from_profiles, mutual_information
-from .montecarlo import RunResult, RunSummary, estimate_observables, run
+from .entropy import JointDistribution, h2, mi_from_profiles, mutual_information
+from .montecarlo import RunResult, RunSummary, run
 from .sidechannel import LeakageBudget, PulseProfile, leakage, leakage_adjusted_rate, load_profiles, synth_profiles
 from .timetag import AliceLog, TimeTagStream, decode, encode, gate, recover_phase, sift
 

@@ -211,25 +211,19 @@ def cmd_analyze_ttags(args) -> int:
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
-    sent = np.bincount(alice.cls, minlength=3)
-    if sent.min() == 0:
-        raise ConfigError("alice log lacks pulses for at least one intensity class")
-    q = sifted.detected_per_class / sent
-    e_mu = sifted.qber_class(0)
-    e_nu1 = sifted.qber_class(1)
-    if not np.isfinite(e_mu) or not np.isfinite(e_nu1):
-        raise ConfigError("not enough sifted detections to estimate error rates")
-
-    obs = decoy.ChannelObservables(
-        q_mu=float(q[0]),
-        q_nu1=float(q[1]),
-        q_nu2=float(q[2]),
-        e_mu=min(e_mu, 0.5),
-        e_nu1=min(e_nu1, 0.5),
-    )
-    y0 = decoy.estimate_background_yield(obs, source.mu, source.nu2)
-    est = decoy.decoy_estimates(obs, source.mu, source.nu1, y0, link.background_error)
-    report = decoy.key_rate_lower_bound(obs, est, proto, proto.signal_pulses_per_s(source))
+    try:
+        y0, report = decoy.rate_from_counts(
+            np.bincount(alice.cls, minlength=3),
+            sifted.detected_per_class,
+            sifted.sifted_per_class,
+            sifted.errors_per_class,
+            source,
+            link,
+            proto,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    obs, est = report.observables, report.estimates
 
     duration = len(alice) / source.pulse_rate_hz
     _print_seed(args, seed)
@@ -238,8 +232,8 @@ def cmd_analyze_ttags(args) -> int:
     print(f"records = {len(stream)}, gated = {len(gated.accepted)}, rejected = {gated.rejected}")
     print(f"phase_ticks = {phase.phase_ticks}, window_ticks = {window}, collisions = {sifted.collisions}")
     print(f"sifted_rate_cps = {len(sifted.sifted_bits) / duration:.6e}")
-    for i, label in enumerate(timetag.CLASS_LABELS):
-        print(f"Q_{label} = {q[i]:.6e}  qber_{label} = {sifted.qber_class(i):.6e}")
+    for i, (label, q) in enumerate(zip(timetag.CLASS_LABELS, (obs.q_mu, obs.q_nu1, obs.q_nu2))):
+        print(f"Q_{label} = {q:.6e}  qber_{label} = {sifted.qber_class(i):.6e}")
     print(f"Y0_est = {y0:.6e}")
     print(f"Y1_lower = {est.y1_lower:.6e}  Q1_lower = {est.q1_lower:.6e}  e1_upper = {est.e1_upper:.6e}")
     print(f"lbskr_bps = {report.secure_key_rate_bps:.6e}")
@@ -259,10 +253,9 @@ def cmd_sidechannel(args) -> int:
 
     if args.profiles:
         try:
-            profiles = sidechannel.load_profiles(args.profiles)
+            mi = sidechannel.leakage(sidechannel.load_profiles(args.profiles))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"malformed profiles: {exc}") from exc
-        mi = sidechannel.leakage(profiles)
         temporal, spectral = (mi, 0.0) if args.domain == "temporal" else (0.0, mi)
     else:
         pedestals = _floats(args.pedestals, "--pedestals", 4)
@@ -271,9 +264,9 @@ def cmd_sidechannel(args) -> int:
             profiles = sidechannel.synth_profiles(
                 fwhm_s=args.fwhm_ps * 1e-12, tbp=args.tbp, ase_pedestal=pedestals, shifts_s=shifts
             )
+            temporal, spectral = map(sidechannel.leakage, profiles)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        temporal, spectral = map(sidechannel.leakage, profiles)
     try:
         budget = sidechannel.LeakageBudget(temporal=temporal, spectral=spectral, spatial=args.spatial_bits)
     except ValueError as exc:

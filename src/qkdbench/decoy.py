@@ -243,6 +243,31 @@ def evaluate_link(
     )
 
 
+def rate_from_counts(
+    sent, detected, sifted, errors, source: SourceConfig, link: LinkConfig, proto: ProtocolConfig
+) -> tuple[float, KeyRateReport]:
+    """(Y0 estimate, key-rate report) from measured per-class counts.
+
+    Each argument is a (3,) count per intensity class (signal, decoy 1,
+    decoy 2).  Gains are detected/sent and error rates errors/sifted,
+    clamped to 0.5; the chain is :func:`estimate_background_yield`,
+    :func:`decoy_estimates` and :func:`key_rate_lower_bound`.  Raises
+    ValueError when a class was never sent or when signal or decoy 1
+    has no sifted detection.
+    """
+    sent, detected, sifted, errors = (np.asarray(c) for c in (sent, detected, sifted, errors))
+    if np.min(sent) == 0:
+        raise ValueError("no pulses sent for at least one intensity class")
+    if np.min(sifted[:2]) == 0:
+        raise ValueError("not enough sifted detections to estimate error rates")
+    q = (detected / sent).tolist()
+    e = np.minimum(errors[:2] / sifted[:2], 0.5).tolist()  # decoy 2's error rate is unused
+    obs = ChannelObservables(q_mu=q[0], q_nu1=q[1], q_nu2=q[2], e_mu=e[0], e_nu1=e[1])
+    y0 = estimate_background_yield(obs, source.mu, source.nu2)
+    est = decoy_estimates(obs, source.mu, source.nu1, y0, link.background_error)
+    return y0, key_rate_lower_bound(obs, est, proto, proto.signal_pulses_per_s(source))
+
+
 def sweep(
     link: LinkConfig,
     attenuations_db: Sequence[float],
@@ -364,6 +389,7 @@ __all__ = [
     "estimate_background_yield",
     "key_rate_lower_bound",
     "evaluate_link",
+    "rate_from_counts",
     "sweep",
     "SWEEP_COLUMNS",
     "SWEEP_CSV_HEADER",

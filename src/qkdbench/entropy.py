@@ -3,7 +3,8 @@
 Binary entropy and the plug-in mutual information between a discrete
 sent-state variable and a discretized physical observable.  The
 continuous mutual-information integral is evaluated as a discrete sum
-over bins; inputs are plain probability tables.
+over bins; inputs are probability tables or raw per-state intensity
+rows.
 """
 
 from __future__ import annotations
@@ -64,34 +65,6 @@ class JointDistribution:
         return self.matrix.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class ConditionalProfiles:
-    """Per-state conditional distributions p(x | b) with a prior p(b).
-
-    ``profiles[b, x]``: one row per sent state, normalized over bins.
-    """
-
-    profiles: np.ndarray
-    prior: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.profiles, dtype=float)
-        pr = np.asarray(self.prior, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("profiles must be a (states, bins) matrix")
-        if pr.shape != (p.shape[0],):
-            raise ValueError("prior length must match the number of profiles")
-        if np.any(p < 0) or np.any(pr < 0):
-            raise ValueError("probabilities must be >= 0")
-        row_sums = p.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > NORM_TOL):
-            raise ValueError("each conditional profile must sum to 1")
-        if abs(pr.sum() - 1.0) > NORM_TOL:
-            raise ValueError("prior must sum to 1")
-        object.__setattr__(self, "profiles", p / row_sums[:, None])
-        object.__setattr__(self, "prior", pr / pr.sum())
-
-
 def mutual_information(joint: JointDistribution) -> float:
     """Plug-in mutual information I(X; B) in bits.
 
@@ -106,38 +79,34 @@ def mutual_information(joint: JointDistribution) -> float:
     return max(float(terms.sum()), 0.0)
 
 
-def mi_from_profiles(cond: ConditionalProfiles) -> float:
+def mi_from_profiles(profiles: Sequence[np.ndarray]) -> float:
     """Mutual information between the sent state and the observable.
 
-    Builds the joint p(x, b) = p(x | b) p(b) and evaluates
-    :func:`mutual_information`.  Zero exactly when all profiles with
-    nonzero prior are identical.
-    """
-    joint = (cond.profiles * cond.prior[:, None]).T
-    return mutual_information(JointDistribution(tuple(f"b{i}" for i in range(len(cond.prior))), joint))
-
-
-def joint_from_profiles(profiles: Sequence[np.ndarray]) -> ConditionalProfiles:
-    """Normalize raw per-state intensity rows into :class:`ConditionalProfiles`.
-
-    Rows may be unnormalized (e.g. measured intensities); each is scaled
-    to unit sum, under a uniform prior.
+    ``profiles[b]`` is the raw (unnormalized) intensity row of state b
+    over a common bin axis, under a uniform prior p(b).  Each row is
+    scaled to a conditional p(x | b), the joint is p(x, b) = p(x | b) p(b),
+    and :func:`mutual_information` scores it.  Zero exactly when all
+    rows are proportional.
     """
     rows = np.asarray(profiles, dtype=float)
     if rows.ndim != 2:
         raise ValueError("profiles must share one common bin axis")
-    sums = rows.sum(axis=1)
-    if np.any(sums <= 0):
-        raise ValueError("every profile needs positive total intensity")
-    return ConditionalProfiles(rows / sums[:, None], np.full(rows.shape[0], 1.0 / rows.shape[0]))
+    with np.errstate(over="ignore"):
+        sums = rows.sum(axis=1)
+    if not np.all((sums > 0) & (sums < np.inf)):
+        raise ValueError("all-zero or overflowing profile: cannot normalize")
+    cond = rows / sums[:, None]
+    cond = cond / cond.sum(axis=1)[:, None]
+    prior = np.full(len(rows), 1.0 / len(rows))
+    prior = prior / prior.sum()
+    joint = (cond * prior[:, None]).T
+    return mutual_information(JointDistribution(tuple(f"b{i}" for i in range(len(rows))), joint))
 
 
 __all__ = [
     "NORM_TOL",
     "h2",
     "JointDistribution",
-    "ConditionalProfiles",
     "mutual_information",
     "mi_from_profiles",
-    "joint_from_profiles",
 ]

@@ -14,28 +14,31 @@ meant to feed the raw (ungated) analysis pipeline should set
 ``background_suppression = 1``, which spreads background arrivals
 uniformly over the whole frame and leaves the gating to the analysis.
 
-Frames are simulated in independent blocks whose generators derive from
-(seed, block index), so results are reproducible and block merging is
-associative.
+Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
+generators derive from (seed, block index), so results are reproducible;
+each block's per-class counts add into one tally.  Emitted streams are
+capped at ``THROUGHPUT_CAP_MCPS`` (10 Mcps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
-from .decoy import ChannelObservables, transmittance
-from .timetag import CLASS_LABELS, TICK_SECONDS, AliceLog, TimeTagStream
+from .decoy import transmittance
+from .timetag import TICK_SECONDS, AliceLog, TimeTagStream
 
-DEFAULT_BLOCK_FRAMES = 1 << 20
+#: frames per independently seeded block
+BLOCK_FRAMES = 1 << 20
+#: emitted records per second beyond which the stream's tail is dropped, in Mcps
+THROUGHPUT_CAP_MCPS = 10.0
 
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Per-class counters of a simulation run; addition merges blocks."""
+    """Per-class counters of a simulation run."""
 
     frames: int
     simulated_s: float
@@ -43,16 +46,6 @@ class RunSummary:
     detected: np.ndarray  # (3,) frames with a detection
     sifted: np.ndarray  # (3,) detections whose measured basis matched
     errors: np.ndarray  # (3,) sifted detections with the wrong bit
-
-    def __add__(self, other: "RunSummary") -> "RunSummary":
-        return RunSummary(
-            frames=self.frames + other.frames,
-            simulated_s=self.simulated_s + other.simulated_s,
-            sent=self.sent + other.sent,
-            detected=self.detected + other.detected,
-            sifted=self.sifted + other.sifted,
-            errors=self.errors + other.errors,
-        )
 
     def gain_class(self, i: int) -> float:
         return float(self.detected[i] / self.sent[i]) if self.sent[i] else float("nan")
@@ -69,16 +62,6 @@ class RunResult:
     dropped_records: int = 0
 
 
-def _block_sizes(frames: int, block_frames: int) -> Iterator[tuple[int, int]]:
-    start = 0
-    block = 0
-    while start < frames:
-        n = min(block_frames, frames - start)
-        yield block, n
-        start += n
-        block += 1
-
-
 def run(
     source: SourceConfig,
     link: LinkConfig,
@@ -87,15 +70,14 @@ def run(
     seed: int,
     emit_ttags: bool = False,
     phase_ticks: int = 0,
-    throughput_cap_mcps: float | None = 10.0,
-    block_frames: int = DEFAULT_BLOCK_FRAMES,
 ) -> RunResult:
     """Simulate ``frames`` pulses; deterministic for a given seed.
 
     The summary is identical whether or not a stream is emitted (stream
     offsets are drawn after all summary variates within each block).
-    Emitted records are time-ordered; when the record rate exceeds the
-    throughput cap the tail is dropped, like a saturated DMA transfer.
+    Emitted records are time-ordered; when the record rate exceeds
+    ``THROUGHPUT_CAP_MCPS`` the tail is dropped, like a saturated DMA
+    transfer.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -120,20 +102,13 @@ def run(
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(suppression * period_ticks))) if emit_ttags else 1
 
-    summary = RunSummary(
-        frames=0,
-        simulated_s=0.0,
-        sent=np.zeros(3, dtype=np.int64),
-        detected=np.zeros(3, dtype=np.int64),
-        sifted=np.zeros(3, dtype=np.int64),
-        errors=np.zeros(3, dtype=np.int64),
-    )
+    counts = np.zeros((4, 3), dtype=np.int64)  # sent, detected, sifted, errors per class
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
     log_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    base = 0
-    for block, n in _block_sizes(frames, block_frames):
+    for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
+        n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
 
         cls = rng.choice(3, size=n, p=probs)
@@ -158,7 +133,10 @@ def run(
         use_sig = sig_click & (~bg | pick_signal)
         channel = np.where(use_sig, sig_ch, bg_ch)
 
-        summary = summary + _count_block(n, source, cls, click, channel, alice_basis, alice_bit)
+        sifted = click & ((channel >> 1) == alice_basis)
+        errors = sifted & ((channel & 1) != alice_bit)
+        counts += [np.bincount(cls[mask], minlength=3) for mask in (slice(None), click, sifted, errors)]
+        del sifted, errors  # not held through the emission step
 
         if emit_ttags:
             idx = np.nonzero(click)[0]
@@ -173,67 +151,26 @@ def run(
             chan_chunks.append(channel[idx][order].astype(np.uint8))
             log_chunks.append((alice_bit.astype(np.uint8), alice_basis.astype(np.uint8), cls.astype(np.uint8)))
 
-        base += n
-
     stream = None
     alice_log = None
     dropped = 0
     if emit_ttags:
-        ticks = np.concatenate(tick_chunks) if tick_chunks else np.empty(0, dtype=np.uint64)
-        chans = np.concatenate(chan_chunks) if chan_chunks else np.empty(0, dtype=np.uint8)
-        if throughput_cap_mcps is not None:
-            cap = int(throughput_cap_mcps * 1e6 * frames * period_s)
-            if len(ticks) > cap:
-                dropped = len(ticks) - cap
-                ticks, chans = ticks[:cap], chans[:cap]
+        ticks, chans = np.concatenate(tick_chunks), np.concatenate(chan_chunks)
+        cap = int(THROUGHPUT_CAP_MCPS * 1e6 * frames * period_s)
+        if len(ticks) > cap:
+            dropped = len(ticks) - cap
+            ticks, chans = ticks[:cap], chans[:cap]
         stream = TimeTagStream(ticks, chans)
         alice_log = AliceLog(*(np.concatenate(column) for column in zip(*log_chunks)))
 
+    summary = RunSummary(frames, frames / source.pulse_rate_hz, *counts)
     return RunResult(summary=summary, stream=stream, alice_log=alice_log, dropped_records=dropped)
 
 
-def _count_block(n, source, cls, click, channel, alice_basis, alice_bit) -> RunSummary:
-    sifted_mask = click & ((channel >> 1) == alice_basis)
-    error_mask = sifted_mask & ((channel & 1) != alice_bit)
-    return RunSummary(
-        frames=n,
-        simulated_s=n / source.pulse_rate_hz,
-        sent=np.bincount(cls, minlength=3),
-        detected=np.bincount(cls[click], minlength=3),
-        sifted=np.bincount(cls[sifted_mask], minlength=3),
-        errors=np.bincount(cls[error_mask], minlength=3),
-    )
-
-
-def estimate_observables(summary: RunSummary) -> ChannelObservables:
-    """Empirical gains and error rates, in the decoy module's types.
-
-    Raises when an intensity class was never sent.  Classes with zero
-    sifted detections get a NaN error rate; empirical error rates are
-    clamped into the model's [0, 0.5] domain.
-    """
-    if np.any(summary.sent == 0):
-        missing = [CLASS_LABELS[i] for i in range(3) if summary.sent[i] == 0]
-        raise ValueError(f"undefined observables: no pulses sent for class(es) {missing}")
-
-    def _e(i: int) -> float:
-        e = summary.qber_class(i)
-        return min(e, 0.5) if e == e else float("nan")
-
-    return ChannelObservables(
-        q_mu=summary.gain_class(0),
-        q_nu1=summary.gain_class(1),
-        q_nu2=summary.gain_class(2),
-        e_mu=_e(0),
-        e_nu1=_e(1),
-        eta=None,
-    )
-
-
 __all__ = [
-    "DEFAULT_BLOCK_FRAMES",
+    "BLOCK_FRAMES",
+    "THROUGHPUT_CAP_MCPS",
     "RunSummary",
     "RunResult",
     "run",
-    "estimate_observables",
 ]

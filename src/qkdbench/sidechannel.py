@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoy import KeyRateReport
-from .entropy import joint_from_profiles, mi_from_profiles
+from .entropy import mi_from_profiles
 
 STATE_COLUMNS = ("stateH", "stateV", "stateD", "stateA")
 DEFAULT_SPATIAL_LEAKAGE = 1e-5
@@ -121,16 +121,19 @@ def synth_profiles(
         raise ValueError("pedestal fractions must be >= 0")
 
     states = [label[-1] for label in STATE_COLUMNS]
-    t_axis = np.linspace(-3.0 * fwhm_s, 3.0 * fwhm_s, 256)
-    fwhm_f = tbp / fwhm_s
-    f_axis = np.linspace(-3.0 * fwhm_f, 3.0 * fwhm_f, 256)
-
     temporal, spectral = [], []
-    for state, pedestal, shift in zip(states, ase_pedestal, shifts_s):
-        gt = _gaussian(t_axis, shift, fwhm_s) + pedestal
-        gf = _gaussian(f_axis, 0.0, fwhm_f) + pedestal
-        temporal.append(PulseProfile(t_axis, gt, state))
-        spectral.append(PulseProfile(f_axis, gf, state))
+    try:  # extreme widths or shifts overflow; report them instead of warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            t_axis = np.linspace(-3.0 * fwhm_s, 3.0 * fwhm_s, 256)
+            fwhm_f = tbp / fwhm_s
+            f_axis = np.linspace(-3.0 * fwhm_f, 3.0 * fwhm_f, 256)
+            for state, pedestal, shift in zip(states, ase_pedestal, shifts_s):
+                gt = _gaussian(t_axis, shift, fwhm_s) + pedestal
+                gf = _gaussian(f_axis, 0.0, fwhm_f) + pedestal
+                temporal.append(PulseProfile(t_axis, gt, state))
+                spectral.append(PulseProfile(f_axis, gf, state))
+    except ArithmeticError as exc:  # numpy FloatingPointError, Python OverflowError
+        raise ValueError(f"profile width, bandwidth or shift out of floating-point range ({exc})") from None
     return temporal, spectral
 
 
@@ -162,10 +165,7 @@ def leakage(profiles: Sequence[PulseProfile]) -> float:
     if len(profiles) < 2:
         raise ValueError("need at least two per-state profiles")
     _common_axis(profiles)
-    rows = np.stack([p.intensity for p in profiles])
-    if np.any(rows.sum(axis=1) <= 0):
-        raise ValueError("all-zero profile: cannot normalize")
-    return mi_from_profiles(joint_from_profiles(rows))
+    return mi_from_profiles(np.stack([p.intensity for p in profiles]))
 
 
 def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float:

@@ -197,6 +197,19 @@ class TestAnalyzeTtags:
         assert code == 0
         assert capsys.readouterr().out.startswith("seed = ")
 
+    def test_log_without_a_class_exits_2(self, bench_config_file, simulated, tmp_path, capsys):
+        ttag, alice = simulated
+        signal_only = tmp_path / "signal_only.alice.csv"
+        signal_only.write_text(alice.read_text().replace("decoy1", "signal").replace("decoy2", "signal"))
+        code = main(
+            ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
+             "--alice-log", str(signal_only), "--seed", "11"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no pulses sent for at least one intensity class\n"
+
     def test_empty_stream(self, bench_config_file, tmp_path, capsys):
         empty = tmp_path / "empty.ttag"
         empty.write_bytes(b"")
@@ -318,7 +331,12 @@ class TestMalformedInput:
         bad_sweep.write_text("x,y\n1,2\n")
         sweep = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(bench_config_file), "--out", str(sweep)]) == 0
+        for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308)):
+            rows = "".join(f"{i}e-12,{state_h!r},1.0,2.0,1.0\n" for i in range(8))
+            (tmp_path / f"{name}.csv").write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
         return {
+            "zero_profile": str(tmp_path / "zero_profile.csv"),
+            "huge_profile": str(tmp_path / "huge_profile.csv"),
             "cfg": str(bench_config_file),
             "out": str(tmp_path / "out"),
             "ttag": str(ttag),
@@ -357,6 +375,14 @@ class TestMalformedInput:
             "sweep --config {cfg} --out {out} --atten-max 1e308 --atten-step 1e-308",
             "simulate --config {cfg} --frames 100 --out {out} --emit-ttags --phase-ticks 200",
             "sidechannel --synth --sweep-csv {missing}",
+            "sidechannel --synth --fwhm-ps 1e300",
+            "sidechannel --synth --fwhm-ps 1e-300",
+            "sidechannel --synth --tbp 1e300",
+            "sidechannel --synth --tbp 1e200",
+            "sidechannel --synth --shifts-ps 1e300,0,0,0",
+            "sidechannel --synth --pedestals 1e308,0,0,0",
+            "sidechannel --profiles {zero_profile}",
+            "sidechannel --profiles {huge_profile}",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):

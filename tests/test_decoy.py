@@ -377,3 +377,67 @@ class TestArrayChain:
                 np.testing.assert_allclose(got, attrgetter(name)(one), rtol=1e-12, atol=0, err_msg=name)
             assert np.broadcast_to(batch.estimates.clamped, shape)[i, j] == one.estimates.clamped
             assert batch.qber_cutoff_hit[i, j] == one.qber_cutoff_hit
+
+
+def explicit_chain(sent, detected, sifted, errors, source, link, proto):
+    """The four-call chain from counts to rate, written out by hand."""
+    obs = ChannelObservables(
+        q_mu=detected[0] / sent[0],
+        q_nu1=detected[1] / sent[1],
+        q_nu2=detected[2] / sent[2],
+        e_mu=min(errors[0] / sifted[0], 0.5),
+        e_nu1=min(errors[1] / sifted[1], 0.5),
+    )
+    y0 = estimate_background_yield(obs, source.mu, source.nu2)
+    est = decoy_estimates(obs, source.mu, source.nu1, y0, link.background_error)
+    return y0, key_rate_lower_bound(obs, est, proto, proto.signal_pulses_per_s(source))
+
+
+@st.composite
+def class_counts(draw):
+    """Per-class (sent, detected, sifted, errors) with signal and decoy 1 sifted."""
+    columns = []
+    for cls in range(3):
+        sent = draw(st.integers(1, 10**9))
+        detected = draw(st.integers(1 if cls < 2 else 0, sent))
+        sifted = draw(st.integers(1 if cls < 2 else 0, detected))
+        columns.append((sent, detected, sifted, draw(st.integers(0, sifted))))
+    return [list(c) for c in zip(*columns)]
+
+
+class TestRateFromCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=class_counts(),
+        nu1_fraction=st.floats(0.01, 0.99),
+        nu2=st.floats(0.0, 0.01),
+        background_error=st.floats(0.0, 0.5),
+        signal_pulses=st.floats(1.0, 1e9),
+    )
+    def test_equals_explicit_chain(self, counts, nu1_fraction, nu2, background_error, signal_pulses):
+        source = SourceConfig(mu=0.5, nu1=0.5 * nu1_fraction, nu2=nu2)
+        link = LinkConfig(background_error=background_error)
+        proto = ProtocolConfig(signal_pulses=signal_pulses)
+        as_arrays = [np.array(c, dtype=np.int64) for c in counts]
+        assert decoy.rate_from_counts(*as_arrays, source, link, proto) == explicit_chain(*counts, source, link, proto)
+
+    def test_observables(self, bench6db):
+        _, report = decoy.rate_from_counts([1000, 1000, 1000], [118, 17, 0], [60, 8, 0], [1, 0, 0], *bench6db)
+        obs = report.observables
+        assert obs.q_mu == pytest.approx(0.118)
+        assert obs.e_mu == pytest.approx(1 / 60)
+        assert obs.e_nu1 == 0.0
+        assert obs.q_nu2 == 0.0  # zero detections in decoy2
+
+    def test_error_rate_clamped(self, bench6db):
+        _, report = decoy.rate_from_counts([10, 10, 10], [4, 4, 0], [4, 4, 0], [3, 4, 0], *bench6db)
+        assert report.observables.e_mu == report.observables.e_nu1 == 0.5
+
+    @pytest.mark.parametrize("sifted", [[60, 0, 0], [0, 8, 0]])
+    def test_no_sifted_detection_rejected(self, bench6db, sifted):
+        with pytest.raises(ValueError, match="sifted detections"):
+            decoy.rate_from_counts([1000, 500, 500], [118, 17, 0], sifted, [0, 0, 0], *bench6db)
+
+    def test_zero_sent_rejected(self, bench6db):
+        with pytest.raises(ValueError, match="no pulses sent"):
+            decoy.rate_from_counts([10, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0], *bench6db)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
-from qkdbench import decoy
-from qkdbench.montecarlo import RunSummary, estimate_observables, run
+from qkdbench import decoy, montecarlo
+from qkdbench.montecarlo import RunSummary, run
 
 
 def cross_val_source(**kw):
@@ -159,14 +159,29 @@ class TestRunConvergence:
 
 
 class TestSummary:
-    def test_merge_is_associative(self, bench6db):
+    def test_blocks_tally_into_one_summary(self, bench6db, monkeypatch):
+        # three blocks tally into one summary
+        monkeypatch.setattr(montecarlo, "BLOCK_FRAMES", 30_000)
         _, link, proto = bench6db
         src = cross_val_source()
-        whole = run(src, link, proto, frames=90_000, seed=5, block_frames=30_000).summary
+        res = run(src, link, proto, frames=90_000, seed=5, emit_ttags=True)
+        first = run(src, link, proto, frames=30_000, seed=5, emit_ttags=True)
+        whole = res.summary
         assert whole.frames == 90_000
-        assert whole.sent.sum() == 90_000
+        assert whole.sent.sum() == len(res.alice_log) == 90_000
+        for name in ("bit", "basis", "cls"):  # the first block is drawn as a run of its own
+            assert np.array_equal(getattr(res.alice_log, name)[:30_000], getattr(first.alice_log, name))
+        assert np.array_equal(whole.sent, np.bincount(res.alice_log.cls, minlength=3))
         assert np.all(whole.detected <= whole.sent)
         assert np.all(whole.errors <= whole.sifted)
+
+    def test_simulated_s_is_exact(self, bench6db, monkeypatch):
+        # a float sum over blocks gave 3.0000000000000004e-05 here
+        monkeypatch.setattr(montecarlo, "BLOCK_FRAMES", 1000)
+        _, link, proto = bench6db
+        src = cross_val_source()
+        s = run(src, link, proto, frames=3000, seed=6).summary
+        assert s.simulated_s == 3000 / src.pulse_rate_hz
 
     def test_hand_built_summary(self):
         s = RunSummary(
@@ -179,45 +194,6 @@ class TestSummary:
         )
         assert s.gain_class(0) == pytest.approx(0.118)
         assert s.qber_class(0) == pytest.approx(1 / 118)
-
-    def test_estimate_observables(self):
-        s = RunSummary(
-            frames=3000,
-            simulated_s=3e-5,
-            sent=np.array([1000, 1000, 1000]),
-            detected=np.array([118, 17, 0]),
-            sifted=np.array([60, 8, 0]),
-            errors=np.array([1, 0, 0]),
-        )
-        obs = estimate_observables(s)
-        assert obs.q_mu == pytest.approx(0.118)
-        assert obs.e_mu == pytest.approx(1 / 60)
-        assert obs.e_nu1 == 0.0
-        assert obs.q_nu2 == 0.0  # zero detections in decoy2
-
-    def test_estimate_observables_flags_undefined_qber(self):
-        s = RunSummary(
-            frames=2000,
-            simulated_s=2e-5,
-            sent=np.array([1000, 500, 500]),
-            detected=np.array([118, 0, 0]),
-            sifted=np.array([60, 0, 0]),
-            errors=np.array([1, 0, 0]),
-        )
-        obs = estimate_observables(s)
-        assert math.isnan(obs.e_nu1)  # no sifted decoy1 detections
-
-    def test_estimate_observables_zero_sent(self):
-        s = RunSummary(
-            frames=10,
-            simulated_s=1e-7,
-            sent=np.array([10, 0, 0]),
-            detected=np.array([1, 0, 0]),
-            sifted=np.array([1, 0, 0]),
-            errors=np.array([0, 0, 0]),
-        )
-        with pytest.raises(ValueError, match="undefined observables"):
-            estimate_observables(s)
 
 
 class TestEmission:
@@ -236,14 +212,6 @@ class TestEmission:
         rate_mcps = len(res.stream) / res.summary.simulated_s / 1e6
         assert res.dropped_records > 0
         assert rate_mcps == pytest.approx(10.0, rel=1e-6)
-
-    def test_cap_disabled(self):
-        src = cross_val_source()
-        link = LinkConfig(attenuation_db=0.0, background_suppression=1.0)
-        res = run(src, link, ProtocolConfig(), frames=200_000, seed=23, emit_ttags=True, throughput_cap_mcps=None)
-        assert res.dropped_records == 0
-        rate_mcps = len(res.stream) / res.summary.simulated_s / 1e6
-        assert rate_mcps > 10.0
 
     def test_non_integer_period_rejected(self):
         src = cross_val_source(pulse_rate_hz=97e6)
