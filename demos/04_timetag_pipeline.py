@@ -40,7 +40,7 @@ for i, label in enumerate(timetag.CLASS_LABELS):
     print(f"  qber_{label:7} = {key.qber_class(i):.4f}")
 
 # decoy chain from the measured stream
-sent = np.bincount(result.alice_log.cls, minlength=3)
+sent = np.bincount(result.alice_log.code >> 2, minlength=3)  # code = bit | basis<<1 | class<<2
 y0, report = decoy.rate_from_counts(
     sent, key.detected_per_class, key.sifted_per_class, key.errors_per_class, source, link, proto
 )

@@ -156,16 +156,23 @@ def decoy_estimates(obs: ChannelObservables, mu, nu1, y0, e0: float = 0.5) -> De
     into [0, 0.5].  Where Y1_lower is zero there is no usable
     single-photon signal and e1_upper is the maximally pessimistic 0.5.
     ``clamped`` marks the elements where a bound was clipped into its
-    range.
+    range.  A Y1_lower that is not a finite number (an overflow, e.g. for
+    a subnormal nu1) raises ValueError.
     """
     if not np.all((mu > nu1) & (nu1 > 0)):
         raise ValueError(f"degenerate intensities: require mu > nu1 > 0, got mu={mu}, nu1={nu1}")
-    bracket = (
-        obs.q_nu1 * np.exp(nu1)
-        - obs.q_mu * np.exp(mu) * nu1**2 / mu**2
-        - (mu**2 - nu1**2) / mu**2 * y0
-    )
-    y1l_raw = mu / (mu * nu1 - nu1**2) * bracket
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bracket = (
+            obs.q_nu1 * np.exp(nu1)
+            - obs.q_mu * np.exp(mu) * nu1**2 / mu**2
+            - (mu**2 - nu1**2) / mu**2 * y0
+        )
+        y1l_raw = np.divide(mu, mu * nu1 - nu1**2) * bracket
+    bad = ~np.isfinite(y1l_raw)
+    if np.any(bad):
+        at = np.argmax(bad)  # the first such element
+        mu_at, nu1_at = (np.broadcast_to(v, np.shape(bad)).flat[at] for v in (mu, nu1))
+        raise ValueError(f"single-photon yield bound is not finite at mu={mu_at:g}, nu1={nu1_at:g}")
     y1l = np.clip(y1l_raw, 0.0, 1.0)
     usable = y1l > 0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,10 +1,11 @@
 """Per-pulse stochastic simulation of the Alice -> channel -> Bob chain.
 
-The engine draws Poissonian photon numbers per pulse, propagates each
-photon through the full link budget (channel + setup loss + detector
-efficiency), models the passive 50/50 basis choice at Bob, detector
-errors and frame-wise background clicks, and resolves multi-click
-frames by squashing to a single detection.
+The frame physics is one exact table, :func:`outcome_table`: for each of
+the 12 states Alice emits, the probability of no click and of a signal
+or a background click on each of Bob's four detector channels (full link
+budget, passive basis choice, detector and depolarization errors).
+``run`` samples it: per frame one code and one uniform, looked up in the
+table's cumulative rows.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -62,6 +63,37 @@ class RunResult:
     dropped_records: int = 0
 
 
+def outcome_table(source: SourceConfig, link: LinkConfig) -> np.ndarray:
+    """(12, 9) probabilities of each frame outcome, one row per Alice code.
+
+    Row ``bit | basis << 1 | class << 2``; column 0 is no click, 1 + c a
+    signal click on channel c and 5 + c a background click on channel c
+    (c = Bob's basis * 2 + bit).  With s = 1 - exp(-eta m) the signal
+    click probability, y the gated background yield and
+    e = min(e_det + (1 - DOP)/2, 1), and a frame where both click keeping
+    either at random:
+
+    * no click: (1 - s)(1 - y);
+    * signal: s(1 - y/2), split 1/2 (1 - e) on the right channel, 1/2 e
+      on the wrong bit and 1/4 on each channel of the other basis;
+    * background: y(1 - s/2)/4 on each channel.
+    """
+    means = np.array([source.mu, source.nu1, source.nu2])
+    s = -np.expm1(-transmittance(link) * means)
+    y = link.background_yield * link.suppression(source)
+    e = min(link.detection_error + source.source_error, 1.0)
+    code = np.arange(12)
+    bit, basis, cls = code & 1, code >> 1 & 1, code >> 2
+    signal = np.full((12, 4), 0.25)  # channel split of a used signal click
+    signal[code, basis * 2 + bit] = 0.5 * (1.0 - e)
+    signal[code, basis * 2 + 1 - bit] = 0.5 * e
+    table = np.empty((12, 9))
+    table[:, 0] = (1.0 - s[cls]) * (1.0 - y)
+    table[:, 1:5] = (s[cls] * (1.0 - y / 2.0))[:, None] * signal
+    table[:, 5:] = (y * (1.0 - s[cls] / 2.0) / 4.0)[:, None]
+    return table
+
+
 def run(
     source: SourceConfig,
     link: LinkConfig,
@@ -91,65 +123,44 @@ def run(
     if emit_ttags and not 0 <= phase_ticks < period_ticks:
         raise ValueError(f"phase_ticks must lie in [0, {period_ticks}), got {phase_ticks}")
 
-    means = np.array([source.mu, source.nu1, source.nu2])
-    probs = np.array(source.class_probs, dtype=float)
-    pol_probs = np.array(source.pol_probs, dtype=float)
-    eta = transmittance(link)
-    suppression = link.suppression(source)
-    y0_eff = link.background_yield * suppression
-    e_eff = link.detection_error + source.source_error
+    cdf = np.cumsum(outcome_table(source, link), axis=1)
+    cdf /= cdf[:, -1:]  # exact 1 at the end, so a zero-probability outcome is never drawn
+    code_probs = np.outer(source.class_probs, source.pol_probs).ravel()
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
-    bg_width = max(1, int(round(suppression * period_ticks))) if emit_ttags else 1
+    bg_width = max(1, int(round(link.suppression(source) * period_ticks))) if emit_ttags else 1
 
     counts = np.zeros((4, 3), dtype=np.int64)  # sent, detected, sifted, errors per class
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
-    log_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    log_chunks: list[np.ndarray] = []
 
     for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
 
-        cls = rng.choice(3, size=n, p=probs)
-        pol = rng.choice(4, size=n, p=pol_probs)
-        nph = rng.poisson(means[cls])
-        surv = rng.binomial(nph, eta)
-        bob_basis = rng.integers(0, 2, size=n)
-        flip = (rng.random(n) < e_eff).astype(np.int64)
-        rand_bit = rng.integers(0, 2, size=n)
-        bg = rng.random(n) < y0_eff
-        bg_ch = rng.integers(0, 4, size=n)
-        pick_signal = rng.random(n) < 0.5
-
-        alice_basis = pol >> 1
-        alice_bit = pol & 1
-        matched_basis = bob_basis == alice_basis
-        sig_bit = np.where(matched_basis, alice_bit ^ flip, rand_bit)
-        sig_ch = bob_basis * 2 + sig_bit
-
-        sig_click = surv >= 1
-        click = sig_click | bg
-        use_sig = sig_click & (~bg | pick_signal)
-        channel = np.where(use_sig, sig_ch, bg_ch)
-
-        sifted = click & ((channel >> 1) == alice_basis)
-        errors = sifted & ((channel & 1) != alice_bit)
-        counts += [np.bincount(cls[mask], minlength=3) for mask in (slice(None), click, sifted, errors)]
-        del sifted, errors  # not held through the emission step
+        code = rng.choice(12, size=n, p=code_probs).astype(np.uint8)
+        u = rng.random(n)
+        idx = np.flatnonzero(u >= cdf[code, 0])
+        clicked = code[idx]
+        outcome = np.count_nonzero(cdf[clicked, :8] <= u[idx, None], axis=1)  # 1..8
+        channel = ((outcome - 1) & 3).astype(np.uint8)
+        sifted = (channel >> 1) == (clicked >> 1 & 1)
+        errors = sifted & ((channel & 1) != (clicked & 1))
+        counts += [np.bincount(c >> 2, minlength=3) for c in (code, clicked, clicked[sifted], clicked[errors])]
+        del u, sifted, errors  # not held through the emission step
 
         if emit_ttags:
-            idx = np.nonzero(click)[0]
             n_ev = len(idx)
             jitter = np.rint(rng.normal(0.0, sigma_ticks, size=n_ev)).astype(np.int64)
             bg_off = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=n_ev)
-            offs = np.where(use_sig[idx], jitter, bg_off) + phase_ticks
+            offs = np.where(outcome <= 4, jitter, bg_off) + phase_ticks
             ticks = (base + idx.astype(np.int64)) * period_ticks + offs
             np.clip(ticks, 0, None, out=ticks)
             order = np.argsort(ticks, kind="stable")
             tick_chunks.append(ticks[order].astype(np.uint64))
-            chan_chunks.append(channel[idx][order].astype(np.uint8))
-            log_chunks.append((alice_bit.astype(np.uint8), alice_basis.astype(np.uint8), cls.astype(np.uint8)))
+            chan_chunks.append(channel[order])
+            log_chunks.append(code)
 
     stream = None
     alice_log = None
@@ -161,7 +172,7 @@ def run(
             dropped = len(ticks) - cap
             ticks, chans = ticks[:cap], chans[:cap]
         stream = TimeTagStream(ticks, chans)
-        alice_log = AliceLog(*(np.concatenate(column) for column in zip(*log_chunks)))
+        alice_log = AliceLog(np.concatenate(log_chunks))
 
     summary = RunSummary(frames, frames / source.pulse_rate_hz, *counts)
     return RunResult(summary=summary, stream=stream, alice_log=alice_log, dropped_records=dropped)
@@ -172,5 +183,6 @@ __all__ = [
     "THROUGHPUT_CAP_MCPS",
     "RunSummary",
     "RunResult",
+    "outcome_table",
     "run",
 ]

@@ -8,8 +8,9 @@ Channels 0..3 are the four polarization detectors (H, V, D, A); values
 A 100 MHz pulse train has a period of exactly 128 ticks, so all frame
 and residue arithmetic is integer.
 
-Alice's log is CSV: the header ``bit,basis,class``, then one LF-ended
-row per frame from frame 0 on (row i is frame i), each one of 12 lines.
+Alice's log is one code per frame, ``bit | basis << 1 | class << 2``.
+On disk it is CSV: the header ``bit,basis,class``, then one LF-ended row
+per frame from frame 0 on (row i is frame i), each one of 12 lines.
 """
 
 from __future__ import annotations
@@ -175,17 +176,16 @@ _ALICE_CODES = {row: code for code, row in enumerate(_ALICE_ROWS)}
 class AliceLog:
     """Per-frame record of what the source emitted; entry i is frame i."""
 
-    bit: np.ndarray  # uint8, 0/1
-    basis: np.ndarray  # uint8, 0=Z 1=X
-    cls: np.ndarray  # uint8, 0=signal 1=decoy1 2=decoy2
+    code: np.ndarray  # uint8, bit | basis << 1 | class << 2; basis 0=Z 1=X, class 0=signal 1=decoy1 2=decoy2
 
     def __len__(self) -> int:
-        return len(self.bit)
+        return len(self.code)
 
     def to_csv(self) -> str:
         """The log as CSV text: the header, then one row per frame."""
-        code = np.ravel_multi_index((self.cls, self.basis, self.bit), (3, 2, 2))  # ValueError if out of range
-        return _ALICE_HEADER + "".join(map(_ALICE_ROWS.__getitem__, code.tolist()))
+        if len(self.code) and not 0 <= self.code.min() <= self.code.max() < len(_ALICE_ROWS):
+            raise ValueError(f"alice log code out of range 0..{len(_ALICE_ROWS) - 1}")
+        return _ALICE_HEADER + "".join(map(_ALICE_ROWS.__getitem__, self.code.tolist()))
 
     @classmethod
     def from_csv(cls, lines: Iterable[str]) -> "AliceLog":
@@ -198,7 +198,7 @@ class AliceLog:
         bad = np.flatnonzero(code == len(_ALICE_ROWS))
         if len(bad):
             raise ValueError(f"alice log line {int(bad[0]) + 2}: malformed row")
-        return cls(bit=code & 1, basis=code >> 1 & 1, cls=code >> 2)
+        return cls(code)
 
 
 @dataclass(frozen=True)
@@ -248,14 +248,11 @@ def sift(
     collisions = len(frames) - len(uniq_frames)
     frames, channels = frames[keep_idx], channels[keep_idx]
 
-    a_bit = alice.bit[frames].astype(np.int64)
-    a_basis = alice.basis[frames].astype(np.int64)
-    a_cls = alice.cls[frames].astype(np.int64)
-
-    bob_basis = channels >> 1
+    code = alice.code[frames].astype(np.int64)
+    a_cls = code >> 2
     bob_bit = channels & 1
-    matched = bob_basis == a_basis
-    err = matched & (bob_bit != a_bit)
+    matched = (channels >> 1) == (code >> 1 & 1)
+    err = matched & (bob_bit != (code & 1))
 
     return SiftedKey(
         frames=frames,

@@ -9,6 +9,7 @@ import pytest
 
 from qkdbench import decoy, timetag
 from qkdbench.cli import main
+from qkdbench.config import load_config
 
 
 def read_csv_rows(path):
@@ -138,6 +139,23 @@ class TestSimulate:
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.glob("run*")}
         suffixes = ("summary.txt", "ttag", "alice.csv", "sidecar.txt")
         assert modes == {f"run.{suffix}": 0o644 for suffix in suffixes}
+
+    def test_delta_against_exact_table(self, bench_config_file, tmp_path, capsys):
+        # the delta is taken against the exact click probability; the paper
+        # gain Y0 + 1 - e^(-eta m) is printed next to it
+        argv = ["simulate", "--config", str(bench_config_file), "--frames", "1000", "--seed", "2"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("Q_")]
+        source, link, _ = load_config(bench_config_file)
+        eta = decoy.transmittance(link)
+        paper = decoy.channel_observables(source, link, "full-budget")
+        for line, mean, q_paper in zip(lines, (0.5, 0.066, 0.002), (paper.q_mu, paper.q_nu1, paper.q_nu2)):
+            fields = dict(f.split("=") for f in line.split()[1:] if "=" in f)
+            exact = 1 - (1 - link.background_yield) * math.exp(-eta * mean)
+            assert float(fields["exact"]) == pytest.approx(exact, rel=1e-6)
+            assert float(fields["paper"]) == pytest.approx(q_paper, rel=1e-6)
+            assert float(fields["exact"]) != float(fields["paper"])
+        assert len(lines) == 3
 
     def test_alice_log_rows_are_frames(self, bench_config_file, tmp_path):
         main(
@@ -327,6 +345,9 @@ class TestMalformedInput:
         bad_basis.write_text("bit,basis,class\n0,Q,signal\n")
         old_log = tmp_path / "old.alice.csv"
         old_log.write_text("frame,bit,basis,class\n0,0,Z,signal\n1,1,Z,decoy1\n")
+        tiny_nu1 = tmp_path / "tiny_nu1.cfg"
+        text = bench_config_file.read_text()
+        tiny_nu1.write_text(text.replace("nu1 = 0.066", "nu1 = 1e-320").replace("nu2 = 0.002", "nu2 = 0.0"))
         bad_sweep = tmp_path / "bad_sweep.csv"
         bad_sweep.write_text("x,y\n1,2\n")
         sweep = tmp_path / "sweep.csv"
@@ -338,6 +359,7 @@ class TestMalformedInput:
             "zero_profile": str(tmp_path / "zero_profile.csv"),
             "huge_profile": str(tmp_path / "huge_profile.csv"),
             "cfg": str(bench_config_file),
+            "tiny_nu1": str(tiny_nu1),
             "out": str(tmp_path / "out"),
             "ttag": str(ttag),
             "alice": str(alice),
@@ -383,6 +405,8 @@ class TestMalformedInput:
             "sidechannel --synth --pedestals 1e308,0,0,0",
             "sidechannel --profiles {zero_profile}",
             "sidechannel --profiles {huge_profile}",
+            "optimize --config {cfg} --mu-grid 0.5,0.6 --nu1-grid 1e-320,0.1",
+            "sweep --config {tiny_nu1} --out {out}",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):

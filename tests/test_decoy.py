@@ -134,6 +134,14 @@ class TestY1Lower:
         with pytest.raises(ValueError, match="degenerate"):
             y1_lower(obs, 0.066, 0.066, 5.58e-4)
 
+    @pytest.mark.parametrize("nu1", [1e-320, np.array([0.066, 1e-320])])
+    def test_non_finite_bound_rejected(self, nu1):
+        # mu / (mu nu1 - nu1^2) overflows for a subnormal nu1
+        # (without a RuntimeWarning: the suite turns those into errors)
+        obs = bench6db_observables()
+        with pytest.raises(ValueError, match=r"not finite at mu=0\.5, nu1=9\.99989e-321$"):
+            decoy_estimates(obs, 0.5, nu1, 5.58e-4)
+
 
 class TestE1Upper:
     def test_benchmark_chain(self):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo
@@ -16,6 +17,19 @@ def cross_val_source(**kw):
     defaults = dict(mu=0.5, nu1=0.066, nu2=0.002, degree_of_polarization=1.0)
     defaults.update(kw)
     return SourceConfig(**defaults)
+
+
+def class_cells(source: SourceConfig, link: LinkConfig) -> np.ndarray:
+    """(3, 4) probability of each class with no click, sifted-correct, sifted-error, unsifted."""
+    table = montecarlo.outcome_table(source, link)
+    code_probs = np.outer(source.class_probs, source.pol_probs).ravel()
+    cells = np.zeros((3, 4))
+    for code, row in enumerate(table):
+        right = code & 3  # Bob's channel basis * 2 + bit that matches Alice
+        correct = row[1 + right] + row[5 + right]
+        error = row[1 + (right ^ 1)] + row[5 + (right ^ 1)]
+        cells[code >> 2] += code_probs[code] * np.array([row[0], correct, error, 1 - row[0] - correct - error])
+    return cells
 
 
 def same_summary(a: RunSummary, b: RunSummary) -> bool:
@@ -66,6 +80,85 @@ class TestRunEdgeCases:
         q_exact = 1.0 - (1.0 - link.background_yield) * math.exp(-eta * src.mu)
         sigma = math.sqrt(q_exact * (1 - q_exact) / n)
         assert abs(s.gain_class(0) - q_exact) <= 4 * sigma
+
+
+configs = st.builds(
+    lambda mu, f1, f2, att, loss, eff, y, supp, e_det, dop: (
+        SourceConfig(mu=mu, nu1=mu * f1, nu2=mu * f1 * f2, degree_of_polarization=dop),
+        LinkConfig(
+            attenuation_db=att,
+            setup_loss_db=loss,
+            detector_efficiency=eff,
+            background_yield=y,
+            background_suppression=supp,
+            detection_error=e_det,
+        ),
+    ),
+    mu=st.floats(1e-3, 10.0),
+    f1=st.floats(0.01, 0.99),
+    f2=st.one_of(st.just(0.0), st.floats(1e-6, 0.99)),
+    att=st.floats(0.0, 60.0),
+    loss=st.floats(0.0, 10.0),
+    eff=st.floats(0.01, 1.0),
+    y=st.floats(0.0, 1.0),
+    supp=st.floats(0.0, 1.0),
+    e_det=st.floats(0.0, 1.0),
+    dop=st.floats(0.01, 1.0),
+)
+
+
+class TestOutcomeTable:
+    @settings(max_examples=200, deadline=None)
+    @given(config=configs)
+    def test_rows_are_distributions(self, config):
+        table = montecarlo.outcome_table(*config)
+        assert table.shape == (12, 9)
+        assert np.all(table >= 0)
+        assert np.allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=configs)
+    def test_click_probability(self, config):
+        source, link = config
+        table = montecarlo.outcome_table(source, link)
+        y = link.background_yield * link.suppression(source)
+        means = np.repeat([source.mu, source.nu1, source.nu2], 4)
+        exact = 1.0 - (1.0 - y) * np.exp(-decoy.transmittance(link) * means)
+        assert np.allclose(1.0 - table[:, 0], exact, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=configs)
+    def test_paper_model_without_background_or_depolarization(self, config):
+        source, link = config
+        source = replace(source, degree_of_polarization=1.0)
+        link = replace(link, background_yield=0.0)
+        eta = decoy.transmittance(link)
+        table = montecarlo.outcome_table(source, link)
+        cells = class_cells(source, link) / np.array(source.class_probs)[:, None]
+        for i, mean in enumerate((source.mu, source.nu1, source.nu2)):
+            if mean == 0:
+                continue
+            q = table[4 * i, 1:].sum()
+            assert q == pytest.approx(decoy.gain(mean, eta, 0.0), rel=1e-12, abs=0)
+            e = cells[i, 2] / (cells[i, 1] + cells[i, 2])
+            e_paper = decoy.qber(mean, eta, 0.0, link.background_error, link.detection_error)
+            assert e == pytest.approx(e_paper, rel=1e-12, abs=1e-300)
+
+    def test_summary_cells_match_table(self):
+        # 3 classes x {no click, sifted-correct, sifted-error, unsifted}:
+        # Pearson chi-square against the exact table, 11 degrees of freedom
+        # (the 12 cells sum to the frame count); 31.26 is the 99.9% quantile
+        source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002)
+        link = LinkConfig(background_suppression=1.0)
+        frames = 10_000_000
+        s = run(source, link, ProtocolConfig(), frames=frames, seed=31).summary
+        observed = np.stack(
+            [s.sent - s.detected, s.sifted - s.errors, s.errors, s.detected - s.sifted], axis=1
+        )
+        expected = frames * class_cells(source, link)
+        assert np.all(expected > 50)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 <= 31.26, (chi2, observed.tolist(), expected.tolist())
 
 
 class TestRunDeterminism:
@@ -169,9 +262,9 @@ class TestSummary:
         whole = res.summary
         assert whole.frames == 90_000
         assert whole.sent.sum() == len(res.alice_log) == 90_000
-        for name in ("bit", "basis", "cls"):  # the first block is drawn as a run of its own
-            assert np.array_equal(getattr(res.alice_log, name)[:30_000], getattr(first.alice_log, name))
-        assert np.array_equal(whole.sent, np.bincount(res.alice_log.cls, minlength=3))
+        # the first block is drawn as a run of its own
+        assert np.array_equal(res.alice_log.code[:30_000], first.alice_log.code)
+        assert np.array_equal(whole.sent, np.bincount(res.alice_log.code >> 2, minlength=3))
         assert np.all(whole.detected <= whole.sent)
         assert np.all(whole.errors <= whole.sifted)
 

@@ -234,11 +234,7 @@ ALICE_ROWS = [f"{c & 1},{'ZX'[c >> 1 & 1]},{timetag.CLASS_LABELS[c >> 2]}" for c
 
 
 def make_alice(n, rng):
-    return AliceLog(
-        bit=rng.integers(0, 2, n).astype(np.uint8),
-        basis=rng.integers(0, 2, n).astype(np.uint8),
-        cls=rng.integers(0, 3, n).astype(np.uint8),
-    )
+    return AliceLog(rng.integers(0, 12, n).astype(np.uint8))
 
 
 class TestSift:
@@ -248,7 +244,7 @@ class TestSift:
         alice = make_alice(n, rng)
         # Bob receives every frame in the matching basis with the right bit
         ticks = (np.arange(n) * PERIOD + 37).astype(np.uint64)
-        chans = (alice.basis * 2 + alice.bit).astype(np.uint8)
+        chans = alice.code & 3  # basis * 2 + bit
         gated = gate(TimeTagStream(ticks, chans), PERIOD, 37, 13)
         key = sift(alice, gated, PERIOD, seed=1)
         assert len(key.sifted_bits) == n
@@ -269,11 +265,7 @@ class TestSift:
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
     def test_collisions_resolved_and_counted(self):
-        alice = AliceLog(
-            bit=np.array([0, 1, 0], dtype=np.uint8),
-            basis=np.array([0, 0, 1], dtype=np.uint8),
-            cls=np.zeros(3, dtype=np.uint8),
-        )
+        alice = AliceLog(np.array([0, 1, 2], dtype=np.uint8))  # signal Z0, Z1, X0
         # two accepted records land in frame 1
         stream = stream_of([(37, 0), (PERIOD + 36, 2), (PERIOD + 38, 3), (2 * PERIOD + 37, 2)])
         gated = gate(stream, PERIOD, 37, 13)
@@ -282,11 +274,7 @@ class TestSift:
         assert len(key.frames) == 3
 
     def test_out_of_log_frames_dropped(self):
-        alice = AliceLog(
-            bit=np.zeros(2, dtype=np.uint8),
-            basis=np.zeros(2, dtype=np.uint8),
-            cls=np.zeros(2, dtype=np.uint8),
-        )
+        alice = AliceLog(np.zeros(2, dtype=np.uint8))
         stream = stream_of([(37, 0), (PERIOD * 50 + 37, 0)])
         gated = gate(stream, PERIOD, 37, 13)
         key = sift(alice, gated, PERIOD, seed=4)
@@ -295,9 +283,8 @@ class TestSift:
     @settings(max_examples=50, deadline=None)
     @given(codes=st.lists(st.integers(0, 11), max_size=200), seed=st.integers(0, 2**32 - 1))
     def test_sift_attributes_each_frame_to_its_class(self, codes, seed):
-        code = np.array(codes, dtype=np.uint8)
-        n = len(code)
-        alice = AliceLog(bit=code & 1, basis=code >> 1 & 1, cls=code >> 2)
+        alice = AliceLog(np.array(codes, dtype=np.uint8))
+        n = len(alice)
         rng = np.random.default_rng(seed)
         chosen = np.flatnonzero(rng.random(n) < 0.5)
         # one on-phase record per chosen frame, plus records past the end of the log
@@ -306,19 +293,17 @@ class TestSift:
         chans = rng.integers(0, 4, size=len(frames)).astype(np.uint8)
         key = sift(alice, gate(TimeTagStream(ticks, chans), PERIOD, 37, 13), PERIOD, seed=seed)
         assert np.array_equal(key.frames, chosen)
-        assert np.array_equal(key.detected_per_class, np.bincount(alice.cls[chosen], minlength=3))
+        assert np.array_equal(key.detected_per_class, np.bincount(alice.code[chosen] >> 2, minlength=3))
 
     @settings(max_examples=50, deadline=None)
     @given(codes=st.lists(st.integers(0, 11), max_size=200))
     def test_alice_log_csv_round_trip(self, codes):
-        code = np.array(codes, dtype=np.uint8)
-        alice = AliceLog(bit=code & 1, basis=code >> 1 & 1, cls=code >> 2)
+        alice = AliceLog(np.array(codes, dtype=np.uint8))
         text = alice.to_csv()
         assert text == "bit,basis,class\n" + "".join(ALICE_ROWS[c] + "\n" for c in codes)
         back = AliceLog.from_csv(io.StringIO(text))
-        assert np.array_equal(back.bit, alice.bit)
-        assert np.array_equal(back.basis, alice.basis)
-        assert np.array_equal(back.cls, alice.cls)
+        assert back.code.dtype == np.uint8
+        assert np.array_equal(back.code, alice.code)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -334,12 +319,10 @@ class TestSift:
         with pytest.raises(ValueError, match=f"alice log line {at + 2}:"):
             AliceLog.from_csv(line + "\n" for line in lines)
 
-    @pytest.mark.parametrize("field", ["bit", "basis", "cls"])
-    def test_alice_log_out_of_range_value_not_written(self, field):
-        values = {"bit": [0, 1], "basis": [1, 0], "cls": [2, 0]}
-        values[field] = [1, 3]
-        alice = AliceLog(**{k: np.array(v, dtype=np.uint8) for k, v in values.items()})
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("code", [[0, 12], [255, 3], [-1, 0]])
+    def test_alice_log_out_of_range_value_not_written(self, code):
+        alice = AliceLog(np.array(code, dtype=np.int16))
+        with pytest.raises(ValueError, match="out of range"):
             alice.to_csv()
 
     def test_alice_log_old_header_rejected(self):
