@@ -136,6 +136,14 @@ def cmd_simulate(args) -> int:
     source, link, proto = load_config(args.config)
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
+    # deltas against the simulator's exact table; the paper gain Y0 + 1 - e^(-eta m)
+    # counts a frame where both click twice, and the paper QBER leaves out (1 - DOP)/2
+    obs_model = decoy.channel_observables(source, link, "full-budget")
+    table = montecarlo.outcome_table(source, link)
+    code = np.arange(4)  # the signal class's rows, bit | basis << 1
+    clicks = table[:4, 1:5] + table[:4, 5:]  # signal or background click per channel
+    pol = np.asarray(source.pol_probs)
+    e_exact = pol @ clicks[code, code ^ 1] / (pol @ (clicks[code, code & 2] + clicks[code, code | 1]))
     seed = _resolve_seed(args)
     result = montecarlo.run(
         source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=args.phase_ticks
@@ -160,20 +168,17 @@ def cmd_simulate(args) -> int:
         }
         _write_atomic(Path(out + ".sidecar.txt"), _kv_text(sidecar))
 
-    # delta against the simulator's exact click probability; the paper gain
-    # Y0 + 1 - e^(-eta m) counts a frame where both click twice
-    obs_model = decoy.channel_observables(source, link, "full-budget")
-    exact = 1.0 - montecarlo.outcome_table(source, link)[::4, 0]
     _print_seed(args, seed)
     print(f"frames = {s.frames}, simulated {s.simulated_s:g} s")
-    papers = (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2)
-    for i, (label, q_exact, q_paper) in enumerate(zip(timetag.CLASS_LABELS, exact, papers)):
-        q_mc = s.gain_class(i)
-        sigma = (q_exact * (1 - q_exact) / max(int(s.sent[i]), 1)) ** 0.5
-        delta = (q_mc - q_exact) / sigma if sigma > 0 else float("nan")
-        print(f"Q_{label}: mc={q_mc:.6e} exact={q_exact:.6e} delta={delta:+.2f} sigma paper={q_paper:.6e}")
-    e_mc = s.qber_class(0)
-    print(f"E_signal: mc={e_mc:.6e} model={obs_model.e_mu:.6e}")
+    names = [f"Q_{label}" for label in timetag.CLASS_LABELS] + ["E_signal"]
+    mcs = [s.gain_class(i) for i in range(3)] + [s.qber_class(0)]
+    exacts = [*(1.0 - table[::4, 0]), e_exact]
+    papers = (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2, obs_model.e_mu)
+    trials = [*s.sent, s.sifted[0]]
+    for name, mc, exact, paper, n in zip(names, mcs, exacts, papers, trials):
+        sigma = (exact * (1 - exact) / max(int(n), 1)) ** 0.5
+        delta = (mc - exact) / sigma if sigma > 0 else float("nan")
+        print(f"{name}: mc={mc:.6e} exact={exact:.6e} delta={delta:+.2f} sigma paper={paper:.6e}")
     return EXIT_OK
 
 
@@ -188,7 +193,7 @@ def cmd_analyze_ttags(args) -> int:
     if len(stream.detections()) == 0:
         raise ConfigError("no records in timetag stream")
     try:
-        with open(args.alice_log) as fh:
+        with open(args.alice_log, "rb") as fh:
             alice = timetag.AliceLog.from_csv(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read alice log: {exc}") from exc
@@ -201,8 +206,9 @@ def cmd_analyze_ttags(args) -> int:
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
+    cls = alice.code >> 2
     y0, report = decoy.rate_from_counts(
-        np.bincount(alice.code >> 2, minlength=3),
+        [np.count_nonzero(cls == k) for k in range(3)],  # bincount would widen the log to intp
         sifted.detected_per_class,
         sifted.sifted_per_class,
         sifted.errors_per_class,

@@ -131,14 +131,22 @@ def channel_observables(source: SourceConfig, link: LinkConfig, gain_convention:
     """Model-generated observables for a source/link pair.
 
     The background yield is scaled by the configured gating suppression
-    factor (set ``background_suppression = 1`` to disable).
+    factor (set ``background_suppression = 1`` to disable).  A signal or
+    decoy-1 gain of exactly 0 (no background and a transmittance that
+    underflows) leaves its error rate 0/0 and raises ValueError naming
+    the first such attenuation.
     """
     eta = link_eta(link, gain_convention)
     y0 = link.background_yield * link.suppression(source)
     e0, edet = link.background_error, link.detection_error
+    q_mu, q_nu1 = gain(source.mu, eta, y0), gain(source.nu1, eta, y0)
+    zero = np.logical_or(np.equal(q_mu, 0.0), np.equal(q_nu1, 0.0))
+    if np.any(zero):
+        at = np.broadcast_to(link.attenuation_db, np.shape(zero)).flat[np.argmax(zero)]
+        raise ValueError(f"model gain is 0 at attenuation {at:g} dB, so its error rate is undefined")
     return ChannelObservables(
-        q_mu=gain(source.mu, eta, y0),
-        q_nu1=gain(source.nu1, eta, y0),
+        q_mu=q_mu,
+        q_nu1=q_nu1,
         q_nu2=gain(source.nu2, eta, y0),
         e_mu=qber(source.mu, eta, y0, e0, edet),
         e_nu1=qber(source.nu1, eta, y0, e0, edet),

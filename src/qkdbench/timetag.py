@@ -9,17 +9,19 @@ A 100 MHz pulse train has a period of exactly 128 ticks, so all frame
 and residue arithmetic is integer.
 
 Alice's log is one code per frame, ``bit | basis << 1 | class << 2``.
-On disk it is CSV: the header ``bit,basis,class``, then one LF-ended row
-per frame from frame 0 on (row i is frame i), each one of 12 lines.
+On disk it is CSV: the header ``bit,basis,class``, then one row per
+frame from frame 0 on (row i is frame i).  Each row is one of 12 lines
+of exactly 11 bytes, and lines end in LF only, so a CRLF log is
+rejected.  The codec is array code: a table lookup writes the rows, and
+reading checks fixed-width blocks of rows against the same table.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -167,9 +169,13 @@ def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.
 
 
 #: the Alice log's header and its 12 rows, indexed by bit | basis << 1 | class << 2
-_ALICE_HEADER = "bit,basis,class\n"
-_ALICE_ROWS = tuple(f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n" for code in range(12))
-_ALICE_CODES = {row: code for code, row in enumerate(_ALICE_ROWS)}
+_ALICE_HEADER = b"bit,basis,class\n"
+_ALICE_ROWS = np.array(
+    [f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n".encode() for code in range(12)], dtype="S11"
+)
+_ROW_BYTES = _ALICE_ROWS.itemsize
+#: rows ``from_csv`` reads and checks at a time, so memory stays ~1 byte per frame
+_READ_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,24 +187,39 @@ class AliceLog:
     def __len__(self) -> int:
         return len(self.code)
 
-    def to_csv(self) -> str:
-        """The log as CSV text: the header, then one row per frame."""
+    def to_csv(self) -> bytes:
+        """The log as CSV bytes: the header, then one row per frame."""
         if len(self.code) and not 0 <= self.code.min() <= self.code.max() < len(_ALICE_ROWS):
             raise ValueError(f"alice log code out of range 0..{len(_ALICE_ROWS) - 1}")
-        return _ALICE_HEADER + "".join(map(_ALICE_ROWS.__getitem__, self.code.tolist()))
+        return b"".join((_ALICE_HEADER, np.take(_ALICE_ROWS, self.code)))
 
     @classmethod
-    def from_csv(cls, lines: Iterable[str]) -> "AliceLog":
-        """Parse LF-ended lines, e.g. an open file; an unknown row raises ValueError."""
-        lines = iter(lines)
-        header = next(lines, None)
+    def from_csv(cls, fh: BinaryIO) -> "AliceLog":
+        """Parse a binary file object, e.g. ``open(path, "rb")``; a bad line raises ValueError.
+
+        Every valid row is one of the 12 rows, 11 bytes each, so the file
+        is read as fixed-width rows: each row's code comes from three of
+        its bytes, and a block is accepted when the rows rebuilt from
+        those codes equal its bytes.  Up to the first bad line every
+        line is a whole row, so the first mismatching row (or a trailing
+        partial one) starts exactly at that line.
+        """
+        header = fh.readline()
         if header != _ALICE_HEADER:
-            raise ValueError(f"bad alice log header: {header!r}")
-        code = np.fromiter(map(_ALICE_CODES.get, lines, repeat(len(_ALICE_ROWS))), dtype=np.uint8)
-        bad = np.flatnonzero(code == len(_ALICE_ROWS))
-        if len(bad):
-            raise ValueError(f"alice log line {int(bad[0]) + 2}: malformed row")
-        return cls(code)
+            raise ValueError(f"bad alice log header: {header.decode('ascii', 'backslashreplace')!r}")
+        parts = []
+        done = 0  # rows accepted so far
+        while block := fh.read(_READ_ROWS * _ROW_BYTES):
+            n = len(block) // _ROW_BYTES
+            rows = np.frombuffer(block, np.uint8, n * _ROW_BYTES).reshape(n, _ROW_BYTES)
+            code = rows[:, 0] & 1 | ~rows[:, 2] & 2 | (rows[:, 9] & 3) << 2
+            rebuilt = np.take(_ALICE_ROWS, code, mode="clip")
+            if rebuilt.tobytes() != block:  # a bad row, or a partial one after the last whole row
+                bad = np.append((rebuilt.view(np.uint8).reshape(n, _ROW_BYTES) != rows).any(axis=1), True)
+                raise ValueError(f"alice log line {done + int(np.argmax(bad)) + 2}: malformed row")
+            parts.append(code)
+            done += n
+        return cls(np.concatenate(parts) if parts else np.zeros(0, np.uint8))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qkdbench import decoy, timetag
+from qkdbench import decoy, montecarlo, timetag
 from qkdbench.cli import main
 from qkdbench.config import load_config
 
@@ -157,6 +157,40 @@ class TestSimulate:
             assert float(fields["exact"]) != float(fields["paper"])
         assert len(lines) == 3
 
+    def test_signal_qber_delta_against_exact_table(self, bench_config_file, tmp_path, capsys):
+        # the exact value is the signal class's sifted error rate in the outcome
+        # table; the paper QBER, printed next to it, leaves out (1 - DOP)/2
+        argv = ["simulate", "--config", str(bench_config_file), "--frames", "1000", "--seed", "2"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("E_signal:")]
+        fields = dict(f.split("=") for f in line.split()[1:] if "=" in f)
+        source, link, _ = load_config(bench_config_file)
+        table = montecarlo.outcome_table(source, link)
+        sifted = errors = 0.0
+        for code in range(4):  # the signal class: bit | basis << 1
+            bit, basis = code & 1, code >> 1
+            for channel in (2 * basis, 2 * basis + 1):
+                p = source.pol_probs[code] * (table[code, 1 + channel] + table[code, 5 + channel])
+                sifted += p
+                errors += p if channel & 1 != bit else 0.0
+        assert float(fields["exact"]) == pytest.approx(errors / sifted, rel=1e-6)
+        assert float(fields["exact"]) == pytest.approx(1.63145e-2, rel=1e-5)
+        paper = decoy.channel_observables(source, link, "full-budget").e_mu
+        assert float(fields["paper"]) == pytest.approx(paper, rel=1e-6)
+        summary = dict(l.split(" = ") for l in (tmp_path / "run.summary.txt").read_text().splitlines())
+        sigma = math.sqrt(float(fields["exact"]) * (1 - float(fields["exact"])) / int(summary["sifted_signal"]))
+        delta = (float(fields["mc"]) - float(fields["exact"])) / sigma
+        assert float(fields["delta"]) == pytest.approx(delta, abs=0.006)
+
+    def test_alice_log_is_the_row_table_over_the_codes(self, bench_config_file, tmp_path):
+        argv = ["simulate", "--config", str(bench_config_file), "--frames", "5000", "--seed", "9", "--emit-ttags"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        source, link, proto = load_config(bench_config_file)
+        code = montecarlo.run(source, link, proto, 5000, 9, emit_ttags=True, phase_ticks=37).alice_log.code
+        rows = [f"{c & 1},{'ZX'[c >> 1 & 1]},{timetag.CLASS_LABELS[c >> 2]}\n".encode() for c in range(12)]
+        expected = b"bit,basis,class\n" + b"".join(rows[c] for c in code.tolist())
+        assert (tmp_path / "run.alice.csv").read_bytes() == expected
+
     def test_alice_log_rows_are_frames(self, bench_config_file, tmp_path):
         main(
             ["simulate", "--config", str(bench_config_file), "--frames", "1000",
@@ -206,6 +240,22 @@ class TestAnalyzeTtags:
         assert code == 0
         out = capsys.readouterr().out
         assert "rejected = 0" in out
+
+    def test_open_gate_reproduces_simulated_gains(self, bench_config_file, simulated, capsys):
+        # a 10 ns window keeps every record, so each class's gain is
+        # simulate's detected / sent, with sent counted from the log
+        ttag, alice = simulated
+        summary = dict(l.split(" = ") for l in (ttag.parent / "run.summary.txt").read_text().splitlines())
+        assert int(summary["detected_signal"]) > 0
+        argv = ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
+                "--alice-log", str(alice), "--window-ns", "10", "--seed", "11"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "collisions = 0" in out
+        for label in timetag.CLASS_LABELS:
+            line = next(l for l in out.splitlines() if l.startswith(f"Q_{label} = "))
+            gain = int(summary[f"detected_{label}"]) / int(summary[f"sent_{label}"])
+            assert float(line.split()[2]) == pytest.approx(gain, rel=1e-6)
 
     def test_random_seed_printed(self, bench_config_file, simulated, capsys):
         ttag, alice = simulated
@@ -345,6 +395,15 @@ class TestMalformedInput:
         bad_basis.write_text("bit,basis,class\n0,Q,signal\n")
         old_log = tmp_path / "old.alice.csv"
         old_log.write_text("frame,bit,basis,class\n0,0,Z,signal\n1,1,Z,decoy1\n")
+        logs = {
+            "crlf_log": b"bit,basis,class\r\n0,Z,signal\r\n1,Z,decoy1\r\n",
+            "no_lf_log": b"bit,basis,class\n0,Z,signal\n1,Z,decoy1",
+            "non_ascii_log": b"bit,basis,class\n0,Z,sign\xe9l\n1,Z,decoy1\n",
+        }
+        for name, data in logs.items():
+            (tmp_path / f"{name}.alice.csv").write_bytes(data)
+        zero_bg = tmp_path / "zero_bg.cfg"
+        zero_bg.write_text("background_yield = 0\n")
         tiny_nu1 = tmp_path / "tiny_nu1.cfg"
         text = bench_config_file.read_text()
         tiny_nu1.write_text(text.replace("nu1 = 0.066", "nu1 = 1e-320").replace("nu2 = 0.002", "nu2 = 0.0"))
@@ -366,6 +425,8 @@ class TestMalformedInput:
             "missing": str(tmp_path / "nope.csv"),
             "bad_basis": str(bad_basis),
             "old_log": str(old_log),
+            **{name: str(tmp_path / f"{name}.alice.csv") for name in logs},
+            "zero_bg": str(zero_bg),
             "bad_sweep": str(bad_sweep),
             "sweep": str(sweep),
         }
@@ -407,6 +468,10 @@ class TestMalformedInput:
             "sidechannel --profiles {huge_profile}",
             "optimize --config {cfg} --mu-grid 0.5,0.6 --nu1-grid 1e-320,0.1",
             "sweep --config {tiny_nu1} --out {out}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {crlf_log}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {no_lf_log}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {non_ascii_log}",
+            "sweep --config {zero_bg} --out {out} --atten-min 3990 --atten-max 4000 --atten-step 10",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -438,3 +503,21 @@ class TestMalformedInput:
         argv = "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}".format(**inputs)
         assert main(argv.split()) == 2
         assert "bad alice log header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "log, message",
+        [
+            ("crlf_log", "bad alice log header: 'bit,basis,class\\r\\n'"),
+            ("no_lf_log", "alice log line 3: malformed row"),
+            ("non_ascii_log", "alice log line 2: malformed row"),
+        ],
+    )
+    def test_alice_log_message_names_the_line(self, inputs, log, message, capsys):
+        argv = f"analyze-ttags --config {{cfg}} --ttags {{ttag}} --alice-log {{{log}}}".format(**inputs)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: cannot read alice log: {message}\n"
+
+    def test_zero_model_gain_names_the_attenuation(self, inputs, capsys):
+        argv = "sweep --config {zero_bg} --out {out} --atten-min 3000 --atten-max 4000 --atten-step 10"
+        assert main(argv.format(**inputs).split()) == 2
+        assert capsys.readouterr().err == "error: model gain is 0 at attenuation 3230 dB, so its error rate is undefined\n"

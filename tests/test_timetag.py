@@ -229,8 +229,24 @@ class TestGate:
         assert window_ticks_from_seconds(78.125e-12) == 1
 
 
-#: the 12 Alice log rows (without their newline), indexed by bit | basis << 1 | class << 2
-ALICE_ROWS = [f"{c & 1},{'ZX'[c >> 1 & 1]},{timetag.CLASS_LABELS[c >> 2]}" for c in range(12)]
+#: the Alice log header and its 12 rows, indexed by bit | basis << 1 | class << 2
+ALICE_HEADER = b"bit,basis,class\n"
+ALICE_ROWS = [f"{c & 1},{'ZX'[c >> 1 & 1]},{timetag.CLASS_LABELS[c >> 2]}\n".encode() for c in range(12)]
+#: pieces a junk line is made of: row fragments, whole rows, CR, LF and a non-ASCII byte
+JUNK_PIECES = [b"0", b"1", b",", b"Z", b"X", b"signal", b"decoy1", b"decoy2", b" ", b"\r", b"\n", b"\xff"]
+JUNK_PIECES += ALICE_ROWS[:3]
+
+
+def reference_parse(data: bytes):
+    """Line by line: the codes of a valid log, or the number of its first bad line."""
+    lines = io.BytesIO(data).readlines()
+    assert lines[0] == ALICE_HEADER
+    codes = []
+    for number, line in enumerate(lines[1:], start=2):
+        if line not in ALICE_ROWS:
+            return number
+        codes.append(ALICE_ROWS.index(line))
+    return np.array(codes, dtype=np.uint8)
 
 
 def make_alice(n, rng):
@@ -299,25 +315,49 @@ class TestSift:
     @given(codes=st.lists(st.integers(0, 11), max_size=200))
     def test_alice_log_csv_round_trip(self, codes):
         alice = AliceLog(np.array(codes, dtype=np.uint8))
-        text = alice.to_csv()
-        assert text == "bit,basis,class\n" + "".join(ALICE_ROWS[c] + "\n" for c in codes)
-        back = AliceLog.from_csv(io.StringIO(text))
+        data = alice.to_csv()
+        assert data == ALICE_HEADER + b"".join(ALICE_ROWS[c] for c in codes)
+        back = AliceLog.from_csv(io.BytesIO(data))
         assert back.code.dtype == np.uint8
         assert np.array_equal(back.code, alice.code)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        codes=st.lists(st.integers(0, 11), min_size=1, max_size=50),
-        at=st.integers(0, 49),
-        row=st.text(alphabet="01ZXsignaldecoy12,\r ", max_size=14),
+        codes=st.lists(st.integers(0, 11), max_size=40),
+        at=st.integers(0, 40),
+        junk=st.lists(st.sampled_from(JUNK_PIECES), max_size=6).map(b"".join),
+        drop_last_lf=st.booleans(),
     )
-    def test_alice_log_rejects_unknown_row(self, codes, at, row):
-        assume(row not in ALICE_ROWS)
+    @example(codes=[0, 1], at=1, junk=b"\n", drop_last_lf=False)  # an empty line
+    @example(codes=[0, 1], at=1, junk=b"0,Z,signal,\n", drop_last_lf=False)  # 12 bytes
+    @example(codes=[0, 1], at=1, junk=b"0,Z,signal\r\n", drop_last_lf=False)
+    @example(codes=[0, 1], at=2, junk=b"", drop_last_lf=True)  # last row without its LF
+    def test_alice_log_reports_the_first_bad_line(self, codes, at, junk, drop_last_lf):
         rows = [ALICE_ROWS[c] for c in codes]
-        at = at % (len(rows) + 1)
-        lines = ["bit,basis,class"] + rows[:at] + [row] + rows[at:]
-        with pytest.raises(ValueError, match=f"alice log line {at + 2}:"):
-            AliceLog.from_csv(line + "\n" for line in lines)
+        at = min(at, len(rows))
+        data = ALICE_HEADER + b"".join(rows[:at]) + junk + b"".join(rows[at:])
+        if drop_last_lf and len(data) > len(ALICE_HEADER) and data.endswith(b"\n"):
+            data = data[:-1]
+        expected = reference_parse(data)
+        if isinstance(expected, int):
+            with pytest.raises(ValueError, match=f"^alice log line {expected}: malformed row$"):
+                AliceLog.from_csv(io.BytesIO(data))
+        else:
+            assert np.array_equal(AliceLog.from_csv(io.BytesIO(data)).code, expected)
+
+    @pytest.mark.parametrize("junk", [b"0,Z,signal,\n", b"0,Z\n", b"1,X,decoy2"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_alice_log_bad_row_at_a_block_boundary(self, junk, shift):
+        # a log longer than one read block, with the bad line in the last
+        # row of the first block, the first row of the second or the one after
+        rows = ALICE_ROWS * (timetag._READ_ROWS // 12 + 2)
+        at = timetag._READ_ROWS + shift
+        data = ALICE_HEADER + b"".join(rows[:at]) + junk + b"".join(rows[at:])
+        assert reference_parse(data) == at + 2
+        with pytest.raises(ValueError, match=f"^alice log line {at + 2}: malformed row$"):
+            AliceLog.from_csv(io.BytesIO(data))
+        codes = np.resize(np.arange(12, dtype=np.uint8), len(rows))
+        assert np.array_equal(AliceLog.from_csv(io.BytesIO(AliceLog(codes).to_csv())).code, codes)
 
     @pytest.mark.parametrize("code", [[0, 12], [255, 3], [-1, 0]])
     def test_alice_log_out_of_range_value_not_written(self, code):
@@ -325,9 +365,14 @@ class TestSift:
         with pytest.raises(ValueError, match="out of range"):
             alice.to_csv()
 
-    def test_alice_log_old_header_rejected(self):
+    @pytest.mark.parametrize(
+        "data",
+        [b"frame,bit,basis,class\n0,1,Z,signal\n", b"bit,basis,class\r\n0,Z,signal\r\n", b""],
+        ids=["old-format", "crlf", "empty"],
+    )
+    def test_alice_log_bad_header_rejected(self, data):
         with pytest.raises(ValueError, match="bad alice log header"):
-            AliceLog.from_csv(io.StringIO("frame,bit,basis,class\n0,1,Z,signal\n"))
+            AliceLog.from_csv(io.BytesIO(data))
 
 
 @pytest.fixture
