@@ -42,7 +42,7 @@ def _write_atomic(path: Path, data) -> None:
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
             fh.write(data)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give what open() would
         os.replace(tmp, path)
@@ -206,9 +206,9 @@ def cmd_analyze_ttags(args) -> int:
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
-    cls = alice.code >> 2
+    below = [np.count_nonzero(alice.code < k) for k in (4, 8)]  # bincount would widen the log to intp
     y0, report = decoy.rate_from_counts(
-        [np.count_nonzero(cls == k) for k in range(3)],  # bincount would widen the log to intp
+        [below[0], below[1] - below[0], len(alice) - below[1]],
         sifted.detected_per_class,
         sifted.sifted_per_class,
         sifted.errors_per_class,

@@ -7,6 +7,14 @@ budget, passive basis choice, detector and depolarization errors).
 ``run`` samples it: per frame one code and one uniform, looked up in the
 table's cumulative rows.
 
+The code is drawn by inverse CDF over the 12 code probabilities
+``outer(class_probs, pol_probs)``: with ``u`` a uniform, the code is the
+number of the CDF's 11 inner cut points at or below ``u``, counted with
+one array comparison per cut point.  That is the ``searchsorted`` step
+``Generator.choice(12, p=...)`` takes on the same stream, so a seed
+gives the codes ``choice`` would give, and a code of probability 0 is
+never drawn.
+
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
 the per-frame background probability and, in emitted streams, confining
@@ -94,6 +102,14 @@ def outcome_table(source: SourceConfig, link: LinkConfig) -> np.ndarray:
     return table
 
 
+def _probabilities(p, name: str) -> np.ndarray:
+    """``p`` as an array, checked as ``Generator.choice`` checks its ``p``."""
+    p = np.asarray(p, dtype=float)
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
+        raise ValueError(f"{name} probabilities must be non-negative and sum to 1, got {p.tolist()}")
+    return p
+
+
 def run(
     source: SourceConfig,
     link: LinkConfig,
@@ -123,9 +139,12 @@ def run(
     if emit_ttags and not 0 <= phase_ticks < period_ticks:
         raise ValueError(f"phase_ticks must lie in [0, {period_ticks}), got {phase_ticks}")
 
+    class_probs = _probabilities(source.class_probs, "class")
+    code_cdf = np.cumsum(np.outer(class_probs, _probabilities(source.pol_probs, "polarization")))
+    cuts = (code_cdf / code_cdf[-1])[:-1]  # the 11 inner cut points, formed as Generator.choice forms them
     cdf = np.cumsum(outcome_table(source, link), axis=1)
     cdf /= cdf[:, -1:]  # exact 1 at the end, so a zero-probability outcome is never drawn
-    code_probs = np.outer(source.class_probs, source.pol_probs).ravel()
+    click_min = cdf[:, 0].min()  # no frame with u below every code's no-click probability clicks
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period_ticks))) if emit_ttags else 1
@@ -133,22 +152,34 @@ def run(
     counts = np.zeros((4, 3), dtype=np.int64)  # sent, detected, sifted, errors per class
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
-    log_chunks: list[np.ndarray] = []
+    # one float and one bool buffer serve every block; emitted codes go straight into the log
+    size = min(frames, BLOCK_FRAMES)
+    uniform, flag = np.empty(size), np.empty(size, dtype=bool)
+    log = np.empty(frames if emit_ttags else size, dtype=np.uint8)
 
     for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        u, hit = uniform[:n], flag[:n]
+        code = log[base : base + n] if emit_ttags else log[:n]
 
-        code = rng.choice(12, size=n, p=code_probs).astype(np.uint8)
-        u = rng.random(n)
-        idx = np.flatnonzero(u >= cdf[code, 0])
+        rng.random(out=u)
+        code[:] = 0
+        for cut in cuts:  # code = number of cut points at or below u
+            code += np.greater_equal(u, cut, out=hit)
+        n_sent = [np.count_nonzero(np.less(code, k, out=hit)) for k in (4, 8)]
+        counts[0] += [n_sent[0], n_sent[1] - n_sent[0], n - n_sent[1]]
+
+        rng.random(out=u)
+        cand = np.flatnonzero(np.greater_equal(u, click_min, out=hit))
+        idx = cand[u[cand] >= cdf[code[cand], 0]]
         clicked = code[idx]
         outcome = np.count_nonzero(cdf[clicked, :8] <= u[idx, None], axis=1)  # 1..8
         channel = ((outcome - 1) & 3).astype(np.uint8)
         sifted = (channel >> 1) == (clicked >> 1 & 1)
         errors = sifted & ((channel & 1) != (clicked & 1))
-        counts += [np.bincount(c >> 2, minlength=3) for c in (code, clicked, clicked[sifted], clicked[errors])]
-        del u, sifted, errors  # not held through the emission step
+        counts[1:] += [np.bincount(c >> 2, minlength=3) for c in (clicked, clicked[sifted], clicked[errors])]
+        del cand, sifted, errors  # not held through the emission step
 
         if emit_ttags:
             n_ev = len(idx)
@@ -160,7 +191,6 @@ def run(
             order = np.argsort(ticks, kind="stable")
             tick_chunks.append(ticks[order].astype(np.uint64))
             chan_chunks.append(channel[order])
-            log_chunks.append(code)
 
     stream = None
     alice_log = None
@@ -172,7 +202,7 @@ def run(
             dropped = len(ticks) - cap
             ticks, chans = ticks[:cap], chans[:cap]
         stream = TimeTagStream(ticks, chans)
-        alice_log = AliceLog(np.concatenate(log_chunks))
+        alice_log = AliceLog(log)
 
     summary = RunSummary(frames, frames / source.pulse_rate_hz, *counts)
     return RunResult(summary=summary, stream=stream, alice_log=alice_log, dropped_records=dropped)

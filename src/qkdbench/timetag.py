@@ -174,7 +174,7 @@ _ALICE_ROWS = np.array(
     [f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n".encode() for code in range(12)], dtype="S11"
 )
 _ROW_BYTES = _ALICE_ROWS.itemsize
-#: rows ``from_csv`` reads and checks at a time, so memory stays ~1 byte per frame
+#: rows the codec writes, or reads and checks, at a time, so its working memory stays small
 _READ_ROWS = 1 << 16
 
 
@@ -187,11 +187,21 @@ class AliceLog:
     def __len__(self) -> int:
         return len(self.code)
 
-    def to_csv(self) -> bytes:
-        """The log as CSV bytes: the header, then one row per frame."""
+    def to_csv(self) -> bytearray:
+        """The log as CSV bytes: the header, then one row per frame.
+
+        The rows are written into the one output buffer a block of codes
+        at a time, so the log is never held twice.
+        """
         if len(self.code) and not 0 <= self.code.min() <= self.code.max() < len(_ALICE_ROWS):
             raise ValueError(f"alice log code out of range 0..{len(_ALICE_ROWS) - 1}")
-        return b"".join((_ALICE_HEADER, np.take(_ALICE_ROWS, self.code)))
+        data = bytearray(len(_ALICE_HEADER) + len(self.code) * _ROW_BYTES)
+        data[: len(_ALICE_HEADER)] = _ALICE_HEADER
+        rows = np.frombuffer(data, _ALICE_ROWS.dtype, offset=len(_ALICE_HEADER))
+        for i in range(0, len(rows), _READ_ROWS):  # one take over all codes would widen them to intp
+            # codes are checked above; mode="raise" would buffer all of ``out``
+            np.take(_ALICE_ROWS, self.code[i : i + _READ_ROWS], out=rows[i : i + _READ_ROWS], mode="clip")
+        return data
 
     @classmethod
     def from_csv(cls, fh: BinaryIO) -> "AliceLog":

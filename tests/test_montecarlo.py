@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +251,80 @@ class TestRunConvergence:
         assert abs(total - p * 2_000_000) <= 3 * sigma
         qber = res.summary.errors.sum() / res.summary.sifted.sum()
         assert abs(qber - 0.5) <= 3 * math.sqrt(0.25 / res.summary.sifted.sum())
+
+
+def distribution(size: int):
+    """Probability vectors of ``size`` entries, zeros included."""
+    return (
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=size, max_size=size)
+        .filter(lambda w: sum(w) > 0)
+        .map(lambda w: tuple(np.array(w) / sum(w)))
+    )
+
+
+class TestDraw:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        class_probs=distribution(3),
+        pol_probs=distribution(4),
+        frames=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_codes_are_generator_choice(self, class_probs, pol_probs, frames, seed):
+        # one block: the codes are what Generator.choice draws from the block's generator
+        p_mu, p_nu1, p_nu2 = class_probs
+        src = SourceConfig(p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
+        code = run(src, LinkConfig(), ProtocolConfig(), frames=frames, seed=seed, emit_ttags=True).alice_log.code
+        p = np.outer(class_probs, pol_probs).ravel()
+        expected = np.random.default_rng(np.random.SeedSequence([seed, 0])).choice(12, size=frames, p=p)
+        assert np.array_equal(code, expected)
+        assert not np.isin(code, np.flatnonzero(p == 0)).any()
+
+    def test_seeded_run_is_pinned(self, bench6db):
+        # counts, ticks, channels and codes of a run crossing two block
+        # boundaries, as the Generator.choice draw gave them
+        source, link, proto = bench6db
+        res = run(source, link, proto, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7, emit_ttags=True, phase_ticks=37)
+        s = res.summary
+        h = hashlib.sha256()
+        for counts in (s.sent, s.detected, s.sifted, s.errors):
+            h.update(np.asarray(counts, dtype=np.int64).tobytes())
+        for array in (res.stream.ticks, res.stream.channels, res.alice_log.code):
+            h.update(array.tobytes())
+        assert h.hexdigest() == "53fea6cf61d8cf985e46ed9161ae8240b9f8b5e23ec9f3e55e55d4ab357f9df2"
+
+    @pytest.mark.parametrize(
+        "probs, match",
+        [
+            (dict(p_mu=1.1, p_nu1=-0.1, p_nu2=0.0), "class"),
+            (dict(p_mu=0.8, p_nu1=0.15, p_nu2=0.06), "class"),
+            (dict(p_mu=float("nan"), p_nu1=0.15, p_nu2=0.05), "class"),
+            (dict(pol_probs=(0.5, 0.5, 0.5, -0.5)), "polarization"),
+            (dict(pol_probs=(0.25, 0.25, 0.25, 0.2)), "polarization"),
+            (dict(pol_probs=(0.25, 0.25, 0.25, 0.25 + 2e-8)), "polarization"),
+        ],
+    )
+    def test_bad_probabilities_rejected(self, probs, match):
+        # an unvalidated SourceConfig, as a library caller may build one
+        with pytest.raises(ValueError, match=f"^{match} probabilities must be non-negative and sum to 1"):
+            run(SourceConfig(**probs), LinkConfig(), ProtocolConfig(), frames=100, seed=1)
+
+    def test_probabilities_within_choice_tolerance_accepted(self):
+        src = SourceConfig(pol_probs=(0.25, 0.25, 0.25, 0.25 + 1e-8))
+        assert run(src, LinkConfig(), ProtocolConfig(), frames=100, seed=1).summary.sent.sum() == 100
+
+    def test_summary_run_memory(self, bench6db):
+        # one block's working set: a float and a bool buffer, the codes and
+        # the click arrays (the draw through Generator.choice peaked at ~19 B/frame)
+        frames = montecarlo.BLOCK_FRAMES
+        run(*bench6db, frames=1000, seed=1)
+        tracemalloc.start()
+        try:
+            run(*bench6db, frames=frames, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / frames <= 16, peak / frames
 
 
 class TestSummary:

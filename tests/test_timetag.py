@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -358,6 +359,20 @@ class TestSift:
             AliceLog.from_csv(io.BytesIO(data))
         codes = np.resize(np.arange(12, dtype=np.uint8), len(rows))
         assert np.array_equal(AliceLog.from_csv(io.BytesIO(AliceLog(codes).to_csv())).code, codes)
+
+    def test_alice_log_written_in_one_buffer(self):
+        # the 11-byte rows go straight into the output, a block of codes at a
+        # time (the joined row array held the log twice, 22 B/frame)
+        frames = 1 << 20
+        alice = AliceLog(np.random.default_rng(3).integers(0, 12, size=frames, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            data = alice.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / frames <= 12, peak / frames
+        assert np.array_equal(AliceLog.from_csv(io.BytesIO(data)).code, alice.code)
 
     @pytest.mark.parametrize("code", [[0, 12], [255, 3], [-1, 0]])
     def test_alice_log_out_of_range_value_not_written(self, code):
