@@ -9,15 +9,13 @@ from the measured stream alone.
 
 from dataclasses import replace
 
-import numpy as np
-
 from qkdbench import LinkConfig, ProtocolConfig, SourceConfig, decoy, montecarlo, timetag
 
 source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002, degree_of_polarization=1.0)
 link = LinkConfig(background_suppression=1.0)  # raw stream: gate happens below
 proto = ProtocolConfig(signal_pulses=1e8, duration_s=1.0)
 
-PERIOD = 128  # ticks per 10 ns frame
+PERIOD = timetag.period_ticks(source.pulse_rate_hz)  # 128 ticks per 10 ns frame
 result = montecarlo.run(
     source, link, proto, frames=2_000_000, seed=7, emit_ttags=True, phase_ticks=37
 )
@@ -40,7 +38,7 @@ for i, label in enumerate(timetag.CLASS_LABELS):
     print(f"  qber_{label:7} = {key.qber_class(i):.4f}")
 
 # decoy chain from the measured stream
-sent = np.bincount(result.alice_log.code >> 2, minlength=3)  # code = bit | basis<<1 | class<<2
+sent = timetag.sent_per_class(result.alice_log.code)
 y0, report = decoy.rate_from_counts(
     sent, key.detected_per_class, key.sifted_per_class, key.errors_per_class, source, link, proto
 )

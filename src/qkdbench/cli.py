@@ -139,11 +139,9 @@ def cmd_simulate(args) -> int:
     # deltas against the simulator's exact table; the paper gain Y0 + 1 - e^(-eta m)
     # counts a frame where both click twice, and the paper QBER leaves out (1 - DOP)/2
     obs_model = decoy.channel_observables(source, link, "full-budget")
-    table = montecarlo.outcome_table(source, link)
-    code = np.arange(4)  # the signal class's rows, bit | basis << 1
-    clicks = table[:4, 1:5] + table[:4, 5:]  # signal or background click per channel
-    pol = np.asarray(source.pol_probs)
-    e_exact = pol @ clicks[code, code ^ 1] / (pol @ (clicks[code, code & 2] + clicks[code, code | 1]))
+    sent, detected, sifted, errors = montecarlo.expected_tally(source, link)
+    with np.errstate(invalid="ignore"):  # a class never sent has no exact gain or QBER: nan, like its mc value
+        exacts = [*(detected / sent), errors[0] / sifted[0]]
     seed = _resolve_seed(args)
     result = montecarlo.run(
         source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=args.phase_ticks
@@ -160,7 +158,7 @@ def cmd_simulate(args) -> int:
         _write_atomic(Path(out + ".ttag"), timetag.encode(result.stream))
         _write_atomic(Path(out + ".alice.csv"), result.alice_log.to_csv())
         sidecar = {
-            "period_ticks": int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS)),
+            "period_ticks": timetag.period_ticks(source.pulse_rate_hz),
             "phase_ticks": args.phase_ticks,
             "window_ticks": timetag.window_ticks_from_seconds(link.window_s),
             "channels": "0:H 1:V 2:D 3:A",
@@ -172,7 +170,6 @@ def cmd_simulate(args) -> int:
     print(f"frames = {s.frames}, simulated {s.simulated_s:g} s")
     names = [f"Q_{label}" for label in timetag.CLASS_LABELS] + ["E_signal"]
     mcs = [s.gain_class(i) for i in range(3)] + [s.qber_class(0)]
-    exacts = [*(1.0 - table[::4, 0]), e_exact]
     papers = (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2, obs_model.e_mu)
     trials = [*s.sent, s.sifted[0]]
     for name, mc, exact, paper, n in zip(names, mcs, exacts, papers, trials):
@@ -186,6 +183,7 @@ def cmd_analyze_ttags(args) -> int:
     source, link, proto = load_config(args.config)
     if not args.window_ns > 0:
         raise ConfigError(f"--window-ns must be > 0, got {args.window_ns!r}")
+    period = timetag.period_ticks(source.pulse_rate_hz)  # checked before the inputs are read
     try:
         stream = timetag.load_ttag(args.ttags)
     except (OSError, ValueError) as exc:
@@ -199,16 +197,14 @@ def cmd_analyze_ttags(args) -> int:
         raise ConfigError(f"cannot read alice log: {exc}") from exc
     seed = _resolve_seed(args)
 
-    period = int(round(1.0 / source.pulse_rate_hz / timetag.TICK_SECONDS))
     # clamped in seconds, so a huge window never becomes an infinite tick count
     window = timetag.window_ticks_from_seconds(min(args.window_ns * 1e-9, 1.0 / source.pulse_rate_hz))
     phase = timetag.recover_phase(stream, period)
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
-    below = [np.count_nonzero(alice.code < k) for k in (4, 8)]  # bincount would widen the log to intp
     y0, report = decoy.rate_from_counts(
-        [below[0], below[1] - below[0], len(alice) - below[1]],
+        timetag.sent_per_class(alice.code),
         sifted.detected_per_class,
         sifted.sifted_per_class,
         sifted.errors_per_class,

@@ -5,7 +5,7 @@ the 12 states Alice emits, the probability of no click and of a signal
 or a background click on each of Bob's four detector channels (full link
 budget, passive basis choice, detector and depolarization errors).
 ``run`` samples it: per frame one code and one uniform, looked up in the
-table's cumulative rows.
+table's cumulative rows; :func:`expected_tally` is the summary's exact mean.
 
 The code is drawn by inverse CDF over the 12 code probabilities
 ``outer(class_probs, pol_probs)``: with ``u`` a uniform, the code is the
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .decoy import transmittance
-from .timetag import TICK_SECONDS, AliceLog, TimeTagStream
+from .timetag import TICK_SECONDS, AliceLog, TimeTagStream, period_ticks, sent_per_class, tally
 
 #: frames per independently seeded block
 BLOCK_FRAMES = 1 << 20
@@ -102,6 +102,20 @@ def outcome_table(source: SourceConfig, link: LinkConfig) -> np.ndarray:
     return table
 
 
+def expected_tally(source: SourceConfig, link: LinkConfig) -> np.ndarray:
+    """(4, 3) exact per-frame probabilities of sent, detected, sifted and errored, per class.
+
+    Sent is the class marginal of the code probabilities; the rest is
+    ``tally`` over every (code, channel) pair, weighted by the code's
+    probability times its signal or background click on that channel.
+    """
+    p_code = np.outer(source.class_probs, source.pol_probs)
+    table = outcome_table(source, link)
+    weights = p_code.reshape(12, 1) * (table[:, 1:5] + table[:, 5:])
+    code, channel = np.divmod(np.arange(48), 4)  # the pairs in the weights' row-major order
+    return np.vstack([p_code.sum(axis=1), tally(code, channel, weights.ravel())])
+
+
 def _probabilities(p, name: str) -> np.ndarray:
     """``p`` as an array, checked as ``Generator.choice`` checks its ``p``."""
     p = np.asarray(p, dtype=float)
@@ -129,15 +143,9 @@ def run(
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    period_s = 1.0 / source.pulse_rate_hz
-    period_ticks_f = period_s / TICK_SECONDS
-    period_ticks = int(round(period_ticks_f))
-    if emit_ttags and abs(period_ticks_f - period_ticks) > 1e-6:
-        raise ValueError(
-            f"pulse period {period_s} s is not an integer number of {TICK_SECONDS} s ticks"
-        )
-    if emit_ttags and not 0 <= phase_ticks < period_ticks:
-        raise ValueError(f"phase_ticks must lie in [0, {period_ticks}), got {phase_ticks}")
+    period = period_ticks(source.pulse_rate_hz) if emit_ttags else 0
+    if emit_ttags and not 0 <= phase_ticks < period:
+        raise ValueError(f"phase_ticks must lie in [0, {period}), got {phase_ticks}")
 
     class_probs = _probabilities(source.class_probs, "class")
     code_cdf = np.cumsum(np.outer(class_probs, _probabilities(source.pol_probs, "polarization")))
@@ -147,7 +155,7 @@ def run(
     click_min = cdf[:, 0].min()  # no frame with u below every code's no-click probability clicks
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
-    bg_width = max(1, int(round(link.suppression(source) * period_ticks))) if emit_ttags else 1
+    bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
 
     counts = np.zeros((4, 3), dtype=np.int64)  # sent, detected, sifted, errors per class
     tick_chunks: list[np.ndarray] = []
@@ -167,8 +175,7 @@ def run(
         code[:] = 0
         for cut in cuts:  # code = number of cut points at or below u
             code += np.greater_equal(u, cut, out=hit)
-        n_sent = [np.count_nonzero(np.less(code, k, out=hit)) for k in (4, 8)]
-        counts[0] += [n_sent[0], n_sent[1] - n_sent[0], n - n_sent[1]]
+        counts[0] += sent_per_class(code)
 
         rng.random(out=u)
         cand = np.flatnonzero(np.greater_equal(u, click_min, out=hit))
@@ -176,17 +183,15 @@ def run(
         clicked = code[idx]
         outcome = np.count_nonzero(cdf[clicked, :8] <= u[idx, None], axis=1)  # 1..8
         channel = ((outcome - 1) & 3).astype(np.uint8)
-        sifted = (channel >> 1) == (clicked >> 1 & 1)
-        errors = sifted & ((channel & 1) != (clicked & 1))
-        counts[1:] += [np.bincount(c >> 2, minlength=3) for c in (clicked, clicked[sifted], clicked[errors])]
-        del cand, sifted, errors  # not held through the emission step
+        counts[1:] += tally(clicked, channel)
+        del cand  # not held through the emission step
 
         if emit_ttags:
             n_ev = len(idx)
             jitter = np.rint(rng.normal(0.0, sigma_ticks, size=n_ev)).astype(np.int64)
             bg_off = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=n_ev)
             offs = np.where(outcome <= 4, jitter, bg_off) + phase_ticks
-            ticks = (base + idx.astype(np.int64)) * period_ticks + offs
+            ticks = (base + idx.astype(np.int64)) * period + offs
             np.clip(ticks, 0, None, out=ticks)
             order = np.argsort(ticks, kind="stable")
             tick_chunks.append(ticks[order].astype(np.uint64))
@@ -197,7 +202,8 @@ def run(
     dropped = 0
     if emit_ttags:
         ticks, chans = np.concatenate(tick_chunks), np.concatenate(chan_chunks)
-        cap = int(THROUGHPUT_CAP_MCPS * 1e6 * frames * period_s)
+        # the period as a factor: dividing by the rate instead can round the cap differently
+        cap = int(THROUGHPUT_CAP_MCPS * 1e6 * frames * (1.0 / source.pulse_rate_hz))
         if len(ticks) > cap:
             dropped = len(ticks) - cap
             ticks, chans = ticks[:cap], chans[:cap]
@@ -214,5 +220,6 @@ __all__ = [
     "RunSummary",
     "RunResult",
     "outcome_table",
+    "expected_tally",
     "run",
 ]

@@ -5,10 +5,12 @@ tick count (78.125 ps units, 60 bits) and bits 3..0 the channel.
 Channels 0..3 are the four polarization detectors (H, V, D, A); values
 4..15 are reserved for markers and pass through every stage untouched.
 
-A 100 MHz pulse train has a period of exactly 128 ticks, so all frame
-and residue arithmetic is integer.
+A 100 MHz pulse train has a period of exactly 128 ticks
+(:func:`period_ticks`), so all frame and residue arithmetic is integer.
 
-Alice's log is one code per frame, ``bit | basis << 1 | class << 2``.
+Alice's log is one code per frame, ``bit | basis << 1 | class << 2``,
+and Bob's detector channel is ``basis << 1 | bit``; :func:`tally` and
+:func:`sent_per_class` are the one per-class counting rule for both.
 On disk it is CSV: the header ``bit,basis,class``, then one row per
 frame from frame 0 on (row i is frame i).  Each row is one of 12 lines
 of exactly 11 bytes, and lines end in LF only, so a CRLF log is
@@ -131,6 +133,14 @@ class GatingResult:
     window_ticks: int
 
 
+def period_ticks(pulse_rate_hz: float) -> int:
+    """Ticks per pulse period; ValueError unless that is a whole number of ticks."""
+    ticks = 1.0 / pulse_rate_hz / TICK_SECONDS
+    if abs(ticks - round(ticks)) > 1e-6:
+        raise ValueError(f"pulse period {1.0 / pulse_rate_hz} s is not an integer number of {TICK_SECONDS} s ticks")
+    return round(ticks)
+
+
 def window_ticks_from_seconds(window_s: float) -> int:
     """Nearest-integer tick count of a gate window (1 ns -> 13 ticks)."""
     return max(1, int(round(window_s / TICK_SECONDS)))
@@ -232,6 +242,24 @@ class AliceLog:
         return cls(np.concatenate(parts) if parts else np.zeros(0, np.uint8))
 
 
+def sent_per_class(code: np.ndarray) -> np.ndarray:
+    """(3,) frames of each intensity class among Alice codes."""
+    below = [np.count_nonzero(code < k) for k in (4, 8)]  # bincount would widen the codes to intp
+    return np.array([below[0], below[1] - below[0], len(code) - below[1]])
+
+
+def _sifted_and_errored(code: np.ndarray, channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the pairs whose bases match and, of those, whose bits differ."""
+    sifted = (channel >> 1) == (code >> 1 & 1)
+    return sifted, sifted & ((channel & 1) != (code & 1))
+
+
+def tally(code: np.ndarray, channel: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """(3, 3) detected, sifted and errored counts per class of (code, channel) pairs, or their summed weights."""
+    cls, masks = code >> 2, (slice(None), *_sifted_and_errored(code, channel))
+    return np.array([np.bincount(cls[m], None if weights is None else weights[m], minlength=3) for m in masks])
+
+
 @dataclass(frozen=True)
 class SiftedKey:
     """Result of matching Bob's gated detections against Alice's log."""
@@ -258,14 +286,13 @@ def sift(
 
     Detections are mapped to frames from their ticks; frames with more
     than one accepted detection keep one chosen uniformly at random
-    (counted in ``collisions``).  A detection is sifted when Bob's
-    measurement basis (from the detector channel) equals Alice's
-    preparation basis.  ``detected_per_class`` counts the kept
-    detections, so a gain derived from it counts each frame once.
+    (counted in ``collisions``), and the kept ones are counted by
+    :func:`tally`, so a gain derived from ``detected_per_class`` counts
+    each frame once.
     """
     det = gating.accepted.detections()
     frames = frame_indices(det.ticks, gating.phase_ticks, period_ticks)
-    channels = det.channels.astype(np.int64)
+    channels = det.channels
 
     # frames outside Alice's log cannot be attributed
     ok = (frames >= 0) & (frames < len(alice))
@@ -279,20 +306,9 @@ def sift(
     collisions = len(frames) - len(uniq_frames)
     frames, channels = frames[keep_idx], channels[keep_idx]
 
-    code = alice.code[frames].astype(np.int64)
-    a_cls = code >> 2
-    bob_bit = channels & 1
-    matched = (channels >> 1) == (code >> 1 & 1)
-    err = matched & (bob_bit != (code & 1))
-
-    return SiftedKey(
-        frames=frames,
-        sifted_bits=bob_bit[matched].astype(np.uint8),
-        detected_per_class=np.bincount(a_cls, minlength=3),
-        sifted_per_class=np.bincount(a_cls[matched], minlength=3),
-        errors_per_class=np.bincount(a_cls[err], minlength=3),
-        collisions=collisions,
-    )
+    code = alice.code[frames]
+    matched, _ = _sifted_and_errored(code, channels)
+    return SiftedKey(frames, channels[matched] & 1, *tally(code, channels), collisions)
 
 
 __all__ = [
@@ -306,11 +322,14 @@ __all__ = [
     "PhaseEstimate",
     "recover_phase",
     "GatingResult",
+    "period_ticks",
     "window_ticks_from_seconds",
     "signed_residues",
     "gate",
     "frame_indices",
     "AliceLog",
+    "sent_per_class",
+    "tally",
     "SiftedKey",
     "sift",
 ]

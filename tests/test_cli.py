@@ -182,6 +182,16 @@ class TestSimulate:
         delta = (float(fields["mc"]) - float(fields["exact"])) / sigma
         assert float(fields["delta"]) == pytest.approx(delta, abs=0.006)
 
+    def test_class_never_sent_has_no_exact_value(self, bench_config_file, tmp_path, capsys):
+        # per-frame probabilities of a class with p = 0 are all 0: its gain is 0/0,
+        # printed as nan like its mc value, with no RuntimeWarning
+        cfg = tmp_path / "no_decoy2.cfg"
+        cfg.write_text(bench_config_file.read_text() + "p_mu = 0.85\np_nu1 = 0.15\np_nu2 = 0\n")
+        argv = ["simulate", "--config", str(cfg), "--frames", "1000", "--seed", "2", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("Q_decoy2:")]
+        assert line.startswith("Q_decoy2: mc=nan exact=nan delta=+nan sigma")
+
     def test_alice_log_is_the_row_table_over_the_codes(self, bench_config_file, tmp_path):
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "5000", "--seed", "9", "--emit-ttags"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
@@ -391,6 +401,13 @@ class TestMalformedInput:
         ttag.write_bytes(timetag.encode(timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([0, 1]))))
         alice = tmp_path / "good.alice.csv"
         alice.write_text("bit,basis,class\n0,Z,signal\n1,Z,decoy1\n")
+        # 240 frames, every code, each detected on-phase in Alice's own state
+        codes = np.tile(np.arange(12, dtype=np.uint8), 20)
+        on_phase = (np.arange(len(codes)) * 128 + 37).astype(np.uint64)
+        (tmp_path / "frames.ttag").write_bytes(timetag.encode(timetag.TimeTagStream(on_phase, codes & 3)))
+        (tmp_path / "frames.alice.csv").write_bytes(timetag.AliceLog(codes).to_csv())
+        rate_11 = tmp_path / "rate_11.cfg"  # a 116.36-tick period
+        rate_11.write_text(bench_config_file.read_text() + "pulse_rate_hz = 1.1e8\n")
         bad_basis = tmp_path / "bad.alice.csv"
         bad_basis.write_text("bit,basis,class\n0,Q,signal\n")
         old_log = tmp_path / "old.alice.csv"
@@ -421,6 +438,9 @@ class TestMalformedInput:
             "tiny_nu1": str(tiny_nu1),
             "out": str(tmp_path / "out"),
             "ttag": str(ttag),
+            "frames_ttag": str(tmp_path / "frames.ttag"),
+            "frames_log": str(tmp_path / "frames.alice.csv"),
+            "rate_11": str(rate_11),
             "alice": str(alice),
             "missing": str(tmp_path / "nope.csv"),
             "bad_basis": str(bad_basis),
@@ -472,6 +492,7 @@ class TestMalformedInput:
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {no_lf_log}",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {non_ascii_log}",
             "sweep --config {zero_bg} --out {out} --atten-min 3990 --atten-max 4000 --atten-step 10",
+            "analyze-ttags --config {rate_11} --ttags {frames_ttag} --alice-log {frames_log}",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -498,6 +519,15 @@ class TestMalformedInput:
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):
         assert main(argv.format(**inputs).split()) == 2
         assert flag in capsys.readouterr().err
+
+    def test_fractional_period_rejected_not_rounded(self, inputs, capsys):
+        # the same stream and log analyze at a 128-tick period; rounding
+        # 116.36 ticks to 116 would misplace the frames and still exit 0
+        argv = "analyze-ttags --config {cfg} --ttags {frames_ttag} --alice-log {frames_log} --seed 1"
+        assert main(argv.format(**inputs).split()) == 0
+        capsys.readouterr()
+        assert main(argv.replace("{cfg}", "{rate_11}").format(**inputs).split()) == 2
+        assert "is not an integer number of" in capsys.readouterr().err
 
     def test_old_format_alice_log_names_header(self, inputs, capsys):
         argv = "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}".format(**inputs)

@@ -2,7 +2,9 @@
 
 Each module is parsed, not imported.  ``__init__.py`` re-exports by
 importing, so the unused-import check leaves it out; the public-name
-check covers the modules that declare ``__all__``.
+checks cover the modules that declare ``__all__``: each public name is
+listed, and each listed name has a caller outside its own definition
+and the unit tests.
 """
 
 import ast
@@ -13,6 +15,13 @@ import pytest
 import qkdbench
 
 MODULES = sorted(Path(qkdbench.__file__).parent.glob("*.py"))
+ROOT = Path(qkdbench.__file__).parents[2]
+#: code outside the package that counts as a caller: the demos, the bench and the acceptance gate
+CALLERS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("bench/*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+#: public names kept without a caller, each with its reason
+UNCALLED = {
+    "dump_config": "reserved for the run report, which records the fully resolved config",
+}
 
 
 def parse(path: Path) -> ast.Module:
@@ -77,3 +86,41 @@ def test_public_defs_listed_in_all(path):
     }
     unlisted = sorted(public - set(exported))
     assert not unlisted, f"{path.name}: public names {unlisted} missing from __all__"
+
+
+def referenced_names(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names and attributes used in a module, outside the top-level definition of ``skip``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == skip for t in node.targets):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if declared_all(parse(p)) is not None], ids=lambda p: p.name)
+def test_all_entries_have_a_caller(path):
+    # a public name only the unit tests use is test-only API
+    assert all(p.exists() for p in CALLERS)
+    others = [parse(p) for p in MODULES + CALLERS if p != path]
+    tree = parse(path)
+    uncalled = [
+        name
+        for name in declared_all(tree)
+        if name not in UNCALLED
+        and name not in referenced_names(tree, skip=name)
+        and not any(name in referenced_names(t) for t in others)
+    ]
+    assert not uncalled, f"{path.name}: public names {uncalled} have no caller outside their tests"
+
+
+def test_uncalled_allowlist_is_needed():
+    exported = {name for p in MODULES for name in declared_all(parse(p)) or []}
+    callers = set().union(*(referenced_names(parse(p)) for p in MODULES + CALLERS))
+    assert set(UNCALLED) <= exported - callers

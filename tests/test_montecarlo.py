@@ -163,6 +163,101 @@ class TestOutcomeTable:
         assert chi2 <= 31.26, (chi2, observed.tolist(), expected.tolist())
 
 
+def probabilities(n):
+    return st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n).map(lambda w: tuple(x / sum(w) for x in w))
+
+
+weighted_configs = st.builds(
+    lambda config, class_probs, pol_probs: (
+        replace(config[0], p_mu=class_probs[0], p_nu1=class_probs[1], p_nu2=class_probs[2], pol_probs=pol_probs),
+        config[1],
+    ),
+    configs,
+    probabilities(3),
+    probabilities(4),
+)
+
+
+def inline_exact(source: SourceConfig, link: LinkConfig) -> list[float]:
+    """The exact gains and signal QBER as ``simulate`` once computed them from the table's rows."""
+    table = montecarlo.outcome_table(source, link)
+    code = np.arange(4)  # the signal class's rows, bit | basis << 1
+    clicks = table[:4, 1:5] + table[:4, 5:]
+    pol = np.asarray(source.pol_probs)
+    e_exact = pol @ clicks[code, code ^ 1] / (pol @ (clicks[code, code & 2] + clicks[code, code | 1]))
+    return [*(1.0 - table[::4, 0]), e_exact]
+
+
+class TestExpectedTally:
+    @settings(max_examples=200, deadline=None)
+    @given(config=weighted_configs)
+    def test_rows(self, config):
+        source, link = config
+        sent, detected, sifted, errors = montecarlo.expected_tally(*config)
+        no_click = montecarlo.outcome_table(*config)[::4, 0]
+        assert np.allclose(sent, source.class_probs, rtol=1e-12, atol=0)
+        assert np.allclose(detected, sent * (1.0 - no_click), rtol=0, atol=1e-12)
+        assert np.all((0 <= errors) & (errors <= sifted) & (sifted <= detected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=weighted_configs)
+    def test_matches_class_cells(self, config):
+        # against the test's own per-code reference
+        sent, detected, sifted, errors = montecarlo.expected_tally(*config)
+        cells = class_cells(*config)
+        assert np.allclose(sent - detected, cells[:, 0], rtol=0, atol=1e-12)
+        assert np.allclose(sifted, cells[:, 1] + cells[:, 2], rtol=0, atol=1e-12)
+        assert np.allclose(errors, cells[:, 2], rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=weighted_configs)
+    def test_paper_model_without_background_or_depolarization(self, config):
+        source = replace(config[0], degree_of_polarization=1.0)
+        link = replace(config[1], background_yield=0.0)
+        eta = decoy.transmittance(link)
+        sent, detected, sifted, errors = montecarlo.expected_tally(source, link)
+        for i, mean in enumerate((source.mu, source.nu1, source.nu2)):
+            if mean == 0:
+                continue
+            assert detected[i] / sent[i] == pytest.approx(decoy.gain(mean, eta, 0.0), rel=1e-12, abs=0)
+            e_paper = decoy.qber(mean, eta, 0.0, link.background_error, link.detection_error)
+            assert errors[i] / sifted[i] == pytest.approx(e_paper, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "source, link",
+        [
+            (SourceConfig(mu=0.5, nu1=0.066, nu2=0.002), LinkConfig(background_suppression=1.0)),
+            (cross_val_source(), LinkConfig(attenuation_db=10.0, background_suppression=13 / 128)),
+            (
+                SourceConfig(p_mu=0.5, p_nu1=0.3, p_nu2=0.2, pol_probs=(0.4, 0.1, 0.3, 0.2)),
+                LinkConfig(attenuation_db=3.0, background_yield=1e-3),
+            ),
+        ],
+    )
+    def test_same_values_as_inline_table_arithmetic(self, source, link):
+        sent, detected, sifted, errors = montecarlo.expected_tally(source, link)
+        new = [*(detected / sent), errors[0] / sifted[0]]
+        assert np.allclose(new, inline_exact(source, link), rtol=1e-12, atol=0)
+
+    def test_small_gain_without_cancellation(self):
+        # at 20 dB the decoy-2 gain is 6.3e-5, and 1 - P(no click) loses
+        # ~1e-12 of it to cancellation; summing the click columns does not
+        source, link = cross_val_source(), LinkConfig(attenuation_db=20.0, background_suppression=13 / 128)
+        sent, detected, _, _ = montecarlo.expected_tally(source, link)
+        s = -np.expm1(-decoy.transmittance(link) * np.array([source.mu, source.nu1, source.nu2]))
+        y = link.background_yield * link.suppression(source)
+        assert np.allclose(detected / sent, s + y - s * y, rtol=1e-14, atol=0)
+
+    def test_run_counts_within_five_sigma(self, bench6db):
+        source, link, proto = bench6db
+        frames = 1_000_000
+        s = run(source, link, proto, frames=frames, seed=41).summary
+        p = montecarlo.expected_tally(source, link)
+        observed = np.stack([s.sent, s.detected, s.sifted, s.errors])
+        sigma = np.sqrt(frames * p * (1 - p))
+        assert np.all(np.abs(observed - frames * p) <= 5 * sigma), (observed - frames * p) / sigma
+
+
 class TestRunDeterminism:
     def test_same_seed_identical(self, bench6db):
         _, link, proto = bench6db

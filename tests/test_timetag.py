@@ -254,6 +254,63 @@ def make_alice(n, rng):
     return AliceLog(rng.integers(0, 12, n).astype(np.uint8))
 
 
+def reference_tally(codes, channels, weights):
+    """Per-pair tally: Alice's bit, basis, class and Bob's basis, bit spelled out."""
+    table = [[0] * 3 for _ in range(3)]
+    for code, channel, w in zip(codes, channels, weights):
+        bit, basis, cls = code % 2, code // 2 % 2, code // 4
+        bob_basis, bob_bit = channel // 2, channel % 2
+        table[0][cls] += w
+        if bob_basis == basis:
+            table[1][cls] += w
+            if bob_bit != bit:
+                table[2][cls] += w
+    return table
+
+
+class TestTally:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3), st.floats(0, 1)), max_size=100),
+        dtype=st.sampled_from([np.uint8, np.int64]),
+    )
+    def test_matches_per_pair_reference(self, pairs, dtype):
+        codes = np.array([c for c, _, _ in pairs], dtype=dtype)
+        channels = np.array([ch for _, ch, _ in pairs], dtype=dtype)
+        weights = np.array([w for _, _, w in pairs], dtype=float)
+        counts = timetag.tally(codes, channels)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == reference_tally(codes.tolist(), channels.tolist(), [1] * len(pairs))
+        expected = reference_tally(codes.tolist(), channels.tolist(), weights.tolist())
+        assert np.allclose(timetag.tally(codes, channels, weights), expected, rtol=1e-12, atol=0)
+
+    def test_each_basis_and_bit(self):
+        # signal H sent (code 0): Bob's H is right, V wrong, D and A unsifted
+        counts = timetag.tally(np.zeros(4, np.uint8), np.arange(4, dtype=np.uint8))
+        assert counts.tolist() == [[4, 0, 0], [2, 0, 0], [1, 0, 0]]
+        # decoy-2 A sent (code 11 = bit 1, basis X): Bob's A is right, D wrong
+        counts = timetag.tally(np.full(4, 11, np.uint8), np.arange(4, dtype=np.uint8))
+        assert counts.tolist() == [[0, 0, 4], [0, 0, 2], [0, 0, 1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(codes=st.lists(st.integers(0, 11), max_size=300))
+    def test_sent_per_class_counts_codes(self, codes):
+        counts = timetag.sent_per_class(np.array(codes, dtype=np.uint8))
+        assert counts.tolist() == [sum(c // 4 == k for c in codes) for k in range(3)]
+
+
+class TestPeriodTicks:
+    @pytest.mark.parametrize("rate, ticks", [(1e8, 128), (5e7, 256), (2e8, 64), (1.28e10, 1)])
+    def test_whole_periods(self, rate, ticks):
+        assert timetag.period_ticks(rate) == ticks
+
+    @pytest.mark.parametrize("rate", [1.1e8, 97e6, 1e9])
+    def test_fractional_period_rejected(self, rate):
+        # 1.1e8 Hz is 116.36 ticks; rounding it to 116 would misplace every frame
+        with pytest.raises(ValueError, match="not an integer number of"):
+            timetag.period_ticks(rate)
+
+
 class TestSift:
     def test_perfect_matched_stream(self):
         rng = np.random.default_rng(400)
@@ -311,6 +368,25 @@ class TestSift:
         key = sift(alice, gate(TimeTagStream(ticks, chans), PERIOD, 37, 13), PERIOD, seed=seed)
         assert np.array_equal(key.frames, chosen)
         assert np.array_equal(key.detected_per_class, np.bincount(alice.code[chosen] >> 2, minlength=3))
+
+    def test_sift_memory(self):
+        # channels and codes stay uint8; widening them to int64 traced ~99 B/record
+        rng = np.random.default_rng(9)
+        frames = 1 << 21
+        alice = make_alice(frames, rng)
+        hits = np.sort(rng.integers(0, frames, size=1 << 17))  # some frames twice: collisions
+        ticks = (hits * PERIOD + 37 + rng.integers(-6, 7, size=len(hits))).astype(np.uint64)
+        gated = gate(TimeTagStream(ticks, rng.integers(0, 4, size=len(hits), dtype=np.uint8)), PERIOD, 37, 13)
+        sift(alice, gated, PERIOD, seed=1)
+        tracemalloc.start()
+        try:
+            key = sift(alice, gated, PERIOD, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key.collisions > 0
+        assert key.sifted_bits.dtype == np.uint8
+        assert peak / len(gated.accepted) <= 80, peak / len(gated.accepted)
 
     @settings(max_examples=50, deadline=None)
     @given(codes=st.lists(st.integers(0, 11), max_size=200))
