@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, MemoryError) as exc:  # ConfigError included; MemoryError: a run too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

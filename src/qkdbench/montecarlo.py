@@ -9,11 +9,14 @@ table's cumulative rows; :func:`expected_tally` is the summary's exact mean.
 
 The code is drawn by inverse CDF over the 12 code probabilities
 ``outer(class_probs, pol_probs)``: with ``u`` a uniform, the code is the
-number of the CDF's 11 inner cut points at or below ``u``, counted with
-one array comparison per cut point.  That is the ``searchsorted`` step
-``Generator.choice(12, p=...)`` takes on the same stream, so a seed
-gives the codes ``choice`` would give, and a code of probability 0 is
-never drawn.
+number of the CDF's 11 inner cut points at or below ``u``.  That is the
+``searchsorted`` step ``Generator.choice(12, p=...)`` takes on the same
+stream, so a seed gives the codes ``choice`` would give, and a code of
+probability 0 is never drawn.  Both uniforms are drawn in cache-sized
+tiles of ``TILE_FRAMES``; the sent counts are counts of ``u`` below the
+class cut points, and only the click candidates (second uniform at or
+above the smallest no-click probability, ~4% of frames at 6 dB) get a
+code, unless the Alice log is emitted.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -25,8 +28,8 @@ uniformly over the whole frame and leaves the gating to the analysis.
 
 Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
 generators derive from (seed, block index), so results are reproducible;
-each block's per-class counts add into one tally.  Emitted streams are
-capped at ``THROUGHPUT_CAP_MCPS`` (10 Mcps).
+the clicks of every block are counted per (code, channel) pair and
+tallied once.  Emitted streams are capped at ``THROUGHPUT_CAP_MCPS``.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .decoy import transmittance
-from .timetag import TICK_SECONDS, AliceLog, TimeTagStream, period_ticks, sent_per_class, tally
+from .timetag import TICK_SECONDS, AliceLog, TimeTagStream, period_ticks, tally
 
 #: frames per independently seeded block
 BLOCK_FRAMES = 1 << 20
+#: frames per cache-sized tile in which a block's uniforms are drawn and consumed
+TILE_FRAMES = 1 << 16
 #: emitted records per second beyond which the stream's tail is dropped, in Mcps
 THROUGHPUT_CAP_MCPS = 10.0
+_PAIR_CODE, _PAIR_CHANNEL = np.divmod(np.arange(48), 4)  # every (code, channel) pair, code-major
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,7 @@ def expected_tally(source: SourceConfig, link: LinkConfig) -> np.ndarray:
     p_code = np.outer(source.class_probs, source.pol_probs)
     table = outcome_table(source, link)
     weights = p_code.reshape(12, 1) * (table[:, 1:5] + table[:, 5:])
-    code, channel = np.divmod(np.arange(48), 4)  # the pairs in the weights' row-major order
-    return np.vstack([p_code.sum(axis=1), tally(code, channel, weights.ravel())])
+    return np.vstack([p_code.sum(axis=1), tally(_PAIR_CODE, _PAIR_CHANNEL, weights.ravel())])
 
 
 def _probabilities(p, name: str) -> np.ndarray:
@@ -122,6 +127,14 @@ def _probabilities(p, name: str) -> np.ndarray:
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)):
         raise ValueError(f"{name} probabilities must be non-negative and sum to 1, got {p.tolist()}")
     return p
+
+
+def _codes(u: np.ndarray, cuts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per uniform, the number of ``cuts`` (scalars, or arrays like ``u``) at or below it, added into ``out``."""
+    code = np.zeros(len(u), dtype=np.uint8) if out is None else out
+    for cut in cuts:
+        code += u >= cut
+    return code
 
 
 def run(
@@ -157,34 +170,38 @@ def run(
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
 
-    counts = np.zeros((4, 3), dtype=np.int64)  # sent, detected, sifted, errors per class
+    below = np.zeros(2, dtype=np.int64)  # frames below cuts[3] and cuts[7]: codes < 4 and < 8
+    pairs = np.zeros(48, dtype=np.int64)  # clicks per (code, channel) pair
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
-    # one float and one bool buffer serve every block; emitted codes go straight into the log
-    size = min(frames, BLOCK_FRAMES)
-    uniform, flag = np.empty(size), np.empty(size, dtype=bool)
-    log = np.empty(frames if emit_ttags else size, dtype=np.uint8)
+    # a block of first uniforms, kept for the candidates' codes, and a tile of second ones
+    first = np.empty(min(frames, BLOCK_FRAMES))
+    second = np.empty(min(frames, TILE_FRAMES))
+    log = np.zeros(frames if emit_ttags else 0, dtype=np.uint8)
 
     for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        u, hit = uniform[:n], flag[:n]
-        code = log[base : base + n] if emit_ttags else log[:n]
+        for t in range(0, n, TILE_FRAMES):
+            u = first[t : min(t + TILE_FRAMES, n)]
+            rng.random(out=u)
+            below += np.count_nonzero(u < cuts[3]), np.count_nonzero(u < cuts[7])
+            if emit_ttags:
+                _codes(u, cuts, out=log[base + t : base + t + len(u)])
 
-        rng.random(out=u)
-        code[:] = 0
-        for cut in cuts:  # code = number of cut points at or below u
-            code += np.greater_equal(u, cut, out=hit)
-        counts[0] += sent_per_class(code)
-
-        rng.random(out=u)
-        cand = np.flatnonzero(np.greater_equal(u, click_min, out=hit))
-        idx = cand[u[cand] >= cdf[code[cand], 0]]
-        clicked = code[idx]
-        outcome = np.count_nonzero(cdf[clicked, :8] <= u[idx, None], axis=1)  # 1..8
-        channel = ((outcome - 1) & 3).astype(np.uint8)
-        counts[1:] += tally(clicked, channel)
-        del cand  # not held through the emission step
+        hits = []  # per tile: the click candidates' block frame indexes and second uniforms
+        for t in range(0, n, TILE_FRAMES):
+            u = second[: min(TILE_FRAMES, n - t)]
+            rng.random(out=u)
+            cand = np.flatnonzero(u >= click_min)
+            hits.append((t + cand, u[cand]))
+        cand, u = (np.concatenate(part) for part in zip(*hits))
+        code = _codes(first[cand], cuts)
+        outcome = _codes(u, (np.take(col, code) for col in cdf.T[:8]))  # 0 = no click, else 1..8
+        keep = np.flatnonzero(outcome)
+        idx, code, outcome = cand[keep], code[keep], outcome[keep]
+        channel = (outcome - 1) & 3
+        pairs += np.bincount(code * 4 + channel, minlength=48)
 
         if emit_ttags:
             n_ev = len(idx)
@@ -210,12 +227,15 @@ def run(
         stream = TimeTagStream(ticks, chans)
         alice_log = AliceLog(log)
 
-    summary = RunSummary(frames, frames / source.pulse_rate_hz, *counts)
+    sent = np.diff(below, prepend=0, append=frames)
+    detected, sifted, errors = tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)  # exact float sums
+    summary = RunSummary(frames, frames / source.pulse_rate_hz, sent, detected, sifted, errors)
     return RunResult(summary=summary, stream=stream, alice_log=alice_log, dropped_records=dropped)
 
 
 __all__ = [
     "BLOCK_FRAMES",
+    "TILE_FRAMES",
     "THROUGHPUT_CAP_MCPS",
     "RunSummary",
     "RunResult",

@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +494,7 @@ class TestMalformedInput:
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {non_ascii_log}",
             "sweep --config {zero_bg} --out {out} --atten-min 3990 --atten-max 4000 --atten-step 10",
             "analyze-ttags --config {rate_11} --ttags {frames_ttag} --alice-log {frames_log}",
+            "simulate --config {cfg} --frames 1000000000000 --seed 1 --out {out} --emit-ttags",  # a 931 GiB log
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -503,6 +505,7 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == ""  # rejected before anything is printed
+        assert not list(Path(inputs["out"]).parent.glob("out*"))  # nor any output written
 
     @pytest.mark.parametrize(
         "flag, argv",
