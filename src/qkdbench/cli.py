@@ -37,13 +37,21 @@ MAX_SWEEP_POINTS = 100_000
 
 
 def _write_atomic(path: Path, data) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    ``data`` is text, bytes-like, or a function that writes into the
+    open binary temp file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
-            fh.write(data)
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give what open() would
         os.replace(tmp, path)
     except BaseException:
@@ -156,7 +164,7 @@ def cmd_simulate(args) -> int:
     _write_atomic(Path(out + ".summary.txt"), _kv_text(summary))
     if args.emit_ttags:
         _write_atomic(Path(out + ".ttag"), timetag.encode(result.stream))
-        _write_atomic(Path(out + ".alice.csv"), result.alice_log.to_csv())
+        _write_atomic(Path(out + ".alice.csv"), result.alice_log.to_csv)
         sidecar = {
             "period_ticks": timetag.period_ticks(source.pulse_rate_hz),
             "phase_ticks": args.phase_ticks,

@@ -16,7 +16,9 @@ probability 0 is never drawn.  Both uniforms are drawn in cache-sized
 tiles of ``TILE_FRAMES``; the sent counts are counts of ``u`` below the
 class cut points, and only the click candidates (second uniform at or
 above the smallest no-click probability, ~4% of frames at 6 dB) get a
-code, unless the Alice log is emitted.
+code.  An emitted run writes every frame's code into the log as its
+tile is drawn and reads the candidates' codes back from it, so it keeps
+no block of first uniforms.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -174,8 +176,9 @@ def run(
     pairs = np.zeros(48, dtype=np.int64)  # clicks per (code, channel) pair
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
-    # a block of first uniforms, kept for the candidates' codes, and a tile of second ones
-    first = np.empty(min(frames, BLOCK_FRAMES))
+    # first uniforms: a tile when the log keeps every code, else a block kept for
+    # the candidates' codes; second uniforms: a tile
+    first = np.empty(min(frames, TILE_FRAMES if emit_ttags else BLOCK_FRAMES))
     second = np.empty(min(frames, TILE_FRAMES))
     log = np.zeros(frames if emit_ttags else 0, dtype=np.uint8)
 
@@ -183,7 +186,8 @@ def run(
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
         for t in range(0, n, TILE_FRAMES):
-            u = first[t : min(t + TILE_FRAMES, n)]
+            at = 0 if emit_ttags else t
+            u = first[at : at + min(TILE_FRAMES, n - t)]
             rng.random(out=u)
             below += np.count_nonzero(u < cuts[3]), np.count_nonzero(u < cuts[7])
             if emit_ttags:
@@ -196,7 +200,7 @@ def run(
             cand = np.flatnonzero(u >= click_min)
             hits.append((t + cand, u[cand]))
         cand, u = (np.concatenate(part) for part in zip(*hits))
-        code = _codes(first[cand], cuts)
+        code = log[base : base + n][cand] if emit_ttags else _codes(first[cand], cuts)
         outcome = _codes(u, (np.take(col, code) for col in cdf.T[:8]))  # 0 = no click, else 1..8
         keep = np.flatnonzero(outcome)
         idx, code, outcome = cand[keep], code[keep], outcome[keep]

@@ -15,7 +15,8 @@ On disk it is CSV: the header ``bit,basis,class``, then one row per
 frame from frame 0 on (row i is frame i).  Each row is one of 12 lines
 of exactly 11 bytes, and lines end in LF only, so a CRLF log is
 rejected.  The codec is array code: a table lookup writes the rows, and
-reading checks fixed-width blocks of rows against the same table.
+reading checks fixed-width blocks of rows against the same table; both
+stream through the file a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ _ALICE_ROWS = np.array(
     [f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n".encode() for code in range(12)], dtype="S11"
 )
 _ROW_BYTES = _ALICE_ROWS.itemsize
-#: rows the codec writes, or reads and checks, at a time, so its working memory stays small
+#: rows the codec writes, or reads and checks, at a time (and codes ``sent_per_class`` counts),
+#: so working memory stays small
 _READ_ROWS = 1 << 16
 
 
@@ -197,21 +199,22 @@ class AliceLog:
     def __len__(self) -> int:
         return len(self.code)
 
-    def to_csv(self) -> bytearray:
-        """The log as CSV bytes: the header, then one row per frame.
+    def to_csv(self, fh: BinaryIO) -> None:
+        """Write the log as CSV into a binary file object: the header, then one row per frame.
 
-        The rows are written into the one output buffer a block of codes
-        at a time, so the log is never held twice.
+        The codes are checked before the first byte is written.  The rows
+        go out ``_READ_ROWS`` at a time through one reused row buffer, so
+        the log is never held twice.
         """
         if len(self.code) and not 0 <= self.code.min() <= self.code.max() < len(_ALICE_ROWS):
             raise ValueError(f"alice log code out of range 0..{len(_ALICE_ROWS) - 1}")
-        data = bytearray(len(_ALICE_HEADER) + len(self.code) * _ROW_BYTES)
-        data[: len(_ALICE_HEADER)] = _ALICE_HEADER
-        rows = np.frombuffer(data, _ALICE_ROWS.dtype, offset=len(_ALICE_HEADER))
-        for i in range(0, len(rows), _READ_ROWS):  # one take over all codes would widen them to intp
+        fh.write(_ALICE_HEADER)
+        rows = np.empty(min(len(self.code), _READ_ROWS), _ALICE_ROWS.dtype)
+        for i in range(0, len(self.code), _READ_ROWS):  # one take over all codes would widen them to intp
+            codes = self.code[i : i + _READ_ROWS]
             # codes are checked above; mode="raise" would buffer all of ``out``
-            np.take(_ALICE_ROWS, self.code[i : i + _READ_ROWS], out=rows[i : i + _READ_ROWS], mode="clip")
-        return data
+            np.take(_ALICE_ROWS, codes, out=rows[: len(codes)], mode="clip")
+            fh.write(rows[: len(codes)])
 
     @classmethod
     def from_csv(cls, fh: BinaryIO) -> "AliceLog":
@@ -244,7 +247,10 @@ class AliceLog:
 
 def sent_per_class(code: np.ndarray) -> np.ndarray:
     """(3,) frames of each intensity class among Alice codes."""
-    below = [np.count_nonzero(code < k) for k in (4, 8)]  # bincount would widen the codes to intp
+    below = np.zeros(2, dtype=np.int64)  # codes < 4 and < 8; bincount would widen the codes to intp
+    for i in range(0, len(code), _READ_ROWS):  # a compare over the whole log would be a 1 B/frame temporary
+        block = code[i : i + _READ_ROWS]
+        below += np.count_nonzero(block < 4), np.count_nonzero(block < 8)
     return np.array([below[0], below[1] - below[0], len(code) - below[1]])
 
 
@@ -289,22 +295,35 @@ def sift(
     (counted in ``collisions``), and the kept ones are counted by
     :func:`tally`, so a gain derived from ``detected_per_class`` counts
     each frame once.
+
+    The choice is the first of a frame's detections in the order of
+    ``default_rng(seed).permutation``.  Only detections that share a
+    frame are ranked by it; the rest are kept as they are, and the
+    records are sorted only if their frames are out of order.
     """
-    det = gating.accepted.detections()
-    frames = frame_indices(det.ticks, gating.phase_ticks, period_ticks)
-    channels = det.channels
+    acc = gating.accepted
+    frames = frame_indices(acc.ticks, gating.phase_ticks, period_ticks)
+    # markers and frames outside Alice's log cannot be attributed
+    ok = (acc.channels < 4) & (frames >= 0) & (frames < len(alice))
+    frames, channels = frames[ok], acc.channels[ok]
 
-    # frames outside Alice's log cannot be attributed
-    ok = (frames >= 0) & (frames < len(alice))
-    frames, channels = frames[ok], channels[ok]
+    perm = np.random.default_rng(seed).permutation(len(frames))  # rank -> record
+    if np.any(frames[1:] < frames[:-1]):  # out of order: sort, and let perm name the sorted records
+        order = np.argsort(frames, kind="stable")
+        frames, channels = frames[order], channels[order]
+        perm = np.argsort(order)[perm]
+        del order
 
-    # resolve frame collisions: random permutation, then first occurrence
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(frames))
-    uniq_frames, first = np.unique(frames[perm], return_index=True)
-    keep_idx = perm[first]
-    collisions = len(frames) - len(uniq_frames)
-    frames, channels = frames[keep_idx], channels[keep_idx]
+    # keep each record alone in its frame, and of each shared frame its lowest-ranked record
+    keep = np.ones(len(frames), dtype=bool)
+    np.not_equal(frames[1:], frames[:-1], out=keep[1:])  # first record of its frame
+    keep[:-1] &= keep[1:]  # and its last
+    shared = perm[np.flatnonzero(~keep[perm])]  # records sharing a frame, lowest rank first
+    del perm
+    _, first = np.unique(frames[shared], return_index=True)
+    keep[shared[first]] = True
+    collisions = len(frames) - int(np.count_nonzero(keep))
+    frames, channels = frames[keep], channels[keep]
 
     code = alice.code[frames]
     matched, _ = _sifted_and_errored(code, channels)

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import math
 import os
 import stat
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from qkdbench import decoy, montecarlo, timetag
-from qkdbench.cli import main
+from qkdbench.cli import _write_atomic, main
 from qkdbench.config import load_config
 
 
@@ -211,6 +213,33 @@ class TestSimulate:
         assert lines[0] == b"bit,basis,class" and lines[-1] == b""
         assert len(lines) == 1000 + 2
 
+    def test_alice_log_is_pinned(self, bench_config_file, tmp_path):
+        # a log of two whole blocks and part of a third, streamed in many blocks
+        # of rows, has the bytes the whole-file buffer gave
+        argv = ["simulate", "--config", str(bench_config_file), "--frames", "2100000", "--seed", "7", "--emit-ttags"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        digest = hashlib.sha256((tmp_path / "run.alice.csv").read_bytes()).hexdigest()
+        assert digest == "37139e126fa92e8120514793c0d7b9f66e38be8cf0a4f82647a5649f442ee01d"
+
+
+class TestWriteAtomic:
+    def test_writer_function_writes_the_file(self, tmp_path):
+        _write_atomic(tmp_path / "out.bin", lambda fh: fh.write(b"abc"))
+        assert (tmp_path / "out.bin").read_bytes() == b"abc"
+
+    def test_failed_writer_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+
+        def writer(fh):
+            fh.write(b"x" * 100_000)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(target, writer)
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
 
 class TestAnalyzeTtags:
     @pytest.fixture
@@ -406,7 +435,9 @@ class TestMalformedInput:
         codes = np.tile(np.arange(12, dtype=np.uint8), 20)
         on_phase = (np.arange(len(codes)) * 128 + 37).astype(np.uint64)
         (tmp_path / "frames.ttag").write_bytes(timetag.encode(timetag.TimeTagStream(on_phase, codes & 3)))
-        (tmp_path / "frames.alice.csv").write_bytes(timetag.AliceLog(codes).to_csv())
+        log = io.BytesIO()
+        timetag.AliceLog(codes).to_csv(log)
+        (tmp_path / "frames.alice.csv").write_bytes(log.getvalue())
         rate_11 = tmp_path / "rate_11.cfg"  # a 116.36-tick period
         rate_11.write_text(bench_config_file.read_text() + "pulse_rate_hz = 1.1e8\n")
         bad_basis = tmp_path / "bad.alice.csv"

@@ -460,6 +460,20 @@ class TestDraw:
             tracemalloc.stop()
         assert peak / frames <= 11.25, peak / frames
 
+    def test_emit_run_memory(self, bench6db):
+        # the log, 1 B/frame, is the only per-frame array: first uniforms are
+        # drawn a tile at a time and the candidates' codes read back from the
+        # log (a block of first uniforms next to it traced 13.25 B/frame)
+        frames = montecarlo.BLOCK_FRAMES
+        run(*bench6db, frames=1000, seed=1, emit_ttags=True)
+        tracemalloc.start()
+        try:
+            run(*bench6db, frames=frames, seed=1, emit_ttags=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / frames <= 6.5, peak / frames
+
 
 class TestSummary:
     def test_blocks_tally_into_one_summary(self, bench6db, monkeypatch):
