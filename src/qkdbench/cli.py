@@ -21,6 +21,7 @@ import os
 import secrets
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,7 @@ def cmd_analyze_ttags(args) -> int:
         stream = timetag.load_ttag(args.ttags)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read timetag stream: {exc}") from exc
-    if len(stream.detections()) == 0:
+    if not np.any(stream.channels < 4):
         raise ConfigError("no records in timetag stream")
     try:
         with open(args.alice_log, "rb") as fh:
@@ -275,7 +276,8 @@ def cmd_sidechannel(args) -> int:
     shown = dict(fields)
     if args.sweep_csv:
         attenuation_db, rkr, lbskr = _pick_sweep_row(args.sweep_csv, args.attenuation_db)
-        adjusted = max(0.0, lbskr - rkr * budget.total)
+        rates = types.SimpleNamespace(raw_key_rate_bps=rkr, secure_key_rate_bps=lbskr)
+        adjusted = sidechannel.leakage_adjusted_rate(rates, budget)
         fields.update(attenuation_db=attenuation_db, lbskr_bps=lbskr, leakage_adjusted_bps=adjusted)
         shown.update(attenuation_db=f"{attenuation_db:g}", lbskr_bps=f"{lbskr:.6e}")
         shown.update(leakage_adjusted_bps=f"{adjusted:.6e}")
@@ -295,13 +297,13 @@ def _pick_sweep_row(path: str, attenuation_db: float | None) -> tuple[float, flo
     if not rows:
         raise ConfigError("sweep CSV has no rows")
     try:
-        if attenuation_db is None:
-            row = rows[0]
-        else:
-            row = min(rows, key=lambda r: abs(float(r["attenuation_db"]) - attenuation_db))
-        return float(row["attenuation_db"]), float(row["rkr_bps"]), float(row["lbskr_bps"])
+        table = [(float(r["attenuation_db"]), float(r["rkr_bps"]), float(r["lbskr_bps"])) for r in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed sweep CSV {path}: {exc!r}") from exc
+    for line, values in enumerate(table, start=2):  # a negative or non-finite rate would print as a key rate
+        if not all(math.isfinite(v) and v >= 0 for v in values):
+            raise ConfigError(f"malformed sweep CSV {path}: row {line} has a negative or non-finite value {values}")
+    return table[0] if attenuation_db is None else min(table, key=lambda v: abs(v[0] - attenuation_db))
 
 
 def cmd_optimize(args) -> int:

@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+#: smallest time-bandwidth product a Gaussian pulse can have
+TRANSFORM_LIMIT_TBP = 0.44
+
 
 class ConfigError(ValueError):
     """Raised for unparseable config files or invariant violations."""
@@ -232,8 +235,8 @@ def validate(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -> l
         v.append("degree_of_polarization: must lie in (0, 1]")
     if not source.pulse_fwhm_s > 0:
         v.append("pulse_fwhm_s: must be > 0")
-    if not source.time_bandwidth_product >= 0.44:
-        v.append("time_bandwidth_product: below the transform limit 0.44")
+    if not source.time_bandwidth_product >= TRANSFORM_LIMIT_TBP:
+        v.append(f"time_bandwidth_product: below the transform limit {TRANSFORM_LIMIT_TBP}")
 
     if not link.attenuation_db >= 0:
         v.append("attenuation_db: must be >= 0")
@@ -288,6 +291,7 @@ def dump_config(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -
 
 
 __all__ = [
+    "TRANSFORM_LIMIT_TBP",
     "ConfigError",
     "SourceConfig",
     "LinkConfig",

@@ -54,16 +54,6 @@ class JointDistribution:
             raise ValueError(f"joint distribution sums to {total!r}, not 1")
         object.__setattr__(self, "matrix", m / total)
 
-    @property
-    def bins(self) -> int:
-        return self.matrix.shape[0]
-
-    def marginal_x(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
 
 def mutual_information(joint: JointDistribution) -> float:
     """Plug-in mutual information I(X; B) in bits.
@@ -72,8 +62,8 @@ def mutual_information(joint: JointDistribution) -> float:
     cells contributing nothing.  Non-negative up to rounding; clamped at 0.
     """
     m = joint.matrix
-    px = joint.marginal_x()[:, None]
-    pb = joint.marginal_b()[None, :]
+    px = m.sum(axis=1)[:, None]
+    pb = m.sum(axis=0)[None, :]
     mask = m > 0  # wherever p(x,b) > 0, both marginals are > 0 too
     terms = m[mask] * np.log2(m[mask] / (px * pb)[mask])
     return max(float(terms.sum()), 0.0)
@@ -95,11 +85,7 @@ def mi_from_profiles(profiles: Sequence[np.ndarray]) -> float:
         sums = rows.sum(axis=1)
     if not np.all((sums > 0) & (sums < np.inf)):
         raise ValueError("all-zero or overflowing profile: cannot normalize")
-    cond = rows / sums[:, None]
-    cond = cond / cond.sum(axis=1)[:, None]
-    prior = np.full(len(rows), 1.0 / len(rows))
-    prior = prior / prior.sum()
-    joint = (cond * prior[:, None]).T
+    joint = (rows / sums[:, None]).T / len(rows)
     return mutual_information(JointDistribution(tuple(f"b{i}" for i in range(len(rows))), joint))
 
 

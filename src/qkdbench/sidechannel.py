@@ -20,12 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import TRANSFORM_LIMIT_TBP
 from .decoy import KeyRateReport
 from .entropy import mi_from_profiles
 
 STATE_COLUMNS = ("stateH", "stateV", "stateD", "stateA")
 DEFAULT_SPATIAL_LEAKAGE = 1e-5
-TRANSFORM_LIMIT_TBP = 0.44
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,8 @@ def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float
 
     R_adj = max(0, R - q (N_mu/t) Q_mu * total): the budget is charged
     per detected sifted signal pulse, a linear debit policy.  The raw
-    key rate in the report already equals q (N_mu/t) Q_mu.
+    key rate in the report already equals q (N_mu/t) Q_mu.  Only the
+    two rates are read, so a sweep row's rates serve as well.
     """
     debit = report.raw_key_rate_bps * budget.total
     return min(max(report.secure_key_rate_bps - debit, 0.0), report.secure_key_rate_bps)
@@ -182,7 +183,6 @@ def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float
 __all__ = [
     "STATE_COLUMNS",
     "DEFAULT_SPATIAL_LEAKAGE",
-    "TRANSFORM_LIMIT_TBP",
     "PulseProfile",
     "LeakageBudget",
     "load_profiles",

@@ -63,22 +63,18 @@ class TimeTagStream:
             and np.array_equal(self.channels, other.channels)
         )
 
-    def detections(self) -> "TimeTagStream":
-        """Only the detector records (channels 0..3), markers dropped."""
-        keep = self.channels < 4
-        return TimeTagStream(self.ticks[keep], self.channels[keep])
-
 
 def _warn_if_nonmonotonic(ticks: np.ndarray, where: str) -> None:
-    if len(ticks) > 1 and np.any(np.diff(ticks.astype(np.int64)) < 0):
+    if np.any(ticks[1:] < ticks[:-1]):
         warnings.warn(f"{where}: non-monotonic ticks (preserved)", stacklevel=3)
 
 
 def encode(stream: TimeTagStream) -> bytes:
     """Pack records into the 64-bit little-endian wire format."""
     _warn_if_nonmonotonic(stream.ticks, "encode")
-    words = (stream.ticks << np.uint64(4)) | stream.channels.astype(np.uint64)
-    return words.astype("<u8").tobytes()
+    words = stream.ticks << np.uint64(4)
+    words |= stream.channels
+    return words.astype("<u8", copy=False).tobytes()
 
 
 def decode(data: bytes) -> TimeTagStream:
@@ -114,7 +110,7 @@ def recover_phase(stream: TimeTagStream, period_ticks: int) -> PhaseEstimate:
     """
     if period_ticks <= 0:
         raise ValueError("period must be positive")
-    ticks = stream.detections().ticks
+    ticks = stream.ticks[stream.channels < 4]
     if len(ticks) < 10:
         raise ValueError(f"insufficient data: need at least 10 detection records, got {len(ticks)}")
     residues = (ticks % np.uint64(period_ticks)).astype(np.int64)

@@ -458,6 +458,11 @@ class TestMalformedInput:
         tiny_nu1.write_text(text.replace("nu1 = 0.066", "nu1 = 1e-320").replace("nu2 = 0.002", "nu2 = 0.0"))
         bad_sweep = tmp_path / "bad_sweep.csv"
         bad_sweep.write_text("x,y\n1,2\n")
+        # a negative raw rate would debit a negative leakage and raise the rate; nan/inf would print as a rate
+        for name, row in (("negative_sweep", "6,-1e7,2e6"), ("nonfinite_sweep", "nan,inf,inf")):
+            (tmp_path / f"{name}.csv").write_text(f"attenuation_db,rkr_bps,lbskr_bps\n{row}\n")
+        markers = timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([4, 15]))
+        (tmp_path / "markers.ttag").write_bytes(timetag.encode(markers))
         sweep = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(bench_config_file), "--out", str(sweep)]) == 0
         for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308)):
@@ -480,6 +485,9 @@ class TestMalformedInput:
             **{name: str(tmp_path / f"{name}.alice.csv") for name in logs},
             "zero_bg": str(zero_bg),
             "bad_sweep": str(bad_sweep),
+            "negative_sweep": str(tmp_path / "negative_sweep.csv"),
+            "nonfinite_sweep": str(tmp_path / "nonfinite_sweep.csv"),
+            "markers_ttag": str(tmp_path / "markers.ttag"),
             "sweep": str(sweep),
         }
 
@@ -526,6 +534,9 @@ class TestMalformedInput:
             "sweep --config {zero_bg} --out {out} --atten-min 3990 --atten-max 4000 --atten-step 10",
             "analyze-ttags --config {rate_11} --ttags {frames_ttag} --alice-log {frames_log}",
             "simulate --config {cfg} --frames 1000000000000 --seed 1 --out {out} --emit-ttags",  # a 931 GiB log
+            "sidechannel --synth --sweep-csv {negative_sweep}",
+            "sidechannel --synth --sweep-csv {nonfinite_sweep}",
+            "analyze-ttags --config {cfg} --ttags {markers_ttag} --alice-log {alice}",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):

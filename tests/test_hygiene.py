@@ -4,7 +4,8 @@ Each module is parsed, not imported.  ``__init__.py`` re-exports by
 importing, so the unused-import check leaves it out; the public-name
 checks cover the modules that declare ``__all__``: each public name is
 listed, and each listed name has a caller outside its own definition
-and the unit tests.
+and the unit tests.  So has each public method or property of a public
+class.
 """
 
 import ast
@@ -118,6 +119,26 @@ def test_all_entries_have_a_caller(path):
         and not any(name in referenced_names(t) for t in others)
     ]
     assert not uncalled, f"{path.name}: public names {uncalled} have no caller outside their tests"
+
+
+def public_methods(tree: ast.Module) -> list[str]:
+    """``Class.method`` for each public method or property of each public top-level class."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if public_methods(parse(p))], ids=lambda p: p.name)
+def test_public_methods_have_a_caller(path):
+    # a method is used as an attribute; a plain name of the same spelling is some other variable
+    trees = [parse(p) for p in MODULES + CALLERS]
+    callers = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    uncalled = [name for name in public_methods(parse(path)) if name.split(".")[1] not in callers]
+    assert not uncalled, f"{path.name}: public methods {uncalled} have no caller outside their tests"
 
 
 def test_uncalled_allowlist_is_needed():
