@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decoy, montecarlo, sidechannel, timetag
-from .config import ConfigError, load_config
+from .config import ConfigError, SourceConfig, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,11 +190,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze_ttags(args) -> int:
     source, link, proto = load_config(args.config)
-    if not args.window_ns > 0:
-        raise ConfigError(f"--window-ns must be > 0, got {args.window_ns!r}")
     period = timetag.period_ticks(source.pulse_rate_hz)  # checked before the inputs are read
+    window = timetag.window_ticks_from_seconds(link.window_s)
     try:
-        stream = timetag.load_ttag(args.ttags)
+        stream = timetag.decode(Path(args.ttags).read_bytes())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read timetag stream: {exc}") from exc
     if not np.any(stream.channels < 4):
@@ -206,8 +205,6 @@ def cmd_analyze_ttags(args) -> int:
         raise ConfigError(f"cannot read alice log: {exc}") from exc
     seed = _resolve_seed(args)
 
-    # clamped in seconds, so a huge window never becomes an infinite tick count
-    window = timetag.window_ticks_from_seconds(min(args.window_ns * 1e-9, 1.0 / source.pulse_rate_hz))
     phase = timetag.recover_phase(stream, period)
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
@@ -256,10 +253,11 @@ def cmd_sidechannel(args) -> int:
             raise ConfigError(f"malformed profiles: {exc}") from exc
         temporal, spectral = (mi, 0.0) if args.domain == "temporal" else (0.0, mi)
     else:
+        source = load_config(args.config)[0] if args.config else SourceConfig()
         pedestals = _floats(args.pedestals, "--pedestals", 4)
         shifts = tuple(s * 1e-12 for s in _floats(args.shifts_ps, "--shifts-ps", 4))
         profiles = sidechannel.synth_profiles(
-            fwhm_s=args.fwhm_ps * 1e-12, tbp=args.tbp, ase_pedestal=pedestals, shifts_s=shifts
+            fwhm_s=source.pulse_fwhm_s, tbp=source.time_bandwidth_product, ase_pedestal=pedestals, shifts_s=shifts
         )
         temporal, spectral = map(sidechannel.leakage, profiles)
     try:
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-ttags", parents=[common], help="phase recovery, gating, sifting, key rate")
     p.add_argument("--ttags", required=True)
     p.add_argument("--alice-log", required=True)
-    p.add_argument("--window-ns", type=_finite, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze_ttags)
 
@@ -365,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", default=None, help="per-state profile CSV")
     p.add_argument("--domain", choices=["temporal", "spectral"], default="temporal")
     p.add_argument("--synth", action="store_true", help="synthesize Gaussian profiles")
+    p.add_argument("--config", default=None, help="config of the --synth pulse shape; not read with --profiles")
     p.add_argument("--pedestals", default="0,0,0,0", help="per-state ASE floor, fraction of peak")
     p.add_argument("--shifts-ps", default="0,0,0,0", help="per-state temporal shifts, ps")
-    p.add_argument("--fwhm-ps", type=_finite, default=400.0)
-    p.add_argument("--tbp", type=_finite, default=0.56)
     p.add_argument("--spatial-bits", type=_finite, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
     p.add_argument("--sweep-csv", default=None, help="debit the leakage from a sweep row")
     p.add_argument("--attenuation-db", type=_finite, default=None)

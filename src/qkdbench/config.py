@@ -10,8 +10,9 @@ A run is described by three immutable configs:
   error-correction efficiency, transmission duration, signal pulse count).
 
 Configs are loaded from a flat ``key = value`` text file (one key per
-line, ``#`` comments allowed, no sections).  Every key, its unit and its
-default are listed in :data:`CONFIG_SCHEMA`.  Unknown keys are rejected.
+line, ``#`` comments allowed, no sections).  Every key and its unit are
+listed in :data:`CONFIG_SCHEMA`; a missing key takes the default of its
+dataclass field.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -98,36 +99,36 @@ class ProtocolConfig:
         return source.p_mu * source.pulse_rate_hz
 
 
-# key -> (section, field, unit, documented default)
-CONFIG_SCHEMA: dict[str, tuple[str, str, str, str]] = {
-    "pulse_rate_hz": ("source", "pulse_rate_hz", "Hz", "1e8"),
-    "mu": ("source", "mu", "photons/pulse", "0.5"),
-    "nu1": ("source", "nu1", "photons/pulse", "0.125"),
-    "nu2": ("source", "nu2", "photons/pulse", "0 (or mu*10^(-ER/10) when extinction_ratio_db is given)"),
-    "p_mu": ("source", "p_mu", "probability", "0.8"),
-    "p_nu1": ("source", "p_nu1", "probability", "0.15"),
-    "p_nu2": ("source", "p_nu2", "probability", "0.05"),
-    "p_pol_h": ("source", "pol_probs:0", "probability", "0.25"),
-    "p_pol_v": ("source", "pol_probs:1", "probability", "0.25"),
-    "p_pol_d": ("source", "pol_probs:2", "probability", "0.25"),
-    "p_pol_a": ("source", "pol_probs:3", "probability", "0.25"),
-    "extinction_ratio_db": ("source", "extinction_ratio_db", "dB", "24"),
-    "degree_of_polarization": ("source", "degree_of_polarization", "fraction", "0.9968"),
-    "pulse_fwhm_s": ("source", "pulse_fwhm_s", "s", "400e-12"),
-    "time_bandwidth_product": ("source", "time_bandwidth_product", "1", "0.56"),
-    "attenuation_db": ("link", "attenuation_db", "dB", "6"),
-    "setup_loss_db": ("link", "setup_loss_db", "dB", "2"),
-    "detector_efficiency": ("link", "detector_efficiency", "fraction", "0.5"),
-    "background_yield": ("link", "background_yield", "probability/pulse", "5.58e-4"),
-    "background_error": ("link", "background_error", "fraction", "0.5"),
-    "detection_error": ("link", "detection_error", "fraction", "7.9e-3"),
-    "jitter_sigma_s": ("link", "jitter_sigma_s", "s", "212e-12"),
-    "window_s": ("link", "window_s", "s", "1e-9"),
-    "background_suppression": ("link", "background_suppression", "fraction", "window_s * pulse_rate_hz"),
-    "sifting_q": ("protocol", "sifting_q", "fraction", "0.5"),
-    "error_correction_f": ("protocol", "error_correction_f", "1", "1.16"),
-    "duration_s": ("protocol", "duration_s", "s", "1.0"),
-    "signal_pulses": ("protocol", "signal_pulses", "count", "p_mu * pulse_rate_hz * duration_s"),
+# key -> (section, field, unit)
+CONFIG_SCHEMA: dict[str, tuple[str, str, str]] = {
+    "pulse_rate_hz": ("source", "pulse_rate_hz", "Hz"),
+    "mu": ("source", "mu", "photons/pulse"),
+    "nu1": ("source", "nu1", "photons/pulse"),
+    "nu2": ("source", "nu2", "photons/pulse"),
+    "p_mu": ("source", "p_mu", "probability"),
+    "p_nu1": ("source", "p_nu1", "probability"),
+    "p_nu2": ("source", "p_nu2", "probability"),
+    "p_pol_h": ("source", "pol_probs:0", "probability"),
+    "p_pol_v": ("source", "pol_probs:1", "probability"),
+    "p_pol_d": ("source", "pol_probs:2", "probability"),
+    "p_pol_a": ("source", "pol_probs:3", "probability"),
+    "extinction_ratio_db": ("source", "extinction_ratio_db", "dB"),
+    "degree_of_polarization": ("source", "degree_of_polarization", "fraction"),
+    "pulse_fwhm_s": ("source", "pulse_fwhm_s", "s"),
+    "time_bandwidth_product": ("source", "time_bandwidth_product", "1"),
+    "attenuation_db": ("link", "attenuation_db", "dB"),
+    "setup_loss_db": ("link", "setup_loss_db", "dB"),
+    "detector_efficiency": ("link", "detector_efficiency", "fraction"),
+    "background_yield": ("link", "background_yield", "probability/pulse"),
+    "background_error": ("link", "background_error", "fraction"),
+    "detection_error": ("link", "detection_error", "fraction"),
+    "jitter_sigma_s": ("link", "jitter_sigma_s", "s"),
+    "window_s": ("link", "window_s", "s"),
+    "background_suppression": ("link", "background_suppression", "fraction"),
+    "sifting_q": ("protocol", "sifting_q", "fraction"),
+    "error_correction_f": ("protocol", "error_correction_f", "1"),
+    "duration_s": ("protocol", "duration_s", "s"),
+    "signal_pulses": ("protocol", "signal_pulses", "count"),
 }
 
 
@@ -156,7 +157,7 @@ def _parse_kv(text: str) -> dict[str, float]:
 def load_config(path: str | Path) -> tuple[SourceConfig, LinkConfig, ProtocolConfig]:
     """Load and validate configs from a flat key-value file.
 
-    Missing keys take their documented defaults.  When ``nu2`` is absent
+    Missing keys take their dataclass defaults.  When ``nu2`` is absent
     but ``extinction_ratio_db`` is given, the decoy-2 intensity is derived
     as the signal leaking through the OFF-state modulator:
     ``nu2 = mu * 10^(-ER/10)``.
@@ -181,7 +182,7 @@ def build_configs(values: dict[str, float]) -> tuple[SourceConfig, LinkConfig, P
     pol = list(SourceConfig.pol_probs)
     pol_given = False
     for key, val in values.items():
-        section, attr, _, _ = CONFIG_SCHEMA[key]
+        section, attr, _ = CONFIG_SCHEMA[key]
         if attr.startswith("pol_probs:"):
             pol[int(attr.split(":")[1])] = val
             pol_given = True
@@ -278,7 +279,7 @@ def dump_config(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -
     configs equal to the inputs.
     """
     lines = ["# qkdbench configuration (flat key = value)"]
-    for key, (section, attr, unit, _) in CONFIG_SCHEMA.items():
+    for key, (section, attr, unit) in CONFIG_SCHEMA.items():
         obj = {"source": source, "link": link, "protocol": proto}[section]
         if attr.startswith("pol_probs:"):
             val = obj.pol_probs[int(attr.split(":")[1])]

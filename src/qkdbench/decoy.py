@@ -331,13 +331,12 @@ SWEEP_COLUMNS = tuple(
         ("lbskr_bps", "secure_key_rate_bps", ".6e"),
     )
 )
-SWEEP_CSV_HEADER = [name for name, _, _ in SWEEP_COLUMNS]
 
 
 def write_sweep_csv(reports: Iterable[KeyRateReport], fileobj) -> None:
     """Write sweep results with the fixed column order of SWEEP_COLUMNS."""
     writer = csv.writer(fileobj)
-    writer.writerow(SWEEP_CSV_HEADER)
+    writer.writerow([name for name, _, _ in SWEEP_COLUMNS])
     for r in reports:
         writer.writerow([format(get(r), fmt) if fmt else get(r) for _, get, fmt in SWEEP_COLUMNS])
 
@@ -407,7 +406,6 @@ __all__ = [
     "rate_from_counts",
     "sweep",
     "SWEEP_COLUMNS",
-    "SWEEP_CSV_HEADER",
     "write_sweep_csv",
     "GridSpec",
     "OptimizeResult",

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TRANSFORM_LIMIT_TBP
+from .config import TRANSFORM_LIMIT_TBP, SourceConfig
 from .decoy import KeyRateReport
 from .entropy import mi_from_profiles
 
@@ -98,8 +98,8 @@ def load_profiles(path: str | Path) -> list[PulseProfile]:
 
 
 def synth_profiles(
-    fwhm_s: float = 400e-12,
-    tbp: float = 0.56,
+    fwhm_s: float = SourceConfig.pulse_fwhm_s,
+    tbp: float = SourceConfig.time_bandwidth_product,
     ase_pedestal: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
     shifts_s: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
 ) -> tuple[list[PulseProfile], list[PulseProfile]]:

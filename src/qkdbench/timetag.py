@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -86,10 +85,6 @@ def decode(data: bytes) -> TimeTagStream:
     channels = (words & np.uint64(0xF)).astype(np.uint8)
     _warn_if_nonmonotonic(ticks, "decode")
     return TimeTagStream(ticks, channels)
-
-
-def load_ttag(path: str | Path) -> TimeTagStream:
-    return decode(Path(path).read_bytes())
 
 
 @dataclass(frozen=True)
@@ -333,7 +328,6 @@ __all__ = [
     "TimeTagStream",
     "encode",
     "decode",
-    "load_ttag",
     "PhaseEstimate",
     "recover_phase",
     "GatingResult",

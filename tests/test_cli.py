@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkdbench import decoy, montecarlo, timetag
+from qkdbench import decoy, montecarlo, sidechannel, timetag
 from qkdbench.cli import _write_atomic, main
 from qkdbench.config import load_config
 
@@ -18,6 +18,13 @@ from qkdbench.config import load_config
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def with_keys(config: Path, name: str, **keys) -> Path:
+    """A copy of ``config``, in its directory under ``name``, with ``keys`` added."""
+    path = config.parent / name
+    path.write_text(config.read_text() + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    return path
 
 
 class TestSweep:
@@ -35,7 +42,7 @@ class TestSweep:
         assert code == 0
         rows = read_csv_rows(out)
         assert len(rows) == 41
-        assert list(rows[0]) == decoy.SWEEP_CSV_HEADER
+        assert list(rows[0]) == [name for name, _, _ in decoy.SWEEP_COLUMNS]
         six = next(r for r in rows if float(r["attenuation_db"]) == 6.0)
         assert 2.5e6 <= float(six["lbskr_bps"]) <= 4.5e6
 
@@ -250,45 +257,48 @@ class TestAnalyzeTtags:
         )
         return tmp_path / "run.ttag", tmp_path / "run.alice.csv"
 
+    @pytest.fixture
+    def open_gate(self, bench_config_file):
+        return with_keys(bench_config_file, "open_gate.cfg", window_s=1e-8)  # the whole 10 ns period
+
     def test_pipeline_qber(self, bench_config_file, simulated, capsys):
         ttag, alice = simulated
+        config = with_keys(bench_config_file, "gate_1ns.cfg", window_s=1e-9)
         code = main(
-            ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
-             "--alice-log", str(alice), "--window-ns", "1", "--seed", "11"]
+            ["analyze-ttags", "--config", str(config), "--ttags", str(ttag),
+             "--alice-log", str(alice), "--seed", "11"]
         )
         assert code == 0
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("Q_signal"))
         qber_mu = float(line.split("qber_signal = ")[1])
         # analytic comparator with the 13/128 gated background
-        from qkdbench.config import load_config
         from dataclasses import replace
 
-        source, link, _ = load_config(bench_config_file)
+        source, link, _ = load_config(config)
         link = replace(link, background_suppression=13 / 128)
         obs = decoy.channel_observables(source, link, "full-budget")
         # generous band: the small fixture has ~6k sifted signal bits
         assert abs(qber_mu - obs.e_mu) <= 4 * math.sqrt(obs.e_mu / 6000)
 
-    @pytest.mark.parametrize("window_ns", ["10", "1e308"])
-    def test_wide_window_matches_ungated(self, bench_config_file, simulated, capsys, window_ns):
+    def test_wide_window_matches_ungated(self, open_gate, simulated, capsys):
         ttag, alice = simulated
         code = main(
-            ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
-             "--alice-log", str(alice), "--window-ns", window_ns, "--seed", "11"]
+            ["analyze-ttags", "--config", str(open_gate), "--ttags", str(ttag),
+             "--alice-log", str(alice), "--seed", "11"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "rejected = 0" in out
 
-    def test_open_gate_reproduces_simulated_gains(self, bench_config_file, simulated, capsys):
-        # a 10 ns window keeps every record, so each class's gain is
+    def test_open_gate_reproduces_simulated_gains(self, open_gate, simulated, capsys):
+        # the open gate keeps every record, so each class's gain is
         # simulate's detected / sent, with sent counted from the log
         ttag, alice = simulated
         summary = dict(l.split(" = ") for l in (ttag.parent / "run.summary.txt").read_text().splitlines())
         assert int(summary["detected_signal"]) > 0
-        argv = ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
-                "--alice-log", str(alice), "--window-ns", "10", "--seed", "11"]
+        argv = ["analyze-ttags", "--config", str(open_gate), "--ttags", str(ttag),
+                "--alice-log", str(alice), "--seed", "11"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "collisions = 0" in out
@@ -296,6 +306,20 @@ class TestAnalyzeTtags:
             line = next(l for l in out.splitlines() if l.startswith(f"Q_{label} = "))
             gain = int(summary[f"detected_{label}"]) / int(summary[f"sent_{label}"])
             assert float(line.split()[2]) == pytest.approx(gain, rel=1e-6)
+
+    def test_gate_is_the_sidecar_window(self, bench_config_file, tmp_path, capsys):
+        # simulate writes the sidecar's window_ticks from window_s, and analyze-ttags gates with the same key
+        config = with_keys(bench_config_file, "gate_04ns.cfg", window_s=0.4e-9)
+        prefix = str(tmp_path / "narrow")
+        argv = ["simulate", "--config", str(config), "--frames", "400000", "--seed", "9", "--out", prefix, "--emit-ttags"]
+        assert main(argv) == 0
+        sidecar = dict(l.split(" = ") for l in Path(prefix + ".sidecar.txt").read_text().splitlines())
+        capsys.readouterr()
+        argv = ["analyze-ttags", "--config", str(config), "--ttags", prefix + ".ttag",
+                "--alice-log", prefix + ".alice.csv", "--seed", "11"]
+        assert main(argv) == 0
+        assert sidecar["window_ticks"] == "5"
+        assert ", window_ticks = 5, " in capsys.readouterr().out
 
     def test_random_seed_printed(self, bench_config_file, simulated, capsys):
         ttag, alice = simulated
@@ -375,6 +399,18 @@ class TestSidechannel:
         adjusted = float(lines["leakage_adjusted_bps"])
         assert total > 1e-2
         assert 0 < adjusted < lbskr
+
+    def test_synth_pulse_shape_from_config(self, tmp_path, capsys):
+        config = tmp_path / "shape.cfg"
+        config.write_text("pulse_fwhm_s = 200e-12\ntime_bandwidth_product = 0.9\n")
+        assert main(["sidechannel", "--synth", "--config", str(config), "--shifts-ps", "0,30,-20,10"]) == 0
+        out = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())
+        shifts = tuple(s * 1e-12 for s in (0.0, 30.0, -20.0, 10.0))
+        temporal, spectral = sidechannel.synth_profiles(fwhm_s=200e-12, tbp=0.9, shifts_s=shifts)
+        assert out["leakage_temporal_bits_per_pulse"] == repr(sidechannel.leakage(temporal))
+        assert out["leakage_spectral_bits_per_pulse"] == repr(sidechannel.leakage(spectral))
+        default_shape = sidechannel.synth_profiles(shifts_s=shifts)[0]
+        assert out["leakage_temporal_bits_per_pulse"] != repr(sidechannel.leakage(default_shape))
 
     def test_ambiguous_inputs(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
@@ -468,7 +504,15 @@ class TestMalformedInput:
         for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308)):
             rows = "".join(f"{i}e-12,{state_h!r},1.0,2.0,1.0\n" for i in range(8))
             (tmp_path / f"{name}.csv").write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
+        # one config per bad gate width or pulse shape
+        twins = {
+            **{f"window_{v}": {"window_s": v} for v in ("nan", "inf", "1e308")},
+            **{f"fwhm_{v}": {"pulse_fwhm_s": v} for v in ("nan", "inf", "1e300", "1e-300")},
+            **{f"tbp_{v}": {"time_bandwidth_product": v} for v in ("inf", "1e300", "1e200")},
+            "tbp_below_limit": {"time_bandwidth_product": 0.43},
+        }
         return {
+            **{name: str(with_keys(bench_config_file, f"{name}.cfg", **keys)) for name, keys in twins.items()},
             "zero_profile": str(tmp_path / "zero_profile.csv"),
             "huge_profile": str(tmp_path / "huge_profile.csv"),
             "cfg": str(bench_config_file),
@@ -502,7 +546,7 @@ class TestMalformedInput:
             "sweep --config {cfg} --out {out} --atten-min -100 --atten-max 0",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {missing}",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {bad_basis}",
-            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice} --window-ns nan",
+            "analyze-ttags --config {window_nan} --ttags {ttag} --alice-log {alice}",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice}",
             "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks -1",
             "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks 128",
@@ -512,16 +556,19 @@ class TestMalformedInput:
             "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan",
             "sidechannel --synth --spatial-bits -1",
             "sidechannel --synth --spatial-bits nan",
-            "sidechannel --synth --fwhm-ps nan",
-            "sidechannel --synth --tbp inf",
-            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice} --window-ns inf",
+            "sidechannel --synth --config {fwhm_nan}",
+            "sidechannel --synth --config {tbp_inf}",
+            "analyze-ttags --config {window_inf} --ttags {ttag} --alice-log {alice}",
+            "analyze-ttags --config {window_1e308} --ttags {ttag} --alice-log {alice}",
             "sweep --config {cfg} --out {out} --atten-max 1e308 --atten-step 1e-308",
             "simulate --config {cfg} --frames 100 --out {out} --emit-ttags --phase-ticks 200",
             "sidechannel --synth --sweep-csv {missing}",
-            "sidechannel --synth --fwhm-ps 1e300",
-            "sidechannel --synth --fwhm-ps 1e-300",
-            "sidechannel --synth --tbp 1e300",
-            "sidechannel --synth --tbp 1e200",
+            "sidechannel --synth --config {fwhm_inf}",
+            "sidechannel --synth --config {fwhm_1e300}",
+            "sidechannel --synth --config {fwhm_1e-300}",
+            "sidechannel --synth --config {tbp_1e300}",
+            "sidechannel --synth --config {tbp_1e200}",
+            "sidechannel --synth --config {missing}",
             "sidechannel --synth --shifts-ps 1e300,0,0,0",
             "sidechannel --synth --pedestals 1e308,0,0,0",
             "sidechannel --profiles {zero_profile}",
@@ -546,17 +593,18 @@ class TestMalformedInput:
         out, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unrecognized arguments" not in err  # a case must fail on its value, not on a flag that is gone
         assert out == ""  # rejected before anything is printed
         assert not list(Path(inputs["out"]).parent.glob("out*"))  # nor any output written
 
     @pytest.mark.parametrize(
         "flag, argv",
         [
-            ("--fwhm-ps", "sidechannel --synth --fwhm-ps nan"),
-            ("--tbp", "sidechannel --synth --tbp inf"),
+            ("pulse_fwhm_s", "sidechannel --synth --config {fwhm_nan}"),
+            ("time_bandwidth_product", "sidechannel --synth --config {tbp_below_limit}"),
             ("--spatial-bits", "sidechannel --synth --spatial-bits nan"),
             ("--spatial-bits", "sidechannel --synth --spatial-bits -1"),
-            ("--window-ns", "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice} --window-ns inf"),
+            ("window_s", "analyze-ttags --config {window_inf} --ttags {missing} --alice-log {missing}"),  # config first
             ("--atten-step", "sweep --config {cfg} --out {out} --atten-step -inf"),
             ("--attenuation-db", "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan"),
         ],

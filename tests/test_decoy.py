@@ -11,7 +11,7 @@ from qkdbench import decoy
 from qkdbench.decoy import (
     ChannelObservables,
     GridSpec,
-    SWEEP_CSV_HEADER,
+    SWEEP_COLUMNS,
     decoy_estimates,
     estimate_background_yield,
     evaluate_link,
@@ -237,7 +237,7 @@ class TestSweep:
         buf = io.StringIO()
         write_sweep_csv(reports, buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0].split(",") == SWEEP_CSV_HEADER
+        assert lines[0].split(",") == [name for name, _, _ in SWEEP_COLUMNS]
         assert len(lines) == 3
 
     def test_rate_non_increasing_in_background(self, bench6db):

@@ -5,7 +5,9 @@ importing, so the unused-import check leaves it out; the public-name
 checks cover the modules that declare ``__all__``: each public name is
 listed, and each listed name has a caller outside its own definition
 and the unit tests.  So has each public method or property of a public
-class.
+class.  Each name ``__init__.py`` re-exports is imported from the top
+level by a caller, and each config field is read by some code besides
+validation and (de)serialization.
 """
 
 import ast
@@ -15,13 +17,20 @@ import pytest
 
 import qkdbench
 
-MODULES = sorted(Path(qkdbench.__file__).parent.glob("*.py"))
+PACKAGE = Path(qkdbench.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 ROOT = Path(qkdbench.__file__).parents[2]
 #: code outside the package that counts as a caller: the demos, the bench and the acceptance gate
 CALLERS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("bench/*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 #: public names kept without a caller, each with its reason
 UNCALLED = {
     "dump_config": "reserved for the run report, which records the fully resolved config",
+}
+#: config functions that handle every field through the schema, so they are no reader of a field
+FIELD_PLUMBING = {"validate", "build_configs", "dump_config"}
+#: config fields that no code reads as an attribute, each with its reason
+UNREAD_FIELDS = {
+    "extinction_ratio_db": "build_configs derives nu2 from the raw key",
 }
 
 
@@ -145,3 +154,37 @@ def test_uncalled_allowlist_is_needed():
     exported = {name for p in MODULES for name in declared_all(parse(p)) or []}
     callers = set().union(*(referenced_names(parse(p)) for p in MODULES + CALLERS))
     assert set(UNCALLED) <= exported - callers
+
+
+def test_top_level_names_are_imported_by_a_caller():
+    # each function's one public path is qkdbench.<module>.<name>; the top level holds what callers import from it
+    imported = {
+        alias.name
+        for path in CALLERS
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.module == "qkdbench" and node.level == 0
+        for alias in node.names
+    }
+    unused = sorted(set(imported_names(parse(PACKAGE / "__init__.py"))) - imported)
+    assert not unused, f"__init__.py: names {unused} are imported from qkdbench by no demo, bench file or acceptance test"
+
+
+def test_every_config_field_is_read():
+    # a field that only validation and (de)serialization touch is a setting that changes nothing
+    fields = [
+        node.target.id
+        for cls in parse(PACKAGE / "config.py").body
+        if isinstance(cls, ast.ClassDef) and cls.name in ("SourceConfig", "LinkConfig", "ProtocolConfig")
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+    ]
+    read = {
+        sub.attr
+        for path in MODULES
+        for node in parse(path).body
+        if not (isinstance(node, ast.FunctionDef) and node.name in FIELD_PLUMBING)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = {name for name in fields if name not in read}
+    assert unread == set(UNREAD_FIELDS), f"fields read by no code: {sorted(unread - set(UNREAD_FIELDS))}"
