@@ -236,8 +236,12 @@ def validate(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -> l
         v.append("degree_of_polarization: must lie in (0, 1]")
     if not source.pulse_fwhm_s > 0:
         v.append("pulse_fwhm_s: must be > 0")
+    elif source.pulse_rate_hz > 0 and not source.pulse_fwhm_s <= 1.0 / source.pulse_rate_hz * (1 + 1e-12):
+        v.append("pulse_fwhm_s: must be finite and not exceed the pulse period")
     if not source.time_bandwidth_product >= TRANSFORM_LIMIT_TBP:
         v.append(f"time_bandwidth_product: below the transform limit {TRANSFORM_LIMIT_TBP}")
+    elif source.time_bandwidth_product == float("inf"):
+        v.append("time_bandwidth_product: must be finite")
 
     if not link.attenuation_db >= 0:
         v.append("attenuation_db: must be >= 0")

@@ -1,13 +1,21 @@
 """Distinguishability side channels of the faint pulse source.
 
-Per-polarization temporal or spectral pulse profiles (measured, loaded
-from CSV, or synthesized) are normalized into conditional distributions
-and scored as mutual information between the observable and the sent
-state, in bits per pulse.  The resulting leakage budget is debited from
-the secure key rate as an extra privacy-amplification cost.
+A profile set is one float array of shape (states, bins): row b is the
+intensity of state ``STATE_COLUMNS[b]`` over a common uniform axis of
+time (s) or frequency (Hz), measured, loaded from CSV or synthesized.
+The axis itself is not kept, since the score does not depend on it.
+Each row is normalized into a conditional distribution and the set is
+scored as mutual information between the observable and the sent
+state, in bits per pulse.  Any (states, bins) array of non-negative
+counts scores the same way, a per-state histogram of detection times
+included.  The resulting leakage budget is debited from the secure key
+rate as an extra privacy-amplification cost.
 
-The spatial leakage term has no computable model here; it is carried as
-an external input constant (default 1e-5 bits/pulse).
+Synthetic spectral profiles span +-3 FWHM of their own bandwidth, so
+their array is the same for every time-bandwidth product: the product
+only gates validity, and spectral leakage depends only on the
+pedestals.  The spatial leakage term has no computable model here; it
+is carried as an external input constant (default 1e-5 bits/pulse).
 """
 
 from __future__ import annotations
@@ -29,28 +37,6 @@ DEFAULT_SPATIAL_LEAKAGE = 1e-5
 
 
 @dataclass(frozen=True)
-class PulseProfile:
-    """Intensity versus time (s) or frequency (Hz) for one sent state."""
-
-    axis: np.ndarray
-    intensity: np.ndarray
-    state: str
-
-    def __post_init__(self):
-        ax = np.asarray(self.axis, dtype=float)
-        y = np.asarray(self.intensity, dtype=float)
-        if ax.shape != y.shape or ax.ndim != 1:
-            raise ValueError("axis and intensity must be 1-d arrays of equal length")
-        steps = np.diff(ax)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
-            raise ValueError("profile bins must be uniform")
-        if np.any(y < 0) or not np.all(np.isfinite(y)):
-            raise ValueError(f"profile {self.state}: intensities must be finite and >= 0")
-        object.__setattr__(self, "axis", ax)
-        object.__setattr__(self, "intensity", y)
-
-
-@dataclass(frozen=True)
 class LeakageBudget:
     """Per-observable information leakage, bits per pulse."""
 
@@ -68,11 +54,13 @@ class LeakageBudget:
         return self.temporal + self.spectral + self.spatial
 
 
-def load_profiles(path: str | Path) -> list[PulseProfile]:
-    """Read four per-state profiles sharing one axis from CSV.
+def load_profiles(path: str | Path) -> np.ndarray:
+    """Read the (4, bins) profile set of a CSV whose rows share one axis.
 
-    Expected header: ``axis,stateH,stateV,stateD,stateA``.  Raw
-    intensities are preserved (no normalization).
+    Expected header: ``axis,stateH,stateV,stateD,stateA``.  The axis
+    must have uniform bins and every intensity must be finite and >= 0;
+    a violation names its row.  Raw intensities are preserved (no
+    normalization).
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -80,21 +68,20 @@ def load_profiles(path: str | Path) -> list[PulseProfile]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["axis", *STATE_COLUMNS]:
             raise ValueError(f"bad profile header {header!r}; expected axis,{','.join(STATE_COLUMNS)}")
-        axis, columns = [], [[], [], [], []]
+        table = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise ValueError(f"row {lineno}: expected 5 columns, got {len(row)}")
-            axis.append(float(row[0]))
-            for i in range(4):
-                val = float(row[i + 1])
-                if val < 0:
-                    raise ValueError(f"row {lineno}: negative intensity in {STATE_COLUMNS[i]}")
-                columns[i].append(val)
-    ax = np.asarray(axis)
-    return [
-        PulseProfile(axis=ax, intensity=np.asarray(col), state=label[-1])
-        for col, label in zip(columns, STATE_COLUMNS)
-    ]
+            values = [float(v) for v in row]
+            if not all(0.0 <= v < math.inf for v in values[1:]):
+                raise ValueError(f"row {lineno}: intensities must be finite and >= 0")
+            table.append(values)
+    table = np.array(table).reshape(-1, 5)
+    steps = np.diff(table[:, 0])
+    uneven = np.flatnonzero(~np.isclose(steps, steps[:1], rtol=1e-6, atol=0.0))
+    if len(uneven):
+        raise ValueError(f"row {uneven[0] + 3}: axis bins must be uniform")
+    return np.ascontiguousarray(table[:, 1:].T)
 
 
 def synth_profiles(
@@ -102,8 +89,8 @@ def synth_profiles(
     tbp: float = SourceConfig.time_bandwidth_product,
     ase_pedestal: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
     shifts_s: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
-) -> tuple[list[PulseProfile], list[PulseProfile]]:
-    """Synthesize Gaussian temporal and spectral profiles per state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesize Gaussian (4, 256) temporal and spectral profile sets.
 
     The temporal shape is a Gaussian of the given FWHM, optionally
     shifted per state; the spectral shape is a Gaussian of FWHM
@@ -117,55 +104,44 @@ def synth_profiles(
         raise ValueError(f"time-bandwidth product {tbp} below the transform limit {TRANSFORM_LIMIT_TBP}")
     if len(ase_pedestal) != 4 or len(shifts_s) != 4:
         raise ValueError("ase_pedestal and shifts_s need one entry per state")
-    if any(p < 0 for p in ase_pedestal):
+    if any(not p >= 0 for p in ase_pedestal):
         raise ValueError("pedestal fractions must be >= 0")
+    if not all(math.isfinite(x) for x in (*ase_pedestal, *shifts_s)):
+        raise ValueError("pedestals and shifts must be finite")
 
-    states = [label[-1] for label in STATE_COLUMNS]
-    temporal, spectral = [], []
+    pedestals = np.array(ase_pedestal, dtype=float)[:, None]
     try:  # extreme widths or shifts overflow; report them instead of warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             t_axis = np.linspace(-3.0 * fwhm_s, 3.0 * fwhm_s, 256)
             fwhm_f = tbp / fwhm_s
             f_axis = np.linspace(-3.0 * fwhm_f, 3.0 * fwhm_f, 256)
-            for state, pedestal, shift in zip(states, ase_pedestal, shifts_s):
-                gt = _gaussian(t_axis, shift, fwhm_s) + pedestal
-                gf = _gaussian(f_axis, 0.0, fwhm_f) + pedestal
-                temporal.append(PulseProfile(t_axis, gt, state))
-                spectral.append(PulseProfile(f_axis, gf, state))
+            temporal = _gaussian(t_axis, np.array(shifts_s, dtype=float)[:, None], fwhm_s) + pedestals
+            spectral = _gaussian(f_axis, 0.0, fwhm_f) + pedestals
     except ArithmeticError as exc:  # numpy FloatingPointError, Python OverflowError
         raise ValueError(f"profile width, bandwidth or shift out of floating-point range ({exc})") from None
     return temporal, spectral
 
 
-def _gaussian(x: np.ndarray, center: float, fwhm: float) -> np.ndarray:
+def _gaussian(x: np.ndarray, center: float | np.ndarray, fwhm: float) -> np.ndarray:
     return np.exp(-4.0 * math.log(2.0) * (x - center) ** 2 / fwhm**2)
 
 
-def remove_pedestal(profile: PulseProfile) -> PulseProfile:
-    """Subtract the profile's minimum as a constant floor."""
-    level = float(profile.intensity.min())
-    return PulseProfile(profile.axis, np.maximum(profile.intensity - level, 0.0), profile.state)
+def remove_pedestal(profiles: np.ndarray) -> np.ndarray:
+    """Subtract each row's minimum as a constant floor."""
+    return np.maximum(profiles - np.min(profiles, axis=-1, keepdims=True), 0.0)
 
 
-def _common_axis(profiles: Sequence[PulseProfile]) -> np.ndarray:
-    ax = profiles[0].axis
-    for p in profiles[1:]:
-        if p.axis.shape != ax.shape or not np.allclose(p.axis, ax, rtol=1e-9, atol=0.0):
-            raise ValueError("profiles must share a common axis")
-    return ax
-
-
-def leakage(profiles: Sequence[PulseProfile]) -> float:
+def leakage(profiles: np.ndarray) -> float:
     """Mutual information between the sent state and this observable.
 
-    Profiles are normalized to conditional distributions first, so the
-    result is invariant under per-profile intensity scaling.  Identical
-    profiles leak exactly zero.
+    ``profiles`` is a (states, bins) array, or a sequence of equal-length
+    rows.  Rows are normalized to conditional distributions first, so
+    the result is invariant under per-row intensity scaling.
+    Proportional rows leak exactly zero.
     """
     if len(profiles) < 2:
         raise ValueError("need at least two per-state profiles")
-    _common_axis(profiles)
-    return mi_from_profiles(np.stack([p.intensity for p in profiles]))
+    return mi_from_profiles(profiles)
 
 
 def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float:
@@ -183,7 +159,6 @@ def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float
 __all__ = [
     "STATE_COLUMNS",
     "DEFAULT_SPATIAL_LEAKAGE",
-    "PulseProfile",
     "LeakageBudget",
     "load_profiles",
     "synth_profiles",

@@ -602,6 +602,9 @@ class TestMalformedInput:
         [
             ("pulse_fwhm_s", "sidechannel --synth --config {fwhm_nan}"),
             ("time_bandwidth_product", "sidechannel --synth --config {tbp_below_limit}"),
+            ("pulse_fwhm_s", "simulate --config {fwhm_inf} --frames 100 --seed 1 --out {out}"),
+            ("pulse_fwhm_s", "simulate --config {fwhm_1e300} --frames 100 --seed 1 --out {out}"),
+            ("time_bandwidth_product", "simulate --config {tbp_inf} --frames 100 --seed 1 --out {out}"),
             ("--spatial-bits", "sidechannel --synth --spatial-bits nan"),
             ("--spatial-bits", "sidechannel --synth --spatial-bits -1"),
             ("window_s", "analyze-ttags --config {window_inf} --ttags {missing} --alice-log {missing}"),  # config first

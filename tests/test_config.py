@@ -117,6 +117,19 @@ def test_validate_window_vs_period():
     assert any("window" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"pulse_fwhm_s": float("inf")}, "pulse_fwhm_s"),
+        ({"pulse_fwhm_s": 20e-9}, "pulse_fwhm_s"),  # period is 10 ns
+        ({"time_bandwidth_product": float("inf")}, "time_bandwidth_product"),
+    ],
+)
+def test_validate_pulse_shape(kwargs, key):
+    violations = validate(SourceConfig(**kwargs), LinkConfig(), ProtocolConfig())
+    assert len(violations) == 1 and violations[0].startswith(f"{key}: ")
+
+
 def test_validate_total_on_weird_numbers():
     # never raises, just reports
     weird = SourceConfig(mu=float("nan"), nu1=float("inf"), extinction_ratio_db=-3.0)

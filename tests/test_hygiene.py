@@ -7,10 +7,12 @@ listed, and each listed name has a caller outside its own definition
 and the unit tests.  So has each public method or property of a public
 class.  Each name ``__init__.py`` re-exports is imported from the top
 level by a caller, and each config field is read by some code besides
-validation and (de)serialization.
+validation and (de)serialization.  Last, the benchmark's span table
+is imported, and every function it names must resolve.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -188,3 +190,12 @@ def test_every_config_field_is_read():
     }
     unread = {name for name in fields if name not in read}
     assert unread == set(UNREAD_FIELDS), f"fields read by no code: {sorted(unread - set(UNREAD_FIELDS))}"
+
+
+def test_every_bench_span_target_resolves():
+    # the benchmark wraps these functions by name; a missing one drops its metrics and fails the run
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = sorted(name for name in spans.TARGETS if not spans.available(name))
+    assert not missing, f"bench/spans.py TARGETS name functions the package no longer has: {missing}"

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkdbench.decoy import ChannelObservables, DecoyEstimates, KeyRateReport
 from qkdbench.sidechannel import (
     LeakageBudget,
-    PulseProfile,
     leakage,
     leakage_adjusted_rate,
     load_profiles,
@@ -12,27 +15,48 @@ from qkdbench.sidechannel import (
     synth_profiles,
 )
 
+HEADER = "axis,stateH,stateV,stateD,stateA"
 
-def flat_profiles_csv(tmp_path, value=2.0, rows=16):
-    path = tmp_path / "profiles.csv"
-    lines = ["axis,stateH,stateV,stateD,stateA"]
-    for i in range(rows):
-        lines.append(f"{i * 1e-12},{value},{value},{value},{value}")
-    path.write_text("\n".join(lines) + "\n")
+
+def write_profiles(tmp_path, axis, profiles, name="profiles.csv"):
+    path = tmp_path / name
+    rows = [HEADER] + [",".join(repr(float(v)) for v in (x, *col)) for x, col in zip(axis, np.transpose(profiles))]
+    path.write_text("\n".join(rows) + "\n")
     return path
+
+
+@st.composite
+def profile_sets(draw):
+    """A (states, bins) array of per-state counts, every row non-zero."""
+    shape = (draw(st.integers(2, 6)), draw(st.integers(1, 12)))
+    rows = draw(arrays(float, shape, elements=st.integers(0, 1000).map(float)))
+    assume(np.all(rows.sum(axis=1) > 0))
+    return rows
 
 
 class TestLoadProfiles:
     def test_constant_file(self, tmp_path):
-        profiles = load_profiles(flat_profiles_csv(tmp_path))
-        assert [p.state for p in profiles] == ["H", "V", "D", "A"]
-        assert all(np.all(p.intensity == 2.0) for p in profiles)
+        profiles = load_profiles(write_profiles(tmp_path, np.arange(16) * 1e-12, np.full((4, 16), 2.0)))
+        assert profiles.shape == (4, 16) and np.all(profiles == 2.0)
         assert leakage(profiles) <= 1e-12
 
     def test_negative_entry_names_row(self, tmp_path):
         path = tmp_path / "neg.csv"
-        path.write_text("axis,stateH,stateV,stateD,stateA\n0,1,1,1,1\n1e-12,1,-0.5,1,1\n")
+        path.write_text(f"{HEADER}\n0,1,1,1,1\n1e-12,1,-0.5,1,1\n")
         with pytest.raises(ValueError, match="row 3"):
+            load_profiles(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_entry_names_row(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"{HEADER}\n0,1,1,1,1\n1e-12,1,1,1,1\n2e-12,1,1,{bad},1\n")
+        with pytest.raises(ValueError, match="row 4: intensities must be finite"):
+            load_profiles(path)
+
+    def test_nonuniform_axis_names_row(self, tmp_path):
+        path = tmp_path / "uneven.csv"
+        path.write_text(f"{HEADER}\n0,1,1,1,1\n1e-12,1,1,1,1\n2e-12,1,1,1,1\n4e-12,1,1,1,1\n")
+        with pytest.raises(ValueError, match="row 5: axis bins must be uniform"):
             load_profiles(path)
 
     def test_missing_state_column(self, tmp_path):
@@ -43,25 +67,23 @@ class TestLoadProfiles:
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        path.write_text("axis,stateH,stateV,stateD,stateA\n0,1,1,1,1\n1e-12,1,1\n")
+        path.write_text(f"{HEADER}\n0,1,1,1,1\n1e-12,1,1\n")
         with pytest.raises(ValueError, match="row 3"):
             load_profiles(path)
 
     def test_round_trip_of_repr_written_file(self, tmp_path):
         temporal, _ = synth_profiles(ase_pedestal=(0.02, 0.0, 0.01, 0.05))
-        path = tmp_path / "rt.csv"
-        rows = ["axis,stateH,stateV,stateD,stateA"]
-        for i, x in enumerate(temporal[0].axis):
-            rows.append(",".join(repr(float(v)) for v in [x] + [p.intensity[i] for p in temporal]))
-        path.write_text("\n".join(rows) + "\n")
-        back = load_profiles(path)
-        for orig, loaded in zip(temporal, back):
-            assert np.allclose(orig.axis, loaded.axis, rtol=0, atol=0)
-            assert np.allclose(orig.intensity, loaded.intensity, rtol=0, atol=0)
-            assert orig.state == loaded.state
+        axis = np.linspace(-1.2e-9, 1.2e-9, temporal.shape[1])
+        back = load_profiles(write_profiles(tmp_path, axis, temporal))
+        assert back.flags.c_contiguous
+        assert np.array_equal(back, temporal)
 
 
 class TestSynthProfiles:
+    def test_one_row_per_state(self):
+        temporal, spectral = synth_profiles()
+        assert temporal.shape == spectral.shape == (4, 256)
+
     def test_identical_profiles_leak_nothing(self):
         temporal, spectral = synth_profiles()
         assert leakage(temporal) <= 1e-12
@@ -71,20 +93,27 @@ class TestSynthProfiles:
         temporal, _ = synth_profiles(ase_pedestal=(0.05, 0.0, 0.0, 0.05))
         raw = leakage(temporal)
         assert raw > 0
-        cleaned = [remove_pedestal(p) for p in temporal]
+        cleaned = remove_pedestal(temporal)
+        assert np.array_equal(cleaned, [remove_pedestal(row) for row in temporal])
         assert leakage(cleaned) < raw * 1e-3
 
-    def test_spectral_fwhm_at_transform_limit(self):
+    def test_spectral_axis_spans_six_fwhm(self):
+        # the axis is +-3 FWHM of the spectral width, so the half-maximum
+        # crossings are 255/6 bins apart for any time-bandwidth product
         _, spectral = synth_profiles(fwhm_s=400e-12, tbp=0.44)
-        prof = spectral[0]
-        # interpolated half-maximum crossings
-        half = 0.5 * prof.intensity.max()
-        i = np.nonzero(prof.intensity >= half)[0]
-        left = np.interp(half, prof.intensity[i[0] - 1 : i[0] + 1], prof.axis[i[0] - 1 : i[0] + 1])
-        right = np.interp(
-            half, prof.intensity[i[-1] + 1 : i[-1] - 1 : -1], prof.axis[i[-1] + 1 : i[-1] - 1 : -1]
-        )
-        assert right - left == pytest.approx(0.44 / 400e-12, rel=1e-3)  # 1.1 GHz
+        row = spectral[0]
+        bins = np.arange(row.size, dtype=float)
+        half = 0.5 * row.max()
+        i = np.nonzero(row >= half)[0]
+        left = np.interp(half, row[i[0] - 1 : i[0] + 1], bins[i[0] - 1 : i[0] + 1])
+        right = np.interp(half, row[i[-1] + 1 : i[-1] - 1 : -1], bins[i[-1] + 1 : i[-1] - 1 : -1])
+        assert right - left == pytest.approx(255 / 6, rel=1e-3)
+
+    def test_bandwidth_does_not_change_spectral_profiles(self):
+        pedestals = (0.05, 0.0, 0.0, 0.05)
+        _, narrow = synth_profiles(tbp=0.44, ase_pedestal=pedestals)
+        _, wide = synth_profiles(tbp=5.0, ase_pedestal=pedestals)
+        assert np.allclose(narrow, wide, rtol=1e-12, atol=0.0)
 
     def test_below_transform_limit_rejected(self):
         with pytest.raises(ValueError, match="transform limit"):
@@ -94,6 +123,13 @@ class TestSynthProfiles:
         with pytest.raises(ValueError, match="per state"):
             synth_profiles(ase_pedestal=(0.1, 0.0))
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"ase_pedestal": (math.inf, 0, 0, 0)}, {"shifts_s": (0, math.nan, 0, 0)}, {"shifts_s": (0, 0, 0, -math.inf)}]
+    )
+    def test_nonfinite_pedestal_or_shift_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            synth_profiles(**kwargs)
+
     def test_shifts_produce_leakage(self):
         temporal, _ = synth_profiles(shifts_s=(0.0, 0.0, 0.0, 40e-12))
         assert leakage(temporal) > 1e-3
@@ -101,60 +137,51 @@ class TestSynthProfiles:
 
 class TestLeakage:
     def test_disjoint_profiles_two_bits(self):
-        axis = np.arange(8, dtype=float)
-        profiles = []
-        for i, state in enumerate("HVDA"):
-            y = np.zeros(8)
-            y[2 * i : 2 * i + 2] = 1.0
-            profiles.append(PulseProfile(axis, y, state))
-        assert leakage(profiles) == pytest.approx(2.0, abs=1e-12)
+        assert leakage(np.kron(np.eye(4), np.ones(2))) == pytest.approx(2.0, abs=1e-12)
 
-    def test_scale_invariance(self):
-        temporal, _ = synth_profiles(ase_pedestal=(0.03, 0.0, 0.01, 0.02))
-        base = leakage(temporal)
-        scaled = [
-            PulseProfile(p.axis, p.intensity * s, p.state)
-            for p, s in zip(temporal, (7.0, 0.2, 3.5, 11.0))
-        ]
-        assert leakage(scaled) == pytest.approx(base, rel=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(rows=profile_sets(), data=st.data())
+    def test_unchanged_under_row_scaling(self, rows, data):
+        scales = data.draw(arrays(float, (len(rows), 1), elements=st.floats(1e-3, 1e3)))
+        assert leakage(rows * scales) == pytest.approx(leakage(rows), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=profile_sets(), data=st.data())
+    def test_unchanged_under_one_bin_permutation(self, rows, data):
+        order = data.draw(st.permutations(range(rows.shape[1])))
+        assert leakage(rows[:, order]) == pytest.approx(leakage(rows), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=profile_sets(), data=st.data())
+    def test_proportional_rows_leak_nothing(self, rows, data):
+        scales = data.draw(arrays(float, (len(rows), 1), elements=st.floats(1e-3, 1e3)))
+        assert leakage(rows[:1] * scales) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=profile_sets())
+    def test_within_zero_and_log2_states(self, rows):
+        assert 0.0 <= leakage(rows) <= math.log2(len(rows)) + 1e-12
 
     def test_smoothing_never_increases_leakage(self):
         rng = np.random.default_rng(60)
         kernel = np.array([0.25, 0.5, 0.25])
-        axis = np.arange(64, dtype=float)
         for _ in range(20):
-            profiles = []
-            for state in "HVDA":
-                y = np.zeros(64)
-                y[16:48] = rng.random(32)  # keep mass away from the edges
-                profiles.append(PulseProfile(axis, y, state))
-            before = leakage(profiles)
-            smoothed = [
-                PulseProfile(axis, np.convolve(p.intensity, kernel, mode="same"), p.state)
-                for p in profiles
-            ]
-            assert leakage(smoothed) <= before + 1e-9
+            profiles = np.zeros((4, 64))
+            profiles[:, 16:48] = rng.random((4, 32))  # keep mass away from the edges
+            smoothed = np.array([np.convolve(row, kernel, mode="same") for row in profiles])
+            assert leakage(smoothed) <= leakage(profiles) + 1e-9
 
     def test_all_zero_profile_rejected(self):
-        axis = np.arange(4, dtype=float)
-        profiles = [PulseProfile(axis, np.ones(4), "H"), PulseProfile(axis, np.zeros(4), "V")]
         with pytest.raises(ValueError, match="all-zero"):
-            leakage(profiles)
+            leakage(np.array([np.ones(4), np.zeros(4)]))
 
-    def test_mismatched_axes_rejected(self):
-        a = PulseProfile(np.arange(4, dtype=float), np.ones(4), "H")
-        b = PulseProfile(np.arange(5, dtype=float), np.ones(5), "V")
-        with pytest.raises(ValueError, match="common axis"):
-            leakage([a, b])
+    def test_rows_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            leakage([np.ones(4), np.ones(5)])
 
     def test_single_profile_rejected(self):
-        a = PulseProfile(np.arange(4, dtype=float), np.ones(4), "H")
         with pytest.raises(ValueError, match="at least two"):
-            leakage([a])
-
-    def test_nonuniform_bins_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            PulseProfile(np.array([0.0, 1.0, 3.0]), np.ones(3), "H")
+            leakage(np.ones((1, 4)))
 
 
 def make_report(secure=2899472.30823703, raw=0.5 * 1e8 * 0.11858542853882074):
