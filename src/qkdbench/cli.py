@@ -123,21 +123,19 @@ def _attenuations(args) -> list[float]:
 
 def cmd_sweep(args) -> int:
     source, link, proto = load_config(args.config)
-    attens = _attenuations(args)
-    reports = decoy.sweep(link, attens, source, proto, gain_convention=args.gain_convention)
+    reports = decoy.sweep(link, _attenuations(args), source, proto, gain_convention=args.gain_convention)
     if args.format == "csv":
         buf = io.StringIO()
         decoy.write_sweep_csv(reports, buf)
         payload = buf.getvalue()
     else:  # structured text: one key=value block per attenuation
-        payload = "\n".join(_kv_text({name: get(r) for name, get, _ in decoy.SWEEP_COLUMNS}) for r in reports)
+        columns = {name: get(reports.batch).tolist() for name, get, _ in decoy.SWEEP_COLUMNS}
+        payload = "\n".join(_kv_text(dict(zip(columns, row))) for row in zip(*columns.values()))
     _write_atomic(Path(args.out), payload)
 
-    cutoff = next((r.attenuation_db for r in reports if r.qber_cutoff_hit), None)
-    if cutoff is None:
-        print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) not reached")
-    else:
-        print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) at {cutoff:g} dB")
+    hit = reports.batch.qber_cutoff_hit
+    cutoff = f"at {reports.batch.attenuation_db[hit.argmax()]:g} dB" if hit.any() else "not reached"
+    print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) {cutoff}")
     return EXIT_OK
 
 

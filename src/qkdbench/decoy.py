@@ -19,16 +19,17 @@ The chain accepts scalars or broadcastable numpy arrays: ``gain``,
 ``evaluate_link`` (with an array ``LinkConfig.attenuation_db`` or array
 ``SourceConfig.mu``/``nu1``) compute element-wise in one numpy pass.
 Scalar inputs give plain Python floats and bools.  ``sweep`` and
-``optimize_intensities`` evaluate their whole grid in one such call.
+``optimize_intensities`` evaluate their whole grid in one such call; a
+sweep is that report, read by column, its rows built only when indexed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, is_dataclass, replace
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -289,56 +290,58 @@ def sweep(
     source: SourceConfig,
     proto: ProtocolConfig,
     gain_convention: str = "full-budget",
-) -> list[KeyRateReport]:
+) -> Sequence[KeyRateReport]:
     """Evaluate the analytic chain at each attenuation (ascending order).
 
-    One array call of :func:`evaluate_link` covers every point; it is
-    split into one report of plain Python floats per attenuation.
+    The sweep is one array-valued :func:`evaluate_link` report, its
+    ``batch``, read as a sequence of per-attenuation reports of Python
+    scalars, each built when indexed.
     """
     attens = np.asarray(attenuations_db, dtype=float)
-    if np.any(np.diff(attens) < 0):
+    if np.any(attens[1:] < attens[:-1]):
         raise ValueError("attenuations must be sorted ascending")
-    batch = evaluate_link(source, replace(link, attenuation_db=attens), proto, gain_convention)
-    return _unstack(batch, len(attens))
+    return _Rows(evaluate_link(source, replace(link, attenuation_db=attens), proto, gain_convention))
 
 
-def _unstack(obj, n: int) -> list:
-    """Split a dataclass of scalar or length-n fields into n of Python scalars."""
-    columns = {
-        name: _unstack(value, n) if is_dataclass(value) else np.broadcast_to(value, n).tolist()
-        for name, value in vars(obj).items()
-    }
-    # the batch passed its checks as a whole, so the parts skip __init__
-    parts = [object.__new__(type(obj)) for _ in range(n)]
-    for part, row in zip(parts, zip(*columns.values())):
-        vars(part).update(zip(columns, row))
-    return parts
+@dataclass(frozen=True, eq=False)
+class _Rows(Sequence):
+    """Read-only rows of a report whose fields are length-n arrays."""
+
+    batch: KeyRateReport
+
+    def __len__(self) -> int:
+        return len(self.batch.attenuation_db)
+
+    def __getitem__(self, i: int) -> KeyRateReport:
+        return _row(self.batch, i)
+
+
+def _row(obj, i: int):
+    """Element i of a dataclass of length-n fields, of Python scalars; IndexError out of range."""
+    return type(obj)(**{k: _row(v, i) if is_dataclass(v) else v.item(i) for k, v in vars(obj).items()})
 
 
 #: sweep output columns: name, value of a report, CSV number format
-SWEEP_COLUMNS = tuple(
-    (name, attrgetter(path), fmt)
-    for name, path, fmt in (
-        ("attenuation_db", "attenuation_db", ""),
-        ("Q_mu", "observables.q_mu", ".8e"),
-        ("Q_nu1", "observables.q_nu1", ".8e"),
-        ("Q_nu2", "observables.q_nu2", ".8e"),
-        ("E_mu", "observables.e_mu", ".8e"),
-        ("Y1_lower", "estimates.y1_lower", ".8e"),
-        ("Q1_lower", "estimates.q1_lower", ".8e"),
-        ("e1_upper", "estimates.e1_upper", ".8e"),
-        ("rkr_bps", "raw_key_rate_bps", ".6e"),
-        ("lbskr_bps", "secure_key_rate_bps", ".6e"),
-    )
+SWEEP_COLUMNS = (
+    ("attenuation_db", attrgetter("attenuation_db"), ""),
+    ("Q_mu", attrgetter("observables.q_mu"), ".8e"),
+    ("Q_nu1", attrgetter("observables.q_nu1"), ".8e"),
+    ("Q_nu2", attrgetter("observables.q_nu2"), ".8e"),
+    ("E_mu", attrgetter("observables.e_mu"), ".8e"),
+    ("Y1_lower", attrgetter("estimates.y1_lower"), ".8e"),
+    ("Q1_lower", attrgetter("estimates.q1_lower"), ".8e"),
+    ("e1_upper", attrgetter("estimates.e1_upper"), ".8e"),
+    ("rkr_bps", attrgetter("raw_key_rate_bps"), ".6e"),
+    ("lbskr_bps", attrgetter("secure_key_rate_bps"), ".6e"),
 )
 
 
-def write_sweep_csv(reports: Iterable[KeyRateReport], fileobj) -> None:
-    """Write sweep results with the fixed column order of SWEEP_COLUMNS."""
+def write_sweep_csv(reports: Sequence[KeyRateReport], fileobj) -> None:
+    """Write a :func:`sweep` result with the fixed column order of SWEEP_COLUMNS."""
     writer = csv.writer(fileobj)
     writer.writerow([name for name, _, _ in SWEEP_COLUMNS])
-    for r in reports:
-        writer.writerow([format(get(r), fmt) if fmt else get(r) for _, get, fmt in SWEEP_COLUMNS])
+    columns = ([format(v, fmt) for v in get(reports.batch).tolist()] for _, get, fmt in SWEEP_COLUMNS)
+    writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,11 @@ class LeakageBudget:
 def load_profiles(path: str | Path) -> np.ndarray:
     """Read the (4, bins) profile set of a CSV whose rows share one axis.
 
-    Expected header: ``axis,stateH,stateV,stateD,stateA``.  The axis
-    must have uniform bins and every intensity must be finite and >= 0;
-    a violation names its row.  Raw intensities are preserved (no
-    normalization).
+    Expected header: ``axis,stateH,stateV,stateD,stateA``.  Every cell
+    must be a number, the axis finite with uniform bins and every
+    intensity finite and >= 0; a violation names its row.  Raw
+    intensities are preserved (no normalization).
     """
-    path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -72,7 +71,12 @@ def load_profiles(path: str | Path) -> np.ndarray:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise ValueError(f"row {lineno}: expected 5 columns, got {len(row)}")
-            values = [float(v) for v in row]
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"row {lineno}: every cell must be a number, got {row}") from None
+            if not math.isfinite(values[0]):
+                raise ValueError(f"row {lineno}: axis value must be finite")
             if not all(0.0 <= v < math.inf for v in values[1:]):
                 raise ValueError(f"row {lineno}: intensities must be finite and >= 0")
             table.append(values)

@@ -27,7 +27,30 @@ def with_keys(config: Path, name: str, **keys) -> Path:
     return path
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "convention, fmt, cutoff_db, digest",
+        [
+            ("attenuation-only", "csv", 23.7, "a0c0bf3fb78de078bace83ab304749b4096516eef5cdcdc266a06c2be9bd5c62"),
+            ("attenuation-only", "text", 23.7, "ff2a26b4dcefe0acdd249fd5ad564882a7aee91de54fa2fb7a709bf0dc81300b"),
+            ("full-budget", "csv", 18.7, "13042cbad9a007b0eecf93aae54234593abf159d920e5908f75a79cedea03ff5"),
+            ("full-budget", "text", 18.7, "0133e6012c19cd1e651ef0287b5c23b0ca219dcdc9ef9382164b70f4c592c843"),
+        ],
+    )
+    def test_benchmark_sweep_is_pinned(self, convention, fmt, cutoff_db, digest, tmp_path, capsys):
+        out = tmp_path / f"sweep.{fmt}"
+        code = main(
+            ["sweep", "--config", str(ROOT / "configs" / "benchmark6db.cfg"), "--out", str(out),
+             "--atten-min", "0", "--atten-max", "40", "--atten-step", "0.1",
+             "--gain-convention", convention, "--format", fmt]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out == f"wrote 401 rows to {out}; QBER cutoff (>0.11) at {cutoff_db:g} dB\n"
+
     def test_full_range_and_anchor(self, bench_config_file, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -504,6 +527,9 @@ class TestMalformedInput:
         for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308)):
             rows = "".join(f"{i}e-12,{state_h!r},1.0,2.0,1.0\n" for i in range(8))
             (tmp_path / f"{name}.csv").write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
+        # a word in row 3's stateV cell; a nan axis in row 2, the first data row
+        for name, bad in (("word_profile", "0,1,1,1,1\n1e-12,1,abc,1,1\n"), ("nan_axis_profile", "nan,1,1,1,1\n")):
+            (tmp_path / f"{name}.csv").write_text("axis,stateH,stateV,stateD,stateA\n" + bad + "2e-12,1,1,1,1\n")
         # one config per bad gate width or pulse shape
         twins = {
             **{f"window_{v}": {"window_s": v} for v in ("nan", "inf", "1e308")},
@@ -513,8 +539,10 @@ class TestMalformedInput:
         }
         return {
             **{name: str(with_keys(bench_config_file, f"{name}.cfg", **keys)) for name, keys in twins.items()},
-            "zero_profile": str(tmp_path / "zero_profile.csv"),
-            "huge_profile": str(tmp_path / "huge_profile.csv"),
+            **{
+                name: str(tmp_path / f"{name}.csv")
+                for name in ("zero_profile", "huge_profile", "word_profile", "nan_axis_profile")
+            },
             "cfg": str(bench_config_file),
             "tiny_nu1": str(tiny_nu1),
             "out": str(tmp_path / "out"),
@@ -584,6 +612,8 @@ class TestMalformedInput:
             "sidechannel --synth --sweep-csv {negative_sweep}",
             "sidechannel --synth --sweep-csv {nonfinite_sweep}",
             "analyze-ttags --config {cfg} --ttags {markers_ttag} --alice-log {alice}",
+            "sidechannel --profiles {word_profile}",
+            "sidechannel --profiles {nan_axis_profile}",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -615,6 +645,17 @@ class TestMalformedInput:
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):
         assert main(argv.format(**inputs).split()) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("word_profile", "row 3: every cell must be a number"),
+            ("nan_axis_profile", "row 2: axis value must be finite"),
+        ],
+    )
+    def test_profiles_error_names_its_row(self, inputs, profile, message, capsys):
+        assert main(["sidechannel", "--profiles", inputs[profile]]) == 2
+        assert message in capsys.readouterr().err
 
     def test_fractional_period_rejected_not_rounded(self, inputs, capsys):
         # the same stream and log analyze at a 128-tick period; rounding

@@ -1,5 +1,6 @@
+import gc
 import io
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -214,7 +215,45 @@ class TestSweep:
 
     def test_empty(self, bench6db):
         source, link, proto = bench6db
-        assert sweep(link, [], source, proto) == []
+        reports = sweep(link, [], source, proto)
+        assert len(reports) == 0 and list(reports) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attens=st.lists(st.one_of(st.sampled_from([0.0, 6.0, 35.0]), st.floats(0.0, 60.0)), max_size=8).map(sorted),
+        convention=st.sampled_from(decoy.GAIN_CONVENTIONS),
+    )
+    def test_rows_are_the_batch_elements(self, attens, convention):
+        source, link, proto = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002), LinkConfig(), ProtocolConfig()
+        reports = sweep(link, attens, source, proto, gain_convention=convention)
+        n = len(attens)
+        assert len(reports) == n and len(list(reports)) == n
+        batch = evaluate_link(source, replace(link, attenuation_db=np.array(attens)), proto, convention)
+        for i in range(n):
+            row = reports[i]
+            assert reports[i - n] == row
+            for (path, got), (_, column) in zip(leaves(row), leaves(batch)):
+                want = np.asarray(column)[i].tolist()
+                assert type(got) is type(want) and got == want, path
+            one = evaluate_link(source, replace(link, attenuation_db=attens[i]), proto, convention)
+            for name in CHAIN_VALUES:
+                np.testing.assert_allclose(attrgetter(name)(row), attrgetter(name)(one), rtol=1e-12, atol=0, err_msg=name)
+            assert row.estimates.clamped == one.estimates.clamped
+            assert row.qber_cutoff_hit == one.qber_cutoff_hit and row.attenuation_db == attens[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                reports[i]
+
+    def test_rows_are_built_on_access(self, bench6db):
+        # a sweep holds one array-valued report, not one object per point
+        source, link, proto = bench6db
+        attens = [i / 10 for i in range(401)]
+        sweep(link, attens, source, proto)
+        gc.collect()
+        before = len(gc.get_objects())
+        reports = sweep(link, attens, source, proto)
+        assert len(gc.get_objects()) - before < 40
+        assert len(reports) == 401
 
     def test_unsorted_rejected(self, bench6db):
         source, link, proto = bench6db
@@ -348,6 +387,15 @@ CHAIN_VALUES = (
     "raw_key_rate_bps",
     "secure_key_rate_bps",
 )
+
+
+def leaves(report):
+    """(field path, value) of each non-dataclass field of a report, in field order."""
+    for name, value in vars(report).items():
+        if is_dataclass(value):
+            yield from ((f"{name}.{path}", leaf) for path, leaf in leaves(value))
+        else:
+            yield name, value
 
 
 class TestArrayChain:
