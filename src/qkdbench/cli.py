@@ -124,18 +124,17 @@ def _attenuations(args) -> list[float]:
 def cmd_sweep(args) -> int:
     source, link, proto = load_config(args.config)
     reports = decoy.sweep(link, _attenuations(args), source, proto, gain_convention=args.gain_convention)
+    columns = reports.columns()
     if args.format == "csv":
         buf = io.StringIO()
         decoy.write_sweep_csv(reports, buf)
         payload = buf.getvalue()
     else:  # structured text: one key=value block per attenuation
-        columns = {name: get(reports.batch).tolist() for name, get, _ in decoy.SWEEP_COLUMNS}
         payload = "\n".join(_kv_text(dict(zip(columns, row))) for row in zip(*columns.values()))
     _write_atomic(Path(args.out), payload)
 
-    hit = reports.batch.qber_cutoff_hit
-    cutoff = f"at {reports.batch.attenuation_db[hit.argmax()]:g} dB" if hit.any() else "not reached"
-    print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) {cutoff}")
+    hits = (f"at {a:g} dB" for a, e in zip(columns["attenuation_db"], columns["E_mu"]) if e > decoy.QBER_CUTOFF)
+    print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) {next(hits, 'not reached')}")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ The chain accepts scalars or broadcastable numpy arrays: ``gain``,
 ``SourceConfig.mu``/``nu1``) compute element-wise in one numpy pass.
 Scalar inputs give plain Python floats and bools.  ``sweep`` and
 ``optimize_intensities`` evaluate their whole grid in one such call; a
-sweep is that report, read by column, its rows built only when indexed.
+sweep is that report, read by column, its rows built only when read.
 """
 
 from __future__ import annotations
@@ -290,15 +290,16 @@ def sweep(
     source: SourceConfig,
     proto: ProtocolConfig,
     gain_convention: str = "full-budget",
-) -> Sequence[KeyRateReport]:
+) -> _Rows:
     """Evaluate the analytic chain at each attenuation (ascending order).
 
     The sweep is one array-valued :func:`evaluate_link` report, its
     ``batch``, read as a sequence of per-attenuation reports of Python
-    scalars, each built when indexed.
+    scalars, built when read (a slice or iteration builds its rows in one
+    pass), or by column with ``columns()``.
     """
     attens = np.asarray(attenuations_db, dtype=float)
-    if np.any(attens[1:] < attens[:-1]):
+    if np.any(np.diff(attens) < 0):
         raise ValueError("attenuations must be sorted ascending")
     return _Rows(evaluate_link(source, replace(link, attenuation_db=attens), proto, gain_convention))
 
@@ -312,13 +313,29 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return len(self.batch.attenuation_db)
 
-    def __getitem__(self, i: int) -> KeyRateReport:
-        return _row(self.batch, i)
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _rows(self.batch, i)
+        j = range(len(self))[i]  # IndexError out of range
+        return _rows(self.batch, slice(j, j + 1))[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def columns(self) -> dict[str, list]:
+        """The SWEEP_COLUMNS values by name, each a list of Python scalars."""
+        return {name: get(self.batch).tolist() for name, get, _ in SWEEP_COLUMNS}
 
 
-def _row(obj, i: int):
-    """Element i of a dataclass of length-n fields, of Python scalars; IndexError out of range."""
-    return type(obj)(**{k: _row(v, i) if is_dataclass(v) else v.item(i) for k, v in vars(obj).items()})
+def _rows(obj, index: slice) -> list:
+    """The rows ``index`` of a dataclass of length-n fields, each of Python scalars."""
+    columns = {k: _rows(v, index) if is_dataclass(v) else v[index].tolist() for k, v in vars(obj).items()}
+    rows = []
+    for values in zip(*columns.values()):
+        row = object.__new__(type(obj))  # the batch passed its checks as a whole, so a row skips __init__
+        vars(row).update(zip(columns, values))
+        rows.append(row)
+    return rows
 
 
 #: sweep output columns: name, value of a report, CSV number format
@@ -336,12 +353,12 @@ SWEEP_COLUMNS = (
 )
 
 
-def write_sweep_csv(reports: Sequence[KeyRateReport], fileobj) -> None:
+def write_sweep_csv(reports: _Rows, fileobj) -> None:
     """Write a :func:`sweep` result with the fixed column order of SWEEP_COLUMNS."""
     writer = csv.writer(fileobj)
     writer.writerow([name for name, _, _ in SWEEP_COLUMNS])
-    columns = ([format(v, fmt) for v in get(reports.batch).tolist()] for _, get, fmt in SWEEP_COLUMNS)
-    writer.writerows(zip(*columns))
+    columns = reports.columns()
+    writer.writerows(zip(*([format(v, fmt) for v in columns[name]] for name, _, fmt in SWEEP_COLUMNS)))
 
 
 @dataclass(frozen=True)

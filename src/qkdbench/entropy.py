@@ -25,7 +25,7 @@ def h2(x):
     Accepts a scalar or array in [0, 1]; raises ValueError outside.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both
+    if np.any(arr < 0) or np.any(arr > 1) or np.any(np.isnan(arr)):
         raise ValueError(f"h2: argument must lie in [0, 1], got {x!r}")
     inner = (arr > 0) & (arr < 1)
     a = np.where(inner, arr, 0.5)  # dummy value, masked out below

@@ -243,6 +243,10 @@ class TestSweep:
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 reports[i]
+        assert reports[1:] == list(reports)[1:] and reports[::-2] == list(reports)[::-2]
+        columns = reports.columns()
+        assert list(columns) == [name for name, _, _ in SWEEP_COLUMNS]
+        assert all(columns[name] == [get(r) for r in reports] for name, get, _ in SWEEP_COLUMNS)
 
     def test_rows_are_built_on_access(self, bench6db):
         # a sweep holds one array-valued report, not one object per point
@@ -254,6 +258,17 @@ class TestSweep:
         reports = sweep(link, attens, source, proto)
         assert len(gc.get_objects()) - before < 40
         assert len(reports) == 401
+
+    def test_rows_skip_the_checks_the_batch_passed(self, bench6db, monkeypatch):
+        # reading every row costs no per-row validation
+        source, link, proto = bench6db
+        reports = sweep(link, [0.0, 6.0, 35.0], source, proto)
+
+        def fail(self):
+            raise AssertionError("a row was validated again")
+
+        monkeypatch.setattr(ChannelObservables, "__post_init__", fail)
+        assert [r.attenuation_db for r in reports] == [0.0, 6.0, 35.0]
 
     def test_unsorted_rejected(self, bench6db):
         source, link, proto = bench6db
