@@ -14,14 +14,11 @@ evaluate their whole grid in one array call of the decoy chain.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import secrets
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 import numpy as np
@@ -118,17 +115,21 @@ def _attenuations(args) -> list[float]:
     steps = (args.atten_max - args.atten_min) / args.atten_step  # a float: inf rather than a huge int
     if steps + 1 > MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep grid has more than {MAX_SWEEP_POINTS} points")
-    return [args.atten_min + i * args.atten_step for i in range(round(steps) + 1)]
+    import decimal  # only a sweep needs it
+
+    # point i is the double nearest the exact decimal atten_min + i * atten_step of the flags
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC)):
+        lo, step = decimal.Decimal(repr(args.atten_min)), decimal.Decimal(repr(args.atten_step))
+        return [float(lo + i * step) for i in range(round(steps) + 1)]
 
 
 def cmd_sweep(args) -> int:
     source, link, proto = load_config(args.config)
     reports = decoy.sweep(link, _attenuations(args), source, proto, gain_convention=args.gain_convention)
     columns = reports.columns()
-    if args.format == "csv":
-        buf = io.StringIO()
-        decoy.write_sweep_csv(reports, buf)
-        payload = buf.getvalue()
+    if args.format == "csv":  # the csv module's default dialect: comma-separated, CRLF line ends
+        cells = ([format(v, fmt) for v in columns[name]] for name, _, fmt in decoy.SWEEP_COLUMNS)
+        payload = "".join(",".join(row) + "\r\n" for row in [list(columns), *zip(*cells)])
     else:  # structured text: one key=value block per attenuation
         payload = "\n".join(_kv_text(dict(zip(columns, row))) for row in zip(*columns.values()))
     _write_atomic(Path(args.out), payload)
@@ -242,6 +243,7 @@ def cmd_sidechannel(args) -> int:
         raise ConfigError("ambiguous input: give either --profiles or --synth, not both")
     if not args.synth and not args.profiles:
         raise ConfigError("need an input: --profiles FILE or --synth")
+    config = load_config(args.config) if args.config else None
 
     if args.profiles:
         try:
@@ -250,7 +252,7 @@ def cmd_sidechannel(args) -> int:
             raise ConfigError(f"malformed profiles: {exc}") from exc
         temporal, spectral = (mi, 0.0) if args.domain == "temporal" else (0.0, mi)
     else:
-        source = load_config(args.config)[0] if args.config else SourceConfig()
+        source = config[0] if config else SourceConfig()
         pedestals = _floats(args.pedestals, "--pedestals", 4)
         shifts = tuple(s * 1e-12 for s in _floats(args.shifts_ps, "--shifts-ps", 4))
         profiles = sidechannel.synth_profiles(
@@ -269,36 +271,17 @@ def cmd_sidechannel(args) -> int:
         "leakage_total_bits_per_pulse": budget.total,
     }
     shown = dict(fields)
-    if args.sweep_csv:
-        attenuation_db, rkr, lbskr = _pick_sweep_row(args.sweep_csv, args.attenuation_db)
-        rates = types.SimpleNamespace(raw_key_rate_bps=rkr, secure_key_rate_bps=lbskr)
-        adjusted = sidechannel.leakage_adjusted_rate(rates, budget)
-        fields.update(attenuation_db=attenuation_db, lbskr_bps=lbskr, leakage_adjusted_bps=adjusted)
-        shown.update(attenuation_db=f"{attenuation_db:g}", lbskr_bps=f"{lbskr:.6e}")
+    if config:  # debit the leakage from the config's link, at its attenuation
+        source, link, proto = config
+        report = decoy.evaluate_link(source, link, proto, args.gain_convention)
+        lbskr, adjusted = report.secure_key_rate_bps, sidechannel.leakage_adjusted_rate(report, budget)
+        fields.update(attenuation_db=link.attenuation_db, lbskr_bps=lbskr, leakage_adjusted_bps=adjusted)
+        shown.update(attenuation_db=f"{link.attenuation_db:g}", lbskr_bps=f"{lbskr:.6e}")
         shown.update(leakage_adjusted_bps=f"{adjusted:.6e}")
     print(_kv_text(shown), end="")
     if args.out:
         _write_atomic(Path(args.out), _kv_text(fields))
     return EXIT_OK
-
-
-def _pick_sweep_row(path: str, attenuation_db: float | None) -> tuple[float, float, float]:
-    """(attenuation_db, rkr_bps, lbskr_bps) of the row nearest the attenuation (first if None)."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except (OSError, csv.Error, ValueError) as exc:
-        raise ConfigError(f"cannot read sweep CSV: {exc}") from exc
-    if not rows:
-        raise ConfigError("sweep CSV has no rows")
-    try:
-        table = [(float(r["attenuation_db"]), float(r["rkr_bps"]), float(r["lbskr_bps"])) for r in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed sweep CSV {path}: {exc!r}") from exc
-    for line, values in enumerate(table, start=2):  # a negative or non-finite rate would print as a key rate
-        if not all(math.isfinite(v) and v >= 0 for v in values):
-            raise ConfigError(f"malformed sweep CSV {path}: row {line} has a negative or non-finite value {values}")
-    return table[0] if attenuation_db is None else min(table, key=lambda v: abs(v[0] - attenuation_db))
 
 
 def cmd_optimize(args) -> int:
@@ -359,12 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", default=None, help="per-state profile CSV")
     p.add_argument("--domain", choices=["temporal", "spectral"], default="temporal")
     p.add_argument("--synth", action="store_true", help="synthesize Gaussian profiles")
-    p.add_argument("--config", default=None, help="config of the --synth pulse shape; not read with --profiles")
+    p.add_argument("--config", default=None, help="the device: --synth pulse shape, link to debit the leakage from")
     p.add_argument("--pedestals", default="0,0,0,0", help="per-state ASE floor, fraction of peak")
     p.add_argument("--shifts-ps", default="0,0,0,0", help="per-state temporal shifts, ps")
     p.add_argument("--spatial-bits", type=_finite, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
-    p.add_argument("--sweep-csv", default=None, help="debit the leakage from a sweep row")
-    p.add_argument("--attenuation-db", type=_finite, default=None)
+    p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sidechannel)
 

@@ -25,7 +25,6 @@ sweep is that report, read by column, its rows built only when read.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, is_dataclass, replace
@@ -291,7 +290,7 @@ def sweep(
     proto: ProtocolConfig,
     gain_convention: str = "full-budget",
 ) -> _Rows:
-    """Evaluate the analytic chain at each attenuation (ascending order).
+    """Evaluate the analytic chain at each attenuation (finite, >= 0, ascending).
 
     The sweep is one array-valued :func:`evaluate_link` report, its
     ``batch``, read as a sequence of per-attenuation reports of Python
@@ -299,6 +298,9 @@ def sweep(
     pass), or by column with ``columns()``.
     """
     attens = np.asarray(attenuations_db, dtype=float)
+    ok = (attens >= 0) & (attens < np.inf)  # NaN compares false, so it fails here, not the sort check
+    if not ok.all():
+        raise ValueError(f"attenuation must be finite and >= 0, got {attens.flat[np.argmin(ok)]:g} dB")
     if np.any(np.diff(attens) < 0):
         raise ValueError("attenuations must be sorted ascending")
     return _Rows(evaluate_link(source, replace(link, attenuation_db=attens), proto, gain_convention))
@@ -351,14 +353,6 @@ SWEEP_COLUMNS = (
     ("rkr_bps", attrgetter("raw_key_rate_bps"), ".6e"),
     ("lbskr_bps", attrgetter("secure_key_rate_bps"), ".6e"),
 )
-
-
-def write_sweep_csv(reports: _Rows, fileobj) -> None:
-    """Write a :func:`sweep` result with the fixed column order of SWEEP_COLUMNS."""
-    writer = csv.writer(fileobj)
-    writer.writerow([name for name, _, _ in SWEEP_COLUMNS])
-    columns = reports.columns()
-    writer.writerows(zip(*([format(v, fmt) for v in columns[name]] for name, _, fmt in SWEEP_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -426,7 +420,6 @@ __all__ = [
     "rate_from_counts",
     "sweep",
     "SWEEP_COLUMNS",
-    "write_sweep_csv",
     "GridSpec",
     "OptimizeResult",
     "optimize_intensities",

@@ -153,8 +153,8 @@ def leakage_adjusted_rate(report: KeyRateReport, budget: LeakageBudget) -> float
 
     R_adj = max(0, R - q (N_mu/t) Q_mu * total): the budget is charged
     per detected sifted signal pulse, a linear debit policy.  The raw
-    key rate in the report already equals q (N_mu/t) Q_mu.  Only the
-    two rates are read, so a sweep row's rates serve as well.
+    key rate in the report already equals q (N_mu/t) Q_mu.  The CLI
+    debits the :func:`~qkdbench.decoy.evaluate_link` report of its config.
     """
     debit = report.raw_key_rate_bps * budget.total
     return min(max(report.secure_key_rate_bps - debit, 0.0), report.secure_key_rate_bps)

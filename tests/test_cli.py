@@ -34,10 +34,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "convention, fmt, cutoff_db, digest",
         [
-            ("attenuation-only", "csv", 23.7, "a0c0bf3fb78de078bace83ab304749b4096516eef5cdcdc266a06c2be9bd5c62"),
-            ("attenuation-only", "text", 23.7, "ff2a26b4dcefe0acdd249fd5ad564882a7aee91de54fa2fb7a709bf0dc81300b"),
-            ("full-budget", "csv", 18.7, "13042cbad9a007b0eecf93aae54234593abf159d920e5908f75a79cedea03ff5"),
-            ("full-budget", "text", 18.7, "0133e6012c19cd1e651ef0287b5c23b0ca219dcdc9ef9382164b70f4c592c843"),
+            ("attenuation-only", "csv", 23.7, "ea314f56d384ad46e47b592622f9a170238eca115dd500dcaea53c233e4182ef"),
+            ("attenuation-only", "text", 23.7, "4d8a68d58f8b81a2b79ac96570ad398caee6ea3ff481cc7755a3084ac17da820"),
+            ("full-budget", "csv", 18.7, "c7ba7a143f86d5a5b4f8db3350b65deb16144034043d5d1553c48b8a860aa689"),
+            ("full-budget", "text", 18.7, "aabad8318a8b73fd0f8bf5ca2cc9cdbf5dc688a6d721f26ae9a4ce78b4b5e046"),
         ],
     )
     def test_benchmark_sweep_is_pinned(self, convention, fmt, cutoff_db, digest, tmp_path, capsys):
@@ -50,6 +50,11 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert capsys.readouterr().out == f"wrote 401 rows to {out}; QBER cutoff (>0.11) at {cutoff_db:g} dB\n"
+
+    def test_grid_points_are_the_decimal_steps(self, bench_config_file, tmp_path):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--config", str(bench_config_file), "--out", str(out), "--atten-step", "0.1"])
+        assert [row["attenuation_db"] for row in read_csv_rows(out)] == [repr(i / 10) for i in range(401)]
 
     def test_full_range_and_anchor(self, bench_config_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -402,26 +407,45 @@ class TestSidechannel:
         total = float(next(l for l in out.splitlines() if "total" in l).split(" = ")[1])
         assert total == pytest.approx(1e-5, rel=1e-9)
 
-    def test_synth_with_pedestals_reduces_rate(self, bench_config_file, tmp_path, capsys):
-        sweep_csv = tmp_path / "sweep.csv"
-        main(["sweep", "--config", str(bench_config_file), "--out", str(sweep_csv),
-              "--atten-min", "6", "--atten-max", "6", "--atten-step", "1",
-              "--gain-convention", "attenuation-only"])
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "convention, lbskr, adjusted",
+        [("attenuation-only", "2.899472e+06", "2.104746e+06"), ("full-budget", "8.200912e+05", "5.560057e+05")],
+    )
+    def test_synth_with_pedestals_reduces_rate(self, convention, lbskr, adjusted, capsys):
+        # the 6 dB debit as the sweep-row reader printed it from a sweep of the same config
         code = main(
-            ["sidechannel", "--synth", "--pedestals", "0.05,0,0,0.05",
-             "--sweep-csv", str(sweep_csv), "--attenuation-db", "6"]
+            ["sidechannel", "--synth", "--pedestals", "0.05,0,0,0.05", "--gain-convention", convention,
+             "--config", str(ROOT / "configs" / "benchmark6db.cfg")]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        lines = dict(
-            l.split(" = ") for l in out.splitlines() if " = " in l and not l.startswith("seed")
-        )
-        total = float(lines["leakage_total_bits_per_pulse"])
-        lbskr = float(lines["lbskr_bps"])
-        adjusted = float(lines["leakage_adjusted_bps"])
-        assert total > 1e-2
-        assert 0 < adjusted < lbskr
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4:] == ["attenuation_db = 6", f"lbskr_bps = {lbskr}", f"leakage_adjusted_bps = {adjusted}"]
+        assert float(lines[3].split(" = ")[1]) > 1e-2  # the total leakage
+
+    @pytest.mark.parametrize("convention", decoy.GAIN_CONVENTIONS)
+    def test_debit_is_the_config_link_report(self, bench_config_file, convention, tmp_path):
+        out = tmp_path / "audit.txt"
+        argv = ["sidechannel", "--synth", "--pedestals", "0.05,0,0,0.05", "--gain-convention", convention]
+        assert main([*argv, "--config", str(bench_config_file), "--out", str(out)]) == 0
+        written = dict(line.split(" = ") for line in out.read_text().splitlines())
+        source, link, proto = load_config(bench_config_file)
+        report = decoy.evaluate_link(source, link, proto, convention)
+        leakage = (float(written[f"leakage_{k}_bits_per_pulse"]) for k in ("temporal", "spectral", "spatial"))
+        budget = sidechannel.LeakageBudget(*leakage)
+        assert written["attenuation_db"] == repr(link.attenuation_db)
+        assert written["lbskr_bps"] == repr(report.secure_key_rate_bps)
+        assert written["leakage_adjusted_bps"] == repr(sidechannel.leakage_adjusted_rate(report, budget))
+
+    def test_profiles_with_config_debit_too(self, bench_config_file, tmp_path, capsys):
+        path = tmp_path / "shifted.csv"
+        rows = "".join(f"{i}e-12,{1 + (i == 3)},1,1,1\n" for i in range(8))  # stateH brighter in one bin
+        path.write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
+        assert main(["sidechannel", "--profiles", str(path), "--config", str(bench_config_file)]) == 0
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        source, link, proto = load_config(bench_config_file)
+        report = decoy.evaluate_link(source, link, proto, "full-budget")
+        assert out["lbskr_bps"] == f"{report.secure_key_rate_bps:.6e}"
+        assert 0 < float(out["leakage_adjusted_bps"]) < float(out["lbskr_bps"])
 
     def test_synth_pulse_shape_from_config(self, tmp_path, capsys):
         config = tmp_path / "shape.cfg"
@@ -449,18 +473,6 @@ class TestSidechannel:
         path = tmp_path / "p.csv"
         path.write_text("axis,stateH\n0,1\n")
         assert main(["sidechannel", "--profiles", str(path)]) == 2
-
-    def test_off_grid_attenuation_reports_row_used(self, bench_config_file, tmp_path, capsys):
-        sweep_csv = tmp_path / "sweep.csv"
-        main(["sweep", "--config", str(bench_config_file), "--out", str(sweep_csv),
-              "--atten-min", "0", "--atten-max", "40", "--atten-step", "10"])
-        capsys.readouterr()
-        out = tmp_path / "audit.txt"
-        code = main(["sidechannel", "--synth", "--sweep-csv", str(sweep_csv),
-                     "--attenuation-db", "500", "--out", str(out)])
-        assert code == 0
-        assert "attenuation_db = 40\n" in capsys.readouterr().out
-        assert "attenuation_db = 40.0\n" in out.read_text()
 
     def test_budget_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "audit.txt"
@@ -512,18 +524,12 @@ class TestMalformedInput:
             (tmp_path / f"{name}.alice.csv").write_bytes(data)
         zero_bg = tmp_path / "zero_bg.cfg"
         zero_bg.write_text("background_yield = 0\n")
+        (tmp_path / "zero_bg_far.cfg").write_text("background_yield = 0\nattenuation_db = 4000\n")
         tiny_nu1 = tmp_path / "tiny_nu1.cfg"
         text = bench_config_file.read_text()
         tiny_nu1.write_text(text.replace("nu1 = 0.066", "nu1 = 1e-320").replace("nu2 = 0.002", "nu2 = 0.0"))
-        bad_sweep = tmp_path / "bad_sweep.csv"
-        bad_sweep.write_text("x,y\n1,2\n")
-        # a negative raw rate would debit a negative leakage and raise the rate; nan/inf would print as a rate
-        for name, row in (("negative_sweep", "6,-1e7,2e6"), ("nonfinite_sweep", "nan,inf,inf")):
-            (tmp_path / f"{name}.csv").write_text(f"attenuation_db,rkr_bps,lbskr_bps\n{row}\n")
         markers = timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([4, 15]))
         (tmp_path / "markers.ttag").write_bytes(timetag.encode(markers))
-        sweep = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(bench_config_file), "--out", str(sweep)]) == 0
         for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308)):
             rows = "".join(f"{i}e-12,{state_h!r},1.0,2.0,1.0\n" for i in range(8))
             (tmp_path / f"{name}.csv").write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
@@ -556,11 +562,8 @@ class TestMalformedInput:
             "old_log": str(old_log),
             **{name: str(tmp_path / f"{name}.alice.csv") for name in logs},
             "zero_bg": str(zero_bg),
-            "bad_sweep": str(bad_sweep),
-            "negative_sweep": str(tmp_path / "negative_sweep.csv"),
-            "nonfinite_sweep": str(tmp_path / "nonfinite_sweep.csv"),
+            "zero_bg_far": str(tmp_path / "zero_bg_far.cfg"),
             "markers_ttag": str(tmp_path / "markers.ttag"),
-            "sweep": str(sweep),
         }
 
     @pytest.mark.parametrize(
@@ -569,7 +572,6 @@ class TestMalformedInput:
             "optimize --config {cfg} --mu-grid 0.5,abc",
             "optimize --config {cfg} --mu-grid 0.1 --nu1-grid 0.5",
             "sidechannel --synth --pedestals 0,abc,0,0",
-            "sidechannel --synth --sweep-csv {bad_sweep}",
             "sweep --config {cfg} --out {out} --atten-min nan",
             "sweep --config {cfg} --out {out} --atten-min -100 --atten-max 0",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {missing}",
@@ -581,7 +583,6 @@ class TestMalformedInput:
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}",
             "sweep --config {cfg} --out {out} --atten-min abc",
             "simulate --config {cfg} --seed 1 --out {out}",
-            "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan",
             "sidechannel --synth --spatial-bits -1",
             "sidechannel --synth --spatial-bits nan",
             "sidechannel --synth --config {fwhm_nan}",
@@ -590,7 +591,6 @@ class TestMalformedInput:
             "analyze-ttags --config {window_1e308} --ttags {ttag} --alice-log {alice}",
             "sweep --config {cfg} --out {out} --atten-max 1e308 --atten-step 1e-308",
             "simulate --config {cfg} --frames 100 --out {out} --emit-ttags --phase-ticks 200",
-            "sidechannel --synth --sweep-csv {missing}",
             "sidechannel --synth --config {fwhm_inf}",
             "sidechannel --synth --config {fwhm_1e300}",
             "sidechannel --synth --config {fwhm_1e-300}",
@@ -609,8 +609,9 @@ class TestMalformedInput:
             "sweep --config {zero_bg} --out {out} --atten-min 3990 --atten-max 4000 --atten-step 10",
             "analyze-ttags --config {rate_11} --ttags {frames_ttag} --alice-log {frames_log}",
             "simulate --config {cfg} --frames 1000000000000 --seed 1 --out {out} --emit-ttags",  # a 931 GiB log
-            "sidechannel --synth --sweep-csv {negative_sweep}",
-            "sidechannel --synth --sweep-csv {nonfinite_sweep}",
+            "sidechannel --synth --config {zero_bg_far}",  # the model gain at 4000 dB is 0
+            "sidechannel --synth --config {zero_bg_far} --gain-convention attenuation-only",
+            "sidechannel --synth --config {cfg} --gain-convention paper",
             "analyze-ttags --config {cfg} --ttags {markers_ttag} --alice-log {alice}",
             "sidechannel --profiles {word_profile}",
             "sidechannel --profiles {nan_axis_profile}",
@@ -639,7 +640,6 @@ class TestMalformedInput:
             ("--spatial-bits", "sidechannel --synth --spatial-bits -1"),
             ("window_s", "analyze-ttags --config {window_inf} --ttags {missing} --alice-log {missing}"),  # config first
             ("--atten-step", "sweep --config {cfg} --out {out} --atten-step -inf"),
-            ("--attenuation-db", "sidechannel --synth --sweep-csv {sweep} --attenuation-db nan"),
         ],
     )
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):

@@ -1,5 +1,4 @@
 import gc
-import io
 from dataclasses import is_dataclass, replace
 from operator import attrgetter
 
@@ -22,7 +21,6 @@ from qkdbench.decoy import (
     qber,
     sweep,
     transmittance,
-    write_sweep_csv,
 )
 
 # Frozen chain values for the 6 dB benchmark point, computed once with
@@ -275,6 +273,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="ascending"):
             sweep(link, [10.0, 5.0], source, proto)
 
+    @pytest.mark.parametrize(
+        "attens, named",
+        [
+            ([-5.0, 0.0], "-5"),
+            ([0.0, np.nan], "nan"),
+            ([0.0, np.inf], "inf"),
+            ([-1.0, np.nan], "-1"),
+            ([*np.linspace(0.0, 40.0, 400), np.nan], "nan"),  # the message is one line, not the gain array
+        ],
+        ids=["negative", "nan", "inf", "first-named", "401-points"],
+    )
+    def test_bad_attenuation_rejected(self, bench6db, attens, named):
+        source, link, proto = bench6db
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {named} dB") as info:
+            sweep(link, attens, source, proto)
+        assert "\n" not in str(info.value)
+
     def test_monotonicity_and_cutoff(self, bench6db):
         source, link, proto = bench6db
         reports = sweep(link, list(range(41)), source, proto, gain_convention="full-budget")
@@ -284,15 +299,6 @@ class TestSweep:
             if r.observables.e_mu > decoy.QBER_CUTOFF:
                 assert r.secure_key_rate_bps == 0.0
         assert any(r.secure_key_rate_bps > 0 for r in reports)
-
-    def test_csv_layout(self, bench6db):
-        source, link, proto = bench6db
-        reports = sweep(link, [0.0, 6.0], source, proto)
-        buf = io.StringIO()
-        write_sweep_csv(reports, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].split(",") == [name for name, _, _ in SWEEP_COLUMNS]
-        assert len(lines) == 3
 
     def test_rate_non_increasing_in_background(self, bench6db):
         source, link, proto = bench6db

@@ -7,12 +7,15 @@ listed, and each listed name has a caller outside its own definition
 and the unit tests.  So has each public method or property of a public
 class.  Each name ``__init__.py`` re-exports is imported from the top
 level by a caller, and each config field is read by some code besides
-validation and (de)serialization.  Last, the benchmark's span table
-is imported, and every function it names must resolve.
+validation and (de)serialization.  The benchmark's span table is
+imported, and every function it names must resolve.  Last, every
+``qkdbench`` command of the README parses.
 """
 
 import ast
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -199,3 +202,22 @@ def test_every_bench_span_target_resolves():
     spec.loader.exec_module(spans)
     missing = sorted(name for name in spans.TARGETS if not spans.available(name))
     assert not missing, f"bench/spans.py TARGETS name functions the package no longer has: {missing}"
+
+
+def readme_commands() -> list[str]:
+    """The ``qkdbench`` commands of the README's ``sh`` blocks, continuation lines joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("qkdbench ")]
+
+
+def test_readme_has_commands():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("command", readme_commands(), ids=lambda c: c.split()[1])
+def test_readme_command_parses(command):
+    # a flag the CLI dropped fails here, not in a user's shell
+    from qkdbench import cli
+
+    cli.build_parser().parse_args(shlex.split(command)[1:])
