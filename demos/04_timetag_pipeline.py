@@ -3,8 +3,8 @@
 The simulator emits raw 78.125 ps timetag records (background spread
 over the full 10 ns frame); the analysis side then recovers the clock
 phase from the residue histogram, applies the 1 ns software gate,
-sifts against the emission log and rebuilds the decoy key-rate chain
-from the measured stream alone.
+sifts against the emission log into one per-class count table and
+rebuilds the decoy key-rate chain from that table alone.
 """
 
 from dataclasses import replace
@@ -20,8 +20,9 @@ result = montecarlo.run(
     source, link, proto, frames=2_000_000, seed=7, emit_ttags=True, phase_ticks=37
 )
 stream = result.stream
-print(f"emitted {len(stream)} records over {result.summary.simulated_s * 1e3:.0f} ms "
-      f"({len(stream) / result.summary.simulated_s / 1e6:.2f} Mcps, "
+simulated_s = len(result.alice_log) / source.pulse_rate_hz
+print(f"emitted {len(stream)} records over {simulated_s * 1e3:.0f} ms "
+      f"({len(stream) / simulated_s / 1e6:.2f} Mcps, "
       f"{result.dropped_records} dropped at the 10 Mcps cap)")
 
 phase = timetag.recover_phase(stream, PERIOD)
@@ -32,16 +33,14 @@ window = timetag.window_ticks_from_seconds(1e-9)
 gated = timetag.gate(stream, PERIOD, phase.phase_ticks, window)
 print(f"1 ns gate = {window} ticks: kept {len(gated.accepted)}, rejected {gated.rejected}")
 
+# the key's count table: rows sent, detected, sifted and errored per class
 key = timetag.sift(result.alice_log, gated, PERIOD, seed=8)
-print(f"sifted {len(key.sifted_bits)} bits, {key.collisions} frame collisions")
+print(f"sifted {key.sifted.sum()} bits, {key.collisions} frame collisions")
 for i, label in enumerate(timetag.CLASS_LABELS):
     print(f"  qber_{label:7} = {key.qber_class(i):.4f}")
 
 # decoy chain from the measured stream
-sent = timetag.sent_per_class(result.alice_log.code)
-y0, report = decoy.rate_from_counts(
-    sent, key.detected_per_class, key.sifted_per_class, key.errors_per_class, source, link, proto
-)
+y0, report = decoy.rate_from_counts(key.counts, source, link, proto)
 print(f"\nY0 estimate from the decoy-2 gain: {y0:.3e}")
 print(f"secure rate from the stream: {report.secure_key_rate_bps / 1e6:.3f} Mbps")
 

@@ -112,15 +112,16 @@ def _attenuations(args) -> list[float]:
         raise ConfigError("--atten-max must be >= --atten-min")
     if args.atten_step <= 0:
         raise ConfigError("--atten-step must be > 0")
-    steps = (args.atten_max - args.atten_min) / args.atten_step  # a float: inf rather than a huge int
-    if steps + 1 > MAX_SWEEP_POINTS:
-        raise ConfigError(f"sweep grid has more than {MAX_SWEEP_POINTS} points")
     import decimal  # only a sweep needs it
 
-    # point i is the double nearest the exact decimal atten_min + i * atten_step of the flags
+    # point i is the double nearest the exact decimal atten_min + i * atten_step of the flags,
+    # for every i whose point does not pass the exact decimal atten_max
     with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC)):
-        lo, step = decimal.Decimal(repr(args.atten_min)), decimal.Decimal(repr(args.atten_step))
-        return [float(lo + i * step) for i in range(round(steps) + 1)]
+        lo, hi, step = (decimal.Decimal(repr(v)) for v in (args.atten_min, args.atten_max, args.atten_step))
+        points = int((hi - lo) // step) + 1
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep grid has more than {MAX_SWEEP_POINTS} points")
+        return [float(lo + i * step) for i in range(points)]
 
 
 def cmd_sweep(args) -> int:
@@ -146,27 +147,25 @@ def cmd_simulate(args) -> int:
     # deltas against the simulator's exact table; the paper gain Y0 + 1 - e^(-eta m)
     # counts a frame where both click twice, and the paper QBER leaves out (1 - DOP)/2
     obs_model = decoy.channel_observables(source, link, "full-budget")
-    sent, detected, sifted, errors = montecarlo.expected_tally(source, link)
-    with np.errstate(invalid="ignore"):  # a class never sent has no exact gain or QBER: nan, like its mc value
-        exacts = [*(detected / sent), errors[0] / sifted[0]]
+    exact = timetag.ratios(montecarlo.expected_tally(source, link))
+    period = timetag.period_ticks(source.pulse_rate_hz) if args.emit_ttags else 1
+    phase = 37 % period if args.phase_ticks is None else args.phase_ticks  # the default, on the circle of phases
     seed = _resolve_seed(args)
-    result = montecarlo.run(
-        source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=args.phase_ticks
-    )
-    s = result.summary
-    summary = {"frames": s.frames, "simulated_s": s.simulated_s}
-    counts = {"sent": s.sent, "detected": s.detected, "sifted": s.sifted, "errors": s.errors}
+    result = montecarlo.run(source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=phase)
+    counts = result.summary.counts
+    mc = timetag.ratios(counts)
+    summary = {"frames": args.frames, "simulated_s": args.frames / source.pulse_rate_hz}
     for i, label in enumerate(timetag.CLASS_LABELS):
-        summary.update({f"{name}_{label}": c[i] for name, c in counts.items()})
-        summary.update({f"gain_{label}": s.gain_class(i), f"qber_{label}": s.qber_class(i)})
+        summary.update({f"{row}_{label}": c for row, c in zip(("sent", "detected", "sifted", "errors"), counts[:, i])})
+        summary.update({f"gain_{label}": mc[0, i], f"qber_{label}": mc[1, i]})
     out = str(args.out)  # output prefix, suffixes appended
     _write_atomic(Path(out + ".summary.txt"), _kv_text(summary))
     if args.emit_ttags:
         _write_atomic(Path(out + ".ttag"), timetag.encode(result.stream))
         _write_atomic(Path(out + ".alice.csv"), result.alice_log.to_csv)
         sidecar = {
-            "period_ticks": timetag.period_ticks(source.pulse_rate_hz),
-            "phase_ticks": args.phase_ticks,
+            "period_ticks": period,
+            "phase_ticks": phase,
             "window_ticks": timetag.window_ticks_from_seconds(link.window_s),
             "channels": "0:H 1:V 2:D 3:A",
             "dropped_records": result.dropped_records,
@@ -174,15 +173,15 @@ def cmd_simulate(args) -> int:
         _write_atomic(Path(out + ".sidecar.txt"), _kv_text(sidecar))
 
     _print_seed(args, seed)
-    print(f"frames = {s.frames}, simulated {s.simulated_s:g} s")
+    print(f"frames = {args.frames}, simulated {summary['simulated_s']:g} s")
     names = [f"Q_{label}" for label in timetag.CLASS_LABELS] + ["E_signal"]
-    mcs = [s.gain_class(i) for i in range(3)] + [s.qber_class(0)]
+    cells = [(0, 0), (0, 1), (0, 2), (1, 0)]  # (ratio row, class): the class gains, then the signal QBER
     papers = (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2, obs_model.e_mu)
-    trials = [*s.sent, s.sifted[0]]
-    for name, mc, exact, paper, n in zip(names, mcs, exacts, papers, trials):
-        sigma = (exact * (1 - exact) / max(int(n), 1)) ** 0.5
-        delta = (mc - exact) / sigma if sigma > 0 else float("nan")
-        print(f"{name}: mc={mc:.6e} exact={exact:.6e} delta={delta:+.2f} sigma paper={paper:.6e}")
+    for name, (row, i), paper in zip(names, cells, papers):
+        m, x, n = float(mc[row, i]), float(exact[row, i]), int(counts[2 * row, i])  # n: the ratio's denominator
+        sigma = (x * (1 - x) / max(n, 1)) ** 0.5
+        delta = (m - x) / sigma if sigma > 0 else float("nan")
+        print(f"{name}: mc={m:.6e} exact={x:.6e} delta={delta:+.2f} sigma paper={paper:.6e}")
     return EXIT_OK
 
 
@@ -207,15 +206,7 @@ def cmd_analyze_ttags(args) -> int:
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
 
-    y0, report = decoy.rate_from_counts(
-        timetag.sent_per_class(alice.code),
-        sifted.detected_per_class,
-        sifted.sifted_per_class,
-        sifted.errors_per_class,
-        source,
-        link,
-        proto,
-    )
+    y0, report = decoy.rate_from_counts(sifted.counts, source, link, proto)
     obs, est = report.observables, report.estimates
 
     duration = len(alice) / source.pulse_rate_hz
@@ -224,7 +215,7 @@ def cmd_analyze_ttags(args) -> int:
         print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
     print(f"records = {len(stream)}, gated = {len(gated.accepted)}, rejected = {gated.rejected}")
     print(f"phase_ticks = {phase.phase_ticks}, window_ticks = {window}, collisions = {sifted.collisions}")
-    print(f"sifted_rate_cps = {len(sifted.sifted_bits) / duration:.6e}")
+    print(f"sifted_rate_cps = {sifted.counts[2].sum() / duration:.6e}")
     for i, (label, q) in enumerate(zip(timetag.CLASS_LABELS, (obs.q_mu, obs.q_nu1, obs.q_nu2))):
         print(f"Q_{label} = {q:.6e}  qber_{label} = {sifted.qber_class(i):.6e}")
     print(f"Y0_est = {y0:.6e}")
@@ -314,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands that draw random numbers
+    seeded.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("sweep", parents=[common], help="attenuation sweep to CSV")
     p.add_argument("--out", required=True)
@@ -325,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "text"], default="csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo run; optional .ttag emission")
+    p = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo run; optional .ttag emission")
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--emit-ttags", action="store_true")
-    p.add_argument("--phase-ticks", type=int, default=37, help="clock phase of emitted ticks")
+    p.add_argument("--phase-ticks", type=int, default=None, help="clock phase of emitted ticks (default 37 mod period)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze-ttags", parents=[common], help="phase recovery, gating, sifting, key rate")
+    p = sub.add_parser("analyze-ttags", parents=[seeded], help="phase recovery, gating, sifting, key rate")
     p.add_argument("--ttags", required=True)
     p.add_argument("--alice-log", required=True)
     p.add_argument("--out", default=None)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .entropy import h2
+from .timetag import ratios
 
 #: QBER above which the secure rate is forced to zero.
 QBER_CUTOFF = 0.11
@@ -131,11 +132,16 @@ def channel_observables(source: SourceConfig, link: LinkConfig, gain_convention:
     """Model-generated observables for a source/link pair.
 
     The background yield is scaled by the configured gating suppression
-    factor (set ``background_suppression = 1`` to disable).  A signal or
-    decoy-1 gain of exactly 0 (no background and a transmittance that
-    underflows) leaves its error rate 0/0 and raises ValueError naming
-    the first such attenuation.
+    factor (set ``background_suppression = 1`` to disable).  An
+    attenuation that is not finite and >= 0 raises ValueError naming the
+    first such value.  A signal or decoy-1 gain of exactly 0 (no
+    background and a transmittance that underflows) leaves its error
+    rate 0/0 and raises ValueError naming the first such attenuation.
     """
+    atten = np.asarray(link.attenuation_db)
+    ok = (atten >= 0) & (atten < np.inf)  # NaN compares false
+    if not ok.all():
+        raise ValueError(f"attenuation must be finite and >= 0, got {atten.flat[np.argmin(ok)]:g} dB")
     eta = link_eta(link, gain_convention)
     y0 = link.background_yield * link.suppression(source)
     e0, edet = link.background_error, link.detection_error
@@ -259,25 +265,25 @@ def evaluate_link(
 
 
 def rate_from_counts(
-    sent, detected, sifted, errors, source: SourceConfig, link: LinkConfig, proto: ProtocolConfig
+    counts, source: SourceConfig, link: LinkConfig, proto: ProtocolConfig
 ) -> tuple[float, KeyRateReport]:
-    """(Y0 estimate, key-rate report) from measured per-class counts.
+    """(Y0 estimate, key-rate report) from a measured (4, 3) count table.
 
-    Each argument is a (3,) count per intensity class (signal, decoy 1,
-    decoy 2).  Gains are detected/sent and error rates errors/sifted,
-    clamped to 0.5; the chain is :func:`estimate_background_yield`,
-    :func:`decoy_estimates` and :func:`key_rate_lower_bound`.  Raises
-    ValueError when a class was never sent or when signal or decoy 1
-    has no sifted detection.
+    Rows sent, detected, sifted and errored; columns signal, decoy 1 and
+    decoy 2, as :class:`~qkdbench.timetag.ClassCounts` holds them.
+    Gains and error rates come from :func:`~qkdbench.timetag.ratios`,
+    the error rates clamped to 0.5; the chain is
+    :func:`estimate_background_yield`, :func:`decoy_estimates` and
+    :func:`key_rate_lower_bound`.  Raises ValueError when a class was
+    never sent or when signal or decoy 1 has no sifted detection.
     """
-    sent, detected, sifted, errors = (np.asarray(c) for c in (sent, detected, sifted, errors))
-    if np.min(sent) == 0:
+    counts = np.asarray(counts)
+    if np.min(counts[0]) == 0:
         raise ValueError("no pulses sent for at least one intensity class")
-    if np.min(sifted[:2]) == 0:
+    if np.min(counts[2, :2]) == 0:
         raise ValueError("not enough sifted detections to estimate error rates")
-    q = (detected / sent).tolist()
-    e = np.minimum(errors[:2] / sifted[:2], 0.5).tolist()  # decoy 2's error rate is unused
-    obs = ChannelObservables(q_mu=q[0], q_nu1=q[1], q_nu2=q[2], e_mu=e[0], e_nu1=e[1])
+    q, e = ratios(counts).tolist()  # decoy 2's error rate is unused
+    obs = ChannelObservables(q_mu=q[0], q_nu1=q[1], q_nu2=q[2], e_mu=min(e[0], 0.5), e_nu1=min(e[1], 0.5))
     y0 = estimate_background_yield(obs, source.mu, source.nu2)
     est = decoy_estimates(obs, source.mu, source.nu1, y0, link.background_error)
     return y0, key_rate_lower_bound(obs, est, proto, proto.signal_pulses_per_s(source))
@@ -290,7 +296,7 @@ def sweep(
     proto: ProtocolConfig,
     gain_convention: str = "full-budget",
 ) -> _Rows:
-    """Evaluate the analytic chain at each attenuation (finite, >= 0, ascending).
+    """Evaluate the analytic chain at each attenuation (ascending; finite and >= 0, as the chain checks).
 
     The sweep is one array-valued :func:`evaluate_link` report, its
     ``batch``, read as a sequence of per-attenuation reports of Python
@@ -298,10 +304,7 @@ def sweep(
     pass), or by column with ``columns()``.
     """
     attens = np.asarray(attenuations_db, dtype=float)
-    ok = (attens >= 0) & (attens < np.inf)  # NaN compares false, so it fails here, not the sort check
-    if not ok.all():
-        raise ValueError(f"attenuation must be finite and >= 0, got {attens.flat[np.argmin(ok)]:g} dB")
-    if np.any(np.diff(attens) < 0):
+    if np.any(np.diff(attens) < 0):  # NaN compares false here and fails the chain's own check
         raise ValueError("attenuations must be sorted ascending")
     return _Rows(evaluate_link(source, replace(link, attenuation_db=attens), proto, gain_convention))
 

@@ -5,7 +5,9 @@ the 12 states Alice emits, the probability of no click and of a signal
 or a background click on each of Bob's four detector channels (full link
 budget, passive basis choice, detector and depolarization errors).
 ``run`` samples it: per frame one code and one uniform, looked up in the
-table's cumulative rows; :func:`expected_tally` is the summary's exact mean.
+table's cumulative rows.  Its summary is a :class:`~qkdbench.timetag.ClassCounts`
+table, rows sent, detected, sifted and errored per class, and
+:func:`expected_tally` is that table's exact mean per frame.
 
 The code is drawn by inverse CDF over the 12 code probabilities
 ``outer(class_probs, pol_probs)``: with ``u`` a uniform, the code is the
@@ -42,7 +44,7 @@ import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .decoy import transmittance
-from .timetag import TICK_SECONDS, AliceLog, TimeTagStream, period_ticks, tally
+from .timetag import TICK_SECONDS, AliceLog, ClassCounts, TimeTagStream, period_ticks, tally
 
 #: frames per independently seeded block
 BLOCK_FRAMES = 1 << 20
@@ -54,26 +56,8 @@ _PAIR_CODE, _PAIR_CHANNEL = np.divmod(np.arange(48), 4)  # every (code, channel)
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    """Per-class counters of a simulation run."""
-
-    frames: int
-    simulated_s: float
-    sent: np.ndarray  # (3,) pulses per intensity class
-    detected: np.ndarray  # (3,) frames with a detection
-    sifted: np.ndarray  # (3,) detections whose measured basis matched
-    errors: np.ndarray  # (3,) sifted detections with the wrong bit
-
-    def gain_class(self, i: int) -> float:
-        return float(self.detected[i] / self.sent[i]) if self.sent[i] else float("nan")
-
-    def qber_class(self, i: int) -> float:
-        return float(self.errors[i] / self.sifted[i]) if self.sifted[i] else float("nan")
-
-
-@dataclass(frozen=True)
 class RunResult:
-    summary: RunSummary
+    summary: ClassCounts
     stream: TimeTagStream | None = None
     alice_log: AliceLog | None = None
     dropped_records: int = 0
@@ -232,16 +216,14 @@ def run(
         alice_log = AliceLog(log)
 
     sent = np.diff(below, prepend=0, append=frames)
-    detected, sifted, errors = tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)  # exact float sums
-    summary = RunSummary(frames, frames / source.pulse_rate_hz, sent, detected, sifted, errors)
-    return RunResult(summary=summary, stream=stream, alice_log=alice_log, dropped_records=dropped)
+    counts = np.vstack([sent, tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)])  # exact float sums
+    return RunResult(summary=ClassCounts(counts), stream=stream, alice_log=alice_log, dropped_records=dropped)
 
 
 __all__ = [
     "BLOCK_FRAMES",
     "TILE_FRAMES",
     "THROUGHPUT_CAP_MCPS",
-    "RunSummary",
     "RunResult",
     "outcome_table",
     "expected_tally",

@@ -11,6 +11,9 @@ A 100 MHz pulse train has a period of exactly 128 ticks
 Alice's log is one code per frame, ``bit | basis << 1 | class << 2``,
 and Bob's detector channel is ``basis << 1 | bit``; :func:`tally` and
 :func:`sent_per_class` are the one per-class counting rule for both.
+They fill one (4, 3) table, rows sent, detected, sifted and errored per
+class, held by :class:`ClassCounts`; :func:`ratios` is its one gain and
+QBER rule.
 On disk it is CSV: the header ``bit,basis,class``, then one row per
 frame from frame 0 on (row i is frame i).  Each row is one of 12 lines
 of exactly 11 bytes, and lines end in LF only, so a CRLF log is
@@ -122,7 +125,6 @@ class GatingResult:
     accepted: TimeTagStream
     rejected: int
     phase_ticks: int
-    window_ticks: int
 
 
 def period_ticks(pulse_rate_hz: float) -> int:
@@ -161,7 +163,6 @@ def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_tick
         accepted=TimeTagStream(stream.ticks[keep], stream.channels[keep]),
         rejected=rejected,
         phase_ticks=phase_ticks,
-        window_ticks=window_ticks,
     )
 
 
@@ -245,32 +246,49 @@ def sent_per_class(code: np.ndarray) -> np.ndarray:
     return np.array([below[0], below[1] - below[0], len(code) - below[1]])
 
 
-def _sifted_and_errored(code: np.ndarray, channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the pairs whose bases match and, of those, whose bits differ."""
-    sifted = (channel >> 1) == (code >> 1 & 1)
-    return sifted, sifted & ((channel & 1) != (code & 1))
-
-
 def tally(code: np.ndarray, channel: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """(3, 3) detected, sifted and errored counts per class of (code, channel) pairs, or their summed weights."""
-    cls, masks = code >> 2, (slice(None), *_sifted_and_errored(code, channel))
+    """(3, 3) detected, sifted and errored counts per class of (code, channel) pairs, or their summed weights.
+
+    A pair is sifted when Bob's basis matches Alice's, and errored when
+    it is sifted and the bits differ.
+    """
+    sifted = (channel >> 1) == (code >> 1 & 1)
+    cls, masks = code >> 2, (slice(None), sifted, sifted & ((channel & 1) != (code & 1)))
     return np.array([np.bincount(cls[m], None if weights is None else weights[m], minlength=3) for m in masks])
 
 
-@dataclass(frozen=True)
-class SiftedKey:
+def ratios(counts: np.ndarray) -> np.ndarray:
+    """(2, 3) gains detected/sent and QBERs errored/sifted of a (4, 3) count table; NaN at 0/0."""
+    counts = np.asarray(counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return counts[1::2] / counts[::2]
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
+class ClassCounts:
+    """A (4, 3) count table: rows sent, detected, sifted and errored; columns signal, decoy 1, decoy 2."""
+
+    counts: np.ndarray
+
+    sent = property(lambda self: self.counts[0])
+    detected = property(lambda self: self.counts[1])  # frames with a detection
+    sifted = property(lambda self: self.counts[2])  # detections whose measured basis matched
+
+    def gain_class(self, i: int) -> float:
+        return float(ratios(self.counts)[0, i])
+
+    def qber_class(self, i: int) -> float:
+        return float(ratios(self.counts)[1, i])
+
+
+@dataclass(frozen=True, eq=False)
+class SiftedKey(ClassCounts):
     """Result of matching Bob's gated detections against Alice's log."""
 
     frames: np.ndarray  # frame index of each kept detection
-    sifted_bits: np.ndarray  # Bob's bits where bases matched
-    detected_per_class: np.ndarray  # (3,) kept detections (one per frame) per intensity class
-    sifted_per_class: np.ndarray  # (3,) matched-basis detections per intensity class
-    errors_per_class: np.ndarray  # (3,)
     collisions: int
 
-    def qber_class(self, cls_index: int) -> float:
-        n = int(self.sifted_per_class[cls_index])
-        return int(self.errors_per_class[cls_index]) / n if n else float("nan")
+    sifted_per_class = ClassCounts.sifted
 
 
 def sift(
@@ -284,8 +302,8 @@ def sift(
     Detections are mapped to frames from their ticks; frames with more
     than one accepted detection keep one chosen uniformly at random
     (counted in ``collisions``), and the kept ones are counted by
-    :func:`tally`, so a gain derived from ``detected_per_class`` counts
-    each frame once.
+    :func:`tally` under the log's :func:`sent_per_class`, so a gain
+    from the table counts each frame once.
 
     The choice is the first of a frame's detections in the order of
     ``default_rng(seed).permutation``.  Only detections that share a
@@ -316,9 +334,8 @@ def sift(
     collisions = len(frames) - int(np.count_nonzero(keep))
     frames, channels = frames[keep], channels[keep]
 
-    code = alice.code[frames]
-    matched, _ = _sifted_and_errored(code, channels)
-    return SiftedKey(frames, channels[matched] & 1, *tally(code, channels), collisions)
+    counts = np.vstack([sent_per_class(alice.code), tally(alice.code[frames], channels)])
+    return SiftedKey(counts, frames, collisions)
 
 
 __all__ = [
@@ -339,6 +356,8 @@ __all__ = [
     "AliceLog",
     "sent_per_class",
     "tally",
+    "ratios",
+    "ClassCounts",
     "SiftedKey",
     "sift",
 ]

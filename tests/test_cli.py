@@ -74,6 +74,14 @@ class TestSweep:
         six = next(r for r in rows if float(r["attenuation_db"]) == 6.0)
         assert 2.5e6 <= float(six["lbskr_bps"]) <= 4.5e6
 
+    @pytest.mark.parametrize("atten_max", ["0.36", "0.3"])
+    def test_last_point_does_not_pass_atten_max(self, bench_config_file, tmp_path, atten_max):
+        # the point count is the exact decimal floor of (max - min) / step, plus one
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(bench_config_file), "--out", str(out), "--atten-max", atten_max]
+        assert main(argv + ["--atten-step", "0.1"]) == 0
+        assert [row["attenuation_db"] for row in read_csv_rows(out)] == ["0.0", "0.1", "0.2", "0.3"]
+
     def test_single_point(self, bench_config_file, tmp_path):
         out = tmp_path / "one.csv"
         code = main(
@@ -148,6 +156,25 @@ class TestSimulate:
         assert int(fields["frames"]) == 10000
         for value in fields.values():
             float(value)  # a numpy repr such as np.int64(7) would raise
+
+    def test_simulated_s_is_exact(self, bench_config_file, tmp_path, monkeypatch):
+        # frames / rate, from the inputs: a float sum over the blocks gave 3.0000000000000004e-05
+        monkeypatch.setattr(montecarlo, "BLOCK_FRAMES", 1000)
+        argv = ["simulate", "--config", str(bench_config_file), "--frames", "3000", "--seed", "6"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        fields = dict(line.split(" = ") for line in (tmp_path / "run.summary.txt").read_text().splitlines())
+        assert fields["simulated_s"] == repr(3000 / 1e8) == "3e-05"
+
+    def test_default_phase_at_a_16_tick_period(self, bench_config_file, tmp_path):
+        # 800 MHz: the default phase, 37, is taken modulo the 16-tick period
+        config = with_keys(bench_config_file, "rate_800mhz.cfg", pulse_rate_hz=8e8)
+        prefix = str(tmp_path / "fast")
+        argv = ["simulate", "--config", str(config), "--frames", "20000", "--seed", "3", "--out", prefix, "--emit-ttags"]
+        assert main(argv) == 0
+        sidecar = dict(l.split(" = ") for l in Path(prefix + ".sidecar.txt").read_text().splitlines())
+        assert (sidecar["period_ticks"], sidecar["phase_ticks"]) == ("16", "5")
+        stream = timetag.decode(Path(prefix + ".ttag").read_bytes())
+        assert timetag.recover_phase(stream, 16).phase_ticks == 5
 
     def test_zero_frames(self, bench_config_file, tmp_path):
         code = main(
@@ -627,6 +654,13 @@ class TestMalformedInput:
         assert "unrecognized arguments" not in err  # a case must fail on its value, not on a flag that is gone
         assert out == ""  # rejected before anything is printed
         assert not list(Path(inputs["out"]).parent.glob("out*"))  # nor any output written
+
+    @pytest.mark.parametrize("argv", ["sweep --config {cfg} --out {out} --seed 1", "optimize --config {cfg} --seed 1"])
+    def test_seed_only_where_random_numbers_are_drawn(self, inputs, argv, capsys):
+        # neither sweep nor optimize draws a random number, so neither takes --seed
+        assert main(argv.format(**inputs).split()) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: unrecognized arguments: --seed 1\n" and out == ""
 
     @pytest.mark.parametrize(
         "flag, argv",

@@ -290,6 +290,14 @@ class TestSweep:
             sweep(link, attens, source, proto)
         assert "\n" not in str(info.value)
 
+    def test_bad_attenuation_rejected_by_the_chain(self, bench6db):
+        # the check sits where attenuation enters the chain, so evaluate_link
+        # names the value in one line, not in a ChannelObservables error
+        source, link, proto = bench6db
+        bad = replace(link, attenuation_db=np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match=r"^attenuation must be finite and >= 0, got nan dB$"):
+            evaluate_link(source, bad, proto, "full-budget")
+
     def test_monotonicity_and_cutoff(self, bench6db):
         source, link, proto = bench6db
         reports = sweep(link, list(range(41)), source, proto, gain_convention="full-budget")
@@ -495,11 +503,11 @@ class TestRateFromCounts:
         source = SourceConfig(mu=0.5, nu1=0.5 * nu1_fraction, nu2=nu2)
         link = LinkConfig(background_error=background_error)
         proto = ProtocolConfig(signal_pulses=signal_pulses)
-        as_arrays = [np.array(c, dtype=np.int64) for c in counts]
-        assert decoy.rate_from_counts(*as_arrays, source, link, proto) == explicit_chain(*counts, source, link, proto)
+        table = np.array(counts, dtype=np.int64)
+        assert decoy.rate_from_counts(table, source, link, proto) == explicit_chain(*counts, source, link, proto)
 
     def test_observables(self, bench6db):
-        _, report = decoy.rate_from_counts([1000, 1000, 1000], [118, 17, 0], [60, 8, 0], [1, 0, 0], *bench6db)
+        _, report = decoy.rate_from_counts([[1000, 1000, 1000], [118, 17, 0], [60, 8, 0], [1, 0, 0]], *bench6db)
         obs = report.observables
         assert obs.q_mu == pytest.approx(0.118)
         assert obs.e_mu == pytest.approx(1 / 60)
@@ -507,14 +515,14 @@ class TestRateFromCounts:
         assert obs.q_nu2 == 0.0  # zero detections in decoy2
 
     def test_error_rate_clamped(self, bench6db):
-        _, report = decoy.rate_from_counts([10, 10, 10], [4, 4, 0], [4, 4, 0], [3, 4, 0], *bench6db)
+        _, report = decoy.rate_from_counts([[10, 10, 10], [4, 4, 0], [4, 4, 0], [3, 4, 0]], *bench6db)
         assert report.observables.e_mu == report.observables.e_nu1 == 0.5
 
     @pytest.mark.parametrize("sifted", [[60, 0, 0], [0, 8, 0]])
     def test_no_sifted_detection_rejected(self, bench6db, sifted):
         with pytest.raises(ValueError, match="sifted detections"):
-            decoy.rate_from_counts([1000, 500, 500], [118, 17, 0], sifted, [0, 0, 0], *bench6db)
+            decoy.rate_from_counts([[1000, 500, 500], [118, 17, 0], sifted, [0, 0, 0]], *bench6db)
 
     def test_zero_sent_rejected(self, bench6db):
         with pytest.raises(ValueError, match="no pulses sent"):
-            decoy.rate_from_counts([10, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0], *bench6db)
+            decoy.rate_from_counts([[10, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0]], *bench6db)

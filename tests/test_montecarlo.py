@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
-from qkdbench import decoy, montecarlo
-from qkdbench.montecarlo import RunSummary, run
-from qkdbench.timetag import sent_per_class
+from qkdbench import decoy, montecarlo, timetag
+from qkdbench.montecarlo import run
+from qkdbench.timetag import ClassCounts, sent_per_class
 
 
 def cross_val_source(**kw):
@@ -35,9 +35,8 @@ def class_cells(source: SourceConfig, link: LinkConfig) -> np.ndarray:
     return cells
 
 
-def same_summary(a: RunSummary, b: RunSummary) -> bool:
-    fields = ("frames", "simulated_s", "sent", "detected", "sifted", "errors")
-    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in fields)
+def same_summary(a: ClassCounts, b: ClassCounts) -> bool:
+    return a.counts.dtype == b.counts.dtype and np.array_equal(a.counts, b.counts)
 
 
 class TestRunEdgeCases:
@@ -68,7 +67,7 @@ class TestRunEdgeCases:
         res = run(src, link, ProtocolConfig(), frames=20_000, seed=4, emit_ttags=True, phase_ticks=37)
         s = res.summary
         assert s.sifted[0] > 0
-        assert s.errors.sum() == 0
+        assert s.counts[3].sum() == 0
         assert np.all(res.stream.ticks % np.uint64(128) == 37)
 
     def test_gain_matches_exact_expectation(self):
@@ -154,10 +153,8 @@ class TestOutcomeTable:
         source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002)
         link = LinkConfig(background_suppression=1.0)
         frames = 10_000_000
-        s = run(source, link, ProtocolConfig(), frames=frames, seed=31).summary
-        observed = np.stack(
-            [s.sent - s.detected, s.sifted - s.errors, s.errors, s.detected - s.sifted], axis=1
-        )
+        sent, detected, sifted, errors = run(source, link, ProtocolConfig(), frames=frames, seed=31).summary.counts
+        observed = np.stack([sent - detected, sifted - errors, errors, detected - sifted], axis=1)
         expected = frames * class_cells(source, link)
         assert np.all(expected > 50)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -236,8 +233,8 @@ class TestExpectedTally:
         ],
     )
     def test_same_values_as_inline_table_arithmetic(self, source, link):
-        sent, detected, sifted, errors = montecarlo.expected_tally(source, link)
-        new = [*(detected / sent), errors[0] / sifted[0]]
+        gains, qbers = timetag.ratios(montecarlo.expected_tally(source, link))
+        new = [*gains, qbers[0]]
         assert np.allclose(new, inline_exact(source, link), rtol=1e-12, atol=0)
 
     def test_small_gain_without_cancellation(self):
@@ -252,9 +249,8 @@ class TestExpectedTally:
     def test_run_counts_within_five_sigma(self, bench6db):
         source, link, proto = bench6db
         frames = 1_000_000
-        s = run(source, link, proto, frames=frames, seed=41).summary
+        observed = run(source, link, proto, frames=frames, seed=41).summary.counts
         p = montecarlo.expected_tally(source, link)
-        observed = np.stack([s.sent, s.detected, s.sifted, s.errors])
         sigma = np.sqrt(frames * p * (1 - p))
         assert np.all(np.abs(observed - frames * p) <= 5 * sigma), (observed - frames * p) / sigma
 
@@ -345,7 +341,7 @@ class TestRunConvergence:
         total = res.summary.detected.sum()
         sigma = math.sqrt(p * (1 - p) * 2_000_000)
         assert abs(total - p * 2_000_000) <= 3 * sigma
-        qber = res.summary.errors.sum() / res.summary.sifted.sum()
+        qber = res.summary.counts[3].sum() / res.summary.sifted.sum()
         assert abs(qber - 0.5) <= 3 * math.sqrt(0.25 / res.summary.sifted.sum())
 
 
@@ -409,7 +405,7 @@ class TestDraw:
         # boundaries, as the whole-block code array gave them
         s = run(*bench6db, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7).summary
         h = hashlib.sha256()
-        for counts in (s.sent, s.detected, s.sifted, s.errors):
+        for counts in s.counts:  # rows sent, detected, sifted, errored
             h.update(np.asarray(counts, dtype=np.int64).tobytes())
         assert h.hexdigest() == "6217c374526fd63f644fa0b61fcd5eae67fd6ab874db082f1ec2cc2730fec72a"
 
@@ -418,9 +414,8 @@ class TestDraw:
         # boundaries, as the Generator.choice draw gave them
         source, link, proto = bench6db
         res = run(source, link, proto, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7, emit_ttags=True, phase_ticks=37)
-        s = res.summary
         h = hashlib.sha256()
-        for counts in (s.sent, s.detected, s.sifted, s.errors):
+        for counts in res.summary.counts:  # rows sent, detected, sifted, errored
             h.update(np.asarray(counts, dtype=np.int64).tobytes())
         for array in (res.stream.ticks, res.stream.channels, res.alice_log.code):
             h.update(array.tobytes())
@@ -484,33 +479,20 @@ class TestSummary:
         res = run(src, link, proto, frames=90_000, seed=5, emit_ttags=True)
         first = run(src, link, proto, frames=30_000, seed=5, emit_ttags=True)
         whole = res.summary
-        assert whole.frames == 90_000
         assert whole.sent.sum() == len(res.alice_log) == 90_000
         # the first block is drawn as a run of its own
         assert np.array_equal(res.alice_log.code[:30_000], first.alice_log.code)
         assert np.array_equal(whole.sent, np.bincount(res.alice_log.code >> 2, minlength=3))
         assert np.all(whole.detected <= whole.sent)
-        assert np.all(whole.errors <= whole.sifted)
-
-    def test_simulated_s_is_exact(self, bench6db, monkeypatch):
-        # a float sum over blocks gave 3.0000000000000004e-05 here
-        monkeypatch.setattr(montecarlo, "BLOCK_FRAMES", 1000)
-        _, link, proto = bench6db
-        src = cross_val_source()
-        s = run(src, link, proto, frames=3000, seed=6).summary
-        assert s.simulated_s == 3000 / src.pulse_rate_hz
+        assert np.all(whole.counts[3] <= whole.sifted)
 
     def test_hand_built_summary(self):
-        s = RunSummary(
-            frames=1000,
-            simulated_s=1e-5,
-            sent=np.array([1000, 1, 1]),
-            detected=np.array([118, 0, 0]),
-            sifted=np.array([118, 0, 0]),
-            errors=np.array([1, 0, 0]),
-        )
+        # rows sent, detected, sifted, errored; a class with nothing sifted has a NaN QBER
+        s = ClassCounts(np.array([[1000, 1, 0], [118, 0, 0], [118, 0, 0], [1, 0, 0]]))
         assert s.gain_class(0) == pytest.approx(0.118)
         assert s.qber_class(0) == pytest.approx(1 / 118)
+        assert s.gain_class(1) == 0.0
+        assert math.isnan(s.gain_class(2)) and math.isnan(s.qber_class(1))
 
 
 class TestEmission:
@@ -526,7 +508,7 @@ class TestEmission:
         src = cross_val_source()
         link = LinkConfig(attenuation_db=0.0, background_suppression=1.0)
         res = run(src, link, ProtocolConfig(), frames=1_000_000, seed=22, emit_ttags=True)
-        rate_mcps = len(res.stream) / res.summary.simulated_s / 1e6
+        rate_mcps = len(res.stream) / (1_000_000 / src.pulse_rate_hz) / 1e6
         assert res.dropped_records > 0
         assert rate_mcps == pytest.approx(10.0, rel=1e-6)
 

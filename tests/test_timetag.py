@@ -368,8 +368,8 @@ class TestSift:
         chans = alice.code & 3  # basis * 2 + bit
         gated = gate(TimeTagStream(ticks, chans), PERIOD, 37, 13)
         key = sift(alice, gated, PERIOD, seed=1)
-        assert len(key.sifted_bits) == n
-        assert key.errors_per_class.sum() == 0
+        assert key.sifted.sum() == n
+        assert key.counts[3].sum() == 0
         assert key.collisions == 0
 
     def test_uniform_bases_sift_half(self):
@@ -382,7 +382,7 @@ class TestSift:
         chans = (bob_basis * 2 + bob_bit).astype(np.uint8)
         gated = gate(TimeTagStream(ticks, chans), PERIOD, 37, 13)
         key = sift(alice, gated, PERIOD, seed=2)
-        frac = len(key.sifted_bits) / n
+        frac = key.sifted.sum() / n
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
     def test_collisions_resolved_and_counted(self):
@@ -414,7 +414,8 @@ class TestSift:
         chans = rng.integers(0, 4, size=len(frames)).astype(np.uint8)
         key = sift(alice, gate(TimeTagStream(ticks, chans), PERIOD, 37, 13), PERIOD, seed=seed)
         assert np.array_equal(key.frames, chosen)
-        assert np.array_equal(key.detected_per_class, np.bincount(alice.code[chosen] >> 2, minlength=3))
+        assert np.array_equal(key.sent, np.bincount(alice.code >> 2, minlength=3))
+        assert np.array_equal(key.detected, np.bincount(alice.code[chosen] >> 2, minlength=3))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -446,9 +447,29 @@ class TestSift:
         channel = np.array([channels[kept[f]] for f in order], dtype=np.uint8)
         assert key.frames.tolist() == order
         assert key.collisions == len(frames) - len(kept)
-        assert key.sifted_bits.tolist() == [c & 1 for c, a in zip(channel, code) if c >> 1 == a >> 1 & 1]
-        counts = timetag.tally(code, channel)
-        assert np.array_equal(np.array([key.detected_per_class, key.sifted_per_class, key.errors_per_class]), counts)
+        sent = [sum(c >> 2 == k for c in codes) for k in range(3)]
+        assert np.array_equal(key.counts, np.vstack([sent, timetag.tally(code, channel)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 11), min_size=1, max_size=30),
+        records=st.lists(st.tuples(st.integers(0, 40), st.integers(-20, 20), st.integers(0, 5)), max_size=80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a shared frame, a frame past the log, a record outside the gate and a marker
+    @example(codes=[0, 4], records=[(0, 0, 0), (0, 1, 1), (5, 0, 2), (1, 30, 3), (1, 0, 4)], seed=0)
+    def test_sift_table_conserves_counts(self, codes, records, seed):
+        # markers (channels 4 and 5), records outside the gate, frames past the log and
+        # shared frames, in or out of order: each row of the table is a subset of the one above
+        alice = AliceLog(np.array(codes, dtype=np.uint8))
+        ticks = np.array([f * PERIOD + 37 + d for f, d, _ in records], dtype=np.uint64)
+        chans = np.array([c for _, _, c in records], dtype=np.uint8)
+        key = sift(alice, gate(TimeTagStream(ticks, chans), PERIOD, 37, 13), PERIOD, seed=seed)
+        sent, detected, sifted, errored = key.counts
+        assert np.all((sent >= detected) & (detected >= sifted) & (sifted >= errored) & (errored >= 0))
+        assert sent.sum() == len(alice)
+        gated_in_log = sum(c < 4 and -6 <= d <= 6 and f < len(codes) for f, d, c in records)
+        assert detected.sum() == gated_in_log - key.collisions
 
     def test_sift_memory(self):
         # only records sharing a frame are ranked, and nothing is sorted when the
@@ -467,7 +488,6 @@ class TestSift:
         finally:
             tracemalloc.stop()
         assert key.collisions > 0
-        assert key.sifted_bits.dtype == np.uint8
         assert peak / len(gated.accepted) <= 40, peak / len(gated.accepted)
 
     @settings(max_examples=50, deadline=None)
@@ -637,7 +657,7 @@ class TestMcPipeline:
         key = sift(res.alice_log, gated, PERIOD, seed=506)
         s = res.summary
         assert key.sifted_per_class.sum() == s.sifted.sum()
-        assert key.errors_per_class.sum() == s.errors.sum()
+        assert key.counts[3].sum() == s.counts[3].sum()
 
 
 class TestFrameIndices:
