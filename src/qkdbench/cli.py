@@ -174,6 +174,11 @@ def cmd_simulate(args) -> int:
 
     _print_seed(args, seed)
     print(f"frames = {args.frames}, simulated {summary['simulated_s']:g} s")
+    if result.dropped_records:
+        share = result.dropped_records / (len(result.stream) + result.dropped_records)
+        print(f"warning: {result.dropped_records} records ({share:.1%}) dropped by the",
+              f"{montecarlo.THROUGHPUT_CAP_MCPS:g} Mcps throughput cap;",
+              "analyze-ttags counts their frames as sent and not detected")
     names = [f"Q_{label}" for label in timetag.CLASS_LABELS] + ["E_signal"]
     cells = [(0, 0), (0, 1), (0, 2), (1, 0)]  # (ratio row, class): the class gains, then the signal QBER
     papers = (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2, obs_model.e_mu)

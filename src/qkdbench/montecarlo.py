@@ -4,23 +4,21 @@ The frame physics is one exact table, :func:`outcome_table`: for each of
 the 12 states Alice emits, the probability of no click and of a signal
 or a background click on each of Bob's four detector channels (full link
 budget, passive basis choice, detector and depolarization errors).
-``run`` samples it: per frame one code and one uniform, looked up in the
-table's cumulative rows.  Its summary is a :class:`~qkdbench.timetag.ClassCounts`
-table, rows sent, detected, sifted and errored per class, and
-:func:`expected_tally` is that table's exact mean per frame.
+``run`` samples it with one uniform per frame.  Its summary is a
+:class:`~qkdbench.timetag.ClassCounts` table, rows sent, detected,
+sifted and errored per class, and :func:`expected_tally` is that table's
+exact mean per frame.
 
-The code is drawn by inverse CDF over the 12 code probabilities
-``outer(class_probs, pol_probs)``: with ``u`` a uniform, the code is the
-number of the CDF's 11 inner cut points at or below ``u``.  That is the
-``searchsorted`` step ``Generator.choice(12, p=...)`` takes on the same
-stream, so a seed gives the codes ``choice`` would give, and a code of
-probability 0 is never drawn.  Both uniforms are drawn in cache-sized
-tiles of ``TILE_FRAMES``; the sent counts are counts of ``u`` below the
-class cut points, and only the click candidates (second uniform at or
-above the smallest no-click probability, ~4% of frames at 6 dB) get a
-code.  An emitted run writes every frame's code into the log as its
-tile is drawn and reads the candidates' codes back from it, so it keeps
-no block of first uniforms.
+The uniform picks the frame's code and outcome at once, by inverse CDF
+over 108 joint cells ``p_code[c] * outcome_table[c, k]``
+(``p_code = outer(class_probs, pol_probs)``): the 12 no-click cells in
+code order, then each code's 8 click cells.  The CDF ends at exactly 1,
+so a cell of probability 0 is never drawn.  A frame clicks exactly when
+its uniform is past every no-click cell (~4% of frames at 6 dB); only
+those frames get a code, the number of code-start cuts at or below the
+uniform, and an outcome, one plus the number of that code's inner cuts
+at or below it.  A run holds one tile of ``TILE_FRAMES`` uniforms; an
+emitted run writes each tile's codes into the log as it is drawn.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -132,10 +130,10 @@ def run(
     emit_ttags: bool = False,
     phase_ticks: int = 0,
 ) -> RunResult:
-    """Simulate ``frames`` pulses; deterministic for a given seed.
+    """Simulate ``frames`` pulses, one uniform each; deterministic for a given seed.
 
     The summary is identical whether or not a stream is emitted (stream
-    offsets are drawn after all summary variates within each block).
+    offsets are drawn after all of a block's uniforms).
     Emitted records are time-ordered; when the record rate exceeds
     ``THROUGHPUT_CAP_MCPS`` the tail is dropped, like a saturated DMA
     transfer.
@@ -146,48 +144,42 @@ def run(
     if emit_ttags and not 0 <= phase_ticks < period:
         raise ValueError(f"phase_ticks must lie in [0, {period}), got {phase_ticks}")
 
-    class_probs = _probabilities(source.class_probs, "class")
-    code_cdf = np.cumsum(np.outer(class_probs, _probabilities(source.pol_probs, "polarization")))
-    cuts = (code_cdf / code_cdf[-1])[:-1]  # the 11 inner cut points, formed as Generator.choice forms them
-    cdf = np.cumsum(outcome_table(source, link), axis=1)
-    cdf /= cdf[:, -1:]  # exact 1 at the end, so a zero-probability outcome is never drawn
-    click_min = cdf[:, 0].min()  # no frame with u below every code's no-click probability clicks
+    p_code = np.outer(_probabilities(source.class_probs, "class"), _probabilities(source.pol_probs, "polarization"))
+    joint = p_code.reshape(12, 1) * outcome_table(source, link)  # (code, outcome) probabilities
+    # the cells in draw order: the 12 no-click cells in code order, then each code's 8 click cells
+    cdf = np.cumsum(np.concatenate([joint[:, 0], joint[:, 1:].ravel()]))
+    cdf /= cdf[-1]  # exact 1 at the end, so a cell of probability 0 has zero width and is never drawn
+    p0 = cdf[11]  # a frame clicks exactly when its uniform is at or above every no-click cell
+    code_cuts = cdf[19:107:8]  # where the click cells of codes 1..11 start
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
 
-    below = np.zeros(2, dtype=np.int64)  # frames below cuts[3] and cuts[7]: codes < 4 and < 8
+    below = np.zeros(2, dtype=np.int64)  # no-click frames below cdf[3] and cdf[7]: classes 0 and 0-1
     pairs = np.zeros(48, dtype=np.int64)  # clicks per (code, channel) pair
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
-    # first uniforms: a tile when the log keeps every code, else a block kept for
-    # the candidates' codes; second uniforms: a tile
-    first = np.empty(min(frames, TILE_FRAMES if emit_ttags else BLOCK_FRAMES))
-    second = np.empty(min(frames, TILE_FRAMES))
+    uniforms = np.empty(min(frames, TILE_FRAMES))
     log = np.zeros(frames if emit_ttags else 0, dtype=np.uint8)
 
     for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        hits = []  # per tile: the click frames' block indexes, codes and outcomes
         for t in range(0, n, TILE_FRAMES):
-            at = 0 if emit_ttags else t
-            u = first[at : at + min(TILE_FRAMES, n - t)]
+            u = uniforms[: min(TILE_FRAMES, n - t)]
             rng.random(out=u)
-            below += np.count_nonzero(u < cuts[3]), np.count_nonzero(u < cuts[7])
+            below += np.count_nonzero(u < cdf[3]), np.count_nonzero(u < cdf[7])
+            idx = np.flatnonzero(u >= p0)
+            u_click = u[idx]
+            code = _codes(u_click, code_cuts)
+            cell = 8 * code.astype(np.intp)  # the code's first click cell, less 12
+            outcome = _codes(u_click, (np.take(cdf[12 + k :], cell) for k in range(7)), out=np.ones_like(code))
             if emit_ttags:
-                _codes(u, cuts, out=log[base + t : base + t + len(u)])
-
-        hits = []  # per tile: the click candidates' block frame indexes and second uniforms
-        for t in range(0, n, TILE_FRAMES):
-            u = second[: min(TILE_FRAMES, n - t)]
-            rng.random(out=u)
-            cand = np.flatnonzero(u >= click_min)
-            hits.append((t + cand, u[cand]))
-        cand, u = (np.concatenate(part) for part in zip(*hits))
-        code = log[base : base + n][cand] if emit_ttags else _codes(first[cand], cuts)
-        outcome = _codes(u, (np.take(col, code) for col in cdf.T[:8]))  # 0 = no click, else 1..8
-        keep = np.flatnonzero(outcome)
-        idx, code, outcome = cand[keep], code[keep], outcome[keep]
+                log_codes = _codes(u, cdf[:11], out=log[base + t : base + t + len(u)])  # 11 for a click frame
+                log_codes[idx] = code
+            hits.append((t + idx, code, outcome))
+        idx, code, outcome = (np.concatenate(part) for part in zip(*hits))
         channel = (outcome - 1) & 3
         pairs += np.bincount(code * 4 + channel, minlength=48)
 
@@ -215,7 +207,7 @@ def run(
         stream = TimeTagStream(ticks, chans)
         alice_log = AliceLog(log)
 
-    sent = np.diff(below, prepend=0, append=frames)
+    sent = np.diff(below, prepend=0, append=frames - pairs.sum()) + pairs.reshape(3, 16).sum(axis=1)
     counts = np.vstack([sent, tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)])  # exact float sums
     return RunResult(summary=ClassCounts(counts), stream=stream, alice_log=alice_log, dropped_records=dropped)
 

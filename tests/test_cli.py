@@ -146,6 +146,26 @@ class TestSimulate:
         assert "period_ticks = 128" in sidecar
         assert "channels = 0:H 1:V 2:D 3:A\n" in sidecar
 
+    def test_dropped_records_warned(self, bench_config_file, tmp_path, capsys):
+        # a lossless link clicks at ~18 Mcps, above the cap, which keeps 10 Mcps x 1 ms =
+        # 10,000 records; the benchmark link's ~4 Mcps is below it
+        lossless = tmp_path / "lossless.cfg"
+        text = bench_config_file.read_text().replace("attenuation_db = 6.0", "attenuation_db = 0.0")
+        lossless.write_text(text.replace("setup_loss_db = 2.0", "setup_loss_db = 0.0"))
+        for config, warned in ((lossless, True), (bench_config_file, False)):
+            prefix = str(tmp_path / config.stem)
+            argv = ["simulate", "--config", str(config), "--frames", "100000", "--seed", "2", "--out", prefix]
+            assert main(argv + ["--emit-ttags"]) == 0
+            warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+            sidecar = dict(l.split(" = ") for l in Path(prefix + ".sidecar.txt").read_text().splitlines())
+            dropped = int(sidecar["dropped_records"])
+            assert (dropped > 0) == warned
+            line = (
+                f"warning: {dropped} records ({dropped / (dropped + 10_000):.1%}) dropped by the 10 Mcps "
+                "throughput cap; analyze-ttags counts their frames as sent and not detected"
+            )
+            assert warnings == ([line] if warned else [])
+
     def test_summary_values_are_plain_numbers(self, bench_config_file, tmp_path):
         main(
             ["simulate", "--config", str(bench_config_file), "--frames", "10000",
@@ -169,7 +189,7 @@ class TestSimulate:
         # 800 MHz: the default phase, 37, is taken modulo the 16-tick period
         config = with_keys(bench_config_file, "rate_800mhz.cfg", pulse_rate_hz=8e8)
         prefix = str(tmp_path / "fast")
-        argv = ["simulate", "--config", str(config), "--frames", "20000", "--seed", "3", "--out", prefix, "--emit-ttags"]
+        argv = ["simulate", "--config", str(config), "--frames", "200000", "--seed", "3", "--out", prefix, "--emit-ttags"]
         assert main(argv) == 0
         sidecar = dict(l.split(" = ") for l in Path(prefix + ".sidecar.txt").read_text().splitlines())
         assert (sidecar["period_ticks"], sidecar["phase_ticks"]) == ("16", "5")
@@ -277,11 +297,11 @@ class TestSimulate:
 
     def test_alice_log_is_pinned(self, bench_config_file, tmp_path):
         # a log of two whole blocks and part of a third, streamed in many blocks
-        # of rows, has the bytes the whole-file buffer gave
+        # of rows, as the one-uniform joint draw gives it
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "2100000", "--seed", "7", "--emit-ttags"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         digest = hashlib.sha256((tmp_path / "run.alice.csv").read_bytes()).hexdigest()
-        assert digest == "37139e126fa92e8120514793c0d7b9f66e38be8cf0a4f82647a5649f442ee01d"
+        assert digest == "0a5a5c958f6d858f759dbf9591aee15f1b94b96d3c5743935381bdbcbb12856c"
 
 
 class TestWriteAtomic:

@@ -153,7 +153,7 @@ class TestOutcomeTable:
         source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002)
         link = LinkConfig(background_suppression=1.0)
         frames = 10_000_000
-        sent, detected, sifted, errors = run(source, link, ProtocolConfig(), frames=frames, seed=31).summary.counts
+        sent, detected, sifted, errors = run(source, link, ProtocolConfig(), frames=frames, seed=32).summary.counts
         observed = np.stack([sent - detected, sifted - errors, errors, detected - sifted], axis=1)
         expected = frames * class_cells(source, link)
         assert np.all(expected > 50)
@@ -368,18 +368,49 @@ class TestDraw:
     @given(
         class_probs=distribution(3),
         pol_probs=distribution(4),
+        dark_class=st.sampled_from([None, 0, 1, 2]),
+        background_yield=st.sampled_from([0.0, LinkConfig().background_yield]),
         frames=st.integers(1, 3000),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_codes_are_generator_choice(self, class_probs, pol_probs, frames, seed):
-        # one block: the codes are what Generator.choice draws from the block's generator
+    def test_zero_probability_cells_never_drawn(self, class_probs, pol_probs, dark_class, background_yield, frames, seed):
+        # a code of probability 0 is never logged, and a class of mean 0 on a
+        # link without background never clicks
+        means = dict(mu=0.5, nu1=0.066, nu2=0.002)
+        if dark_class is not None:
+            means[("mu", "nu1", "nu2")[dark_class]] = 0.0
         p_mu, p_nu1, p_nu2 = class_probs
-        src = SourceConfig(p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
-        code = run(src, LinkConfig(), ProtocolConfig(), frames=frames, seed=seed, emit_ttags=True).alice_log.code
-        p = np.outer(class_probs, pol_probs).ravel()
-        expected = np.random.default_rng(np.random.SeedSequence([seed, 0])).choice(12, size=frames, p=p)
-        assert np.array_equal(code, expected)
-        assert not np.isin(code, np.flatnonzero(p == 0)).any()
+        src = SourceConfig(**means, p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
+        link = LinkConfig(background_yield=background_yield, jitter_sigma_s=0.0)
+        res = run(src, link, ProtocolConfig(), frames=frames, seed=seed, emit_ttags=True)
+        code = res.alice_log.code
+        assert not np.isin(code, np.flatnonzero(np.outer(class_probs, pol_probs).ravel() == 0)).any()
+        if dark_class is not None and background_yield == 0:
+            assert res.summary.detected[dark_class] == 0
+            frame = timetag.frame_indices(res.stream.ticks, 0, timetag.period_ticks(src.pulse_rate_hz))
+            assert not np.any(code[frame] >> 2 == dark_class)
+
+    def test_code_and_outcome_pairs_match_table(self, bench6db):
+        # an emitted run's (code x {no click, channel 0..3}) counts, each record's
+        # frame read back through the phase, against frames * p_code * the table's
+        # no-click and click columns: Pearson chi-square, 59 degrees of freedom
+        # (the 60 cells sum to the frame count); 98.32 is the 99.9% quantile
+        source, link, proto = bench6db
+        assert link.background_suppression == 1.0
+        frames, phase = 30_000_000, 37
+        res = run(source, link, proto, frames=frames, seed=1, emit_ttags=True, phase_ticks=phase)
+        assert res.dropped_records == 0
+        code = res.alice_log.code
+        frame = timetag.frame_indices(res.stream.ticks, phase, timetag.period_ticks(source.pulse_rate_hz))
+        assert np.all(np.diff(frame) > 0)  # one record per clicked frame
+        clicks = np.bincount(code[frame].astype(np.intp) * 4 + res.stream.channels, minlength=48).reshape(12, 4)
+        observed = np.column_stack([np.bincount(code, minlength=12) - clicks.sum(axis=1), clicks])
+        table = montecarlo.outcome_table(source, link)
+        p_code = np.outer(source.class_probs, source.pol_probs).reshape(12, 1)
+        expected = frames * p_code * np.column_stack([table[:, 0], table[:, 1:5] + table[:, 5:]])
+        assert expected.min() >= 50
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 <= 98.32, (chi2, observed.tolist())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -389,7 +420,7 @@ class TestDraw:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_summary_does_not_depend_on_emission(self, class_probs, pol_probs, block_frames, seed):
-        # the summary takes sent from the uniforms and clicks from candidate-only codes
+        # the summary's counts come from the uniforms alone; writing the log draws nothing
         block, frames = block_frames
         p_mu, p_nu1, p_nu2 = class_probs
         src = SourceConfig(p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
@@ -402,16 +433,16 @@ class TestDraw:
 
     def test_summary_run_is_pinned(self, bench6db):
         # the four count arrays of a summary-only run crossing two block
-        # boundaries, as the whole-block code array gave them
+        # boundaries, as the one-uniform joint draw gives them
         s = run(*bench6db, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7).summary
         h = hashlib.sha256()
         for counts in s.counts:  # rows sent, detected, sifted, errored
             h.update(np.asarray(counts, dtype=np.int64).tobytes())
-        assert h.hexdigest() == "6217c374526fd63f644fa0b61fcd5eae67fd6ab874db082f1ec2cc2730fec72a"
+        assert h.hexdigest() == "d0fb014d87fddf2b57fd9c5b8d928c642ab0b51fefa9c0f4094bbfd8d23e477c"
 
     def test_seeded_run_is_pinned(self, bench6db):
         # counts, ticks, channels and codes of a run crossing two block
-        # boundaries, as the Generator.choice draw gave them
+        # boundaries, as the one-uniform joint draw gives them
         source, link, proto = bench6db
         res = run(source, link, proto, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7, emit_ttags=True, phase_ticks=37)
         h = hashlib.sha256()
@@ -419,7 +450,7 @@ class TestDraw:
             h.update(np.asarray(counts, dtype=np.int64).tobytes())
         for array in (res.stream.ticks, res.stream.channels, res.alice_log.code):
             h.update(array.tobytes())
-        assert h.hexdigest() == "53fea6cf61d8cf985e46ed9161ae8240b9f8b5e23ec9f3e55e55d4ab357f9df2"
+        assert h.hexdigest() == "8f244b6c8f65991b1be4038270c9ce485141c8fd249dad99dff32bffafcfcc79"
 
     @pytest.mark.parametrize(
         "probs, match",
@@ -442,9 +473,7 @@ class TestDraw:
         assert run(src, LinkConfig(), ProtocolConfig(), frames=100, seed=1).summary.sent.sum() == 100
 
     def test_summary_run_memory(self, bench6db):
-        # one block's working set: its first uniforms, a tile of second uniforms
-        # and the click candidates, ~10.8 B/frame; a whole-block code array
-        # adds 1 (the draw through Generator.choice peaked at ~19 B/frame)
+        # one tile of uniforms and the block's click frames, ~1.5 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1)
         tracemalloc.start()
@@ -453,12 +482,11 @@ class TestDraw:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / frames <= 11.25, peak / frames
+        assert peak / frames <= 1.7, peak / frames
 
     def test_emit_run_memory(self, bench6db):
-        # the log, 1 B/frame, is the only per-frame array: first uniforms are
-        # drawn a tile at a time and the candidates' codes read back from the
-        # log (a block of first uniforms next to it traced 13.25 B/frame)
+        # the log, 1 B/frame, is the only per-frame array; uniforms are drawn a
+        # tile at a time, and the click frames' records make up the rest, ~4.1 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1, emit_ttags=True)
         tracemalloc.start()
@@ -467,7 +495,7 @@ class TestDraw:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / frames <= 6.5, peak / frames
+        assert peak / frames <= 4.7, peak / frames
 
 
 class TestSummary:
