@@ -210,6 +210,8 @@ def cmd_analyze_ttags(args) -> int:
     phase = timetag.recover_phase(stream, period)
     gated = timetag.gate(stream, period, phase.phase_ticks, window)
     sifted = timetag.sift(alice, gated, period, seed=seed)
+    if sifted.unattributed:
+        raise ConfigError(f"alice log covers {len(alice)} frames; {sifted.unattributed} detection records lie outside it")
 
     y0, report = decoy.rate_from_counts(sifted.counts, source, link, proto)
     obs, est = report.observables, report.estimates

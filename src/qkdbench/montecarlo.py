@@ -14,11 +14,11 @@ over 108 joint cells ``p_code[c] * outcome_table[c, k]``
 (``p_code = outer(class_probs, pol_probs)``): the 12 no-click cells in
 code order, then each code's 8 click cells.  The CDF ends at exactly 1,
 so a cell of probability 0 is never drawn.  A frame clicks exactly when
-its uniform is past every no-click cell (~4% of frames at 6 dB); only
-those frames get a code, the number of code-start cuts at or below the
-uniform, and an outcome, one plus the number of that code's inner cuts
-at or below it.  A run holds one tile of ``TILE_FRAMES`` uniforms; an
-emitted run writes each tile's codes into the log as it is drawn.
+its uniform is past every no-click cell (~3% of frames at 6 dB).  A run
+holds one tile of ``TILE_FRAMES`` uniforms; a tile keeps only its click
+uniforms, and once per block each click gets a code, the number of
+code-start cuts at or below it, and an outcome, one plus the number of
+that code's inner cuts at or below it.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -30,8 +30,9 @@ uniformly over the whole frame and leaves the gating to the analysis.
 
 Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
 generators derive from (seed, block index), so results are reproducible;
-the clicks of every block are counted per (code, channel) pair and
-tallied once.  Emitted streams are capped at ``THROUGHPUT_CAP_MCPS``.
+each block's clicks are counted per (code, channel) pair, and an emitted
+run writes the block's click codes over the per-tile codes in its log.
+Emitted streams are capped at ``THROUGHPUT_CAP_MCPS``.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def run(
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
 
-    below = np.zeros(2, dtype=np.int64)  # no-click frames below cdf[3] and cdf[7]: classes 0 and 0-1
+    below_mu = below_nu1 = 0  # no-click frames below cdf[3] and cdf[7]: classes 0 and 0-1
     pairs = np.zeros(48, dtype=np.int64)  # clicks per (code, channel) pair
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
@@ -165,28 +166,31 @@ def run(
     for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        hits = []  # per tile: the click frames' block indexes, codes and outcomes
+        u_parts, idx_parts = [], []  # per tile: the click frames' uniforms and, when emitting, block indexes
         for t in range(0, n, TILE_FRAMES):
             u = uniforms[: min(TILE_FRAMES, n - t)]
             rng.random(out=u)
-            below += np.count_nonzero(u < cdf[3]), np.count_nonzero(u < cdf[7])
+            below_mu += np.count_nonzero(u < cdf[3])
+            below_nu1 += np.count_nonzero(u < cdf[7])
             idx = np.flatnonzero(u >= p0)
-            u_click = u[idx]
-            code = _codes(u_click, code_cuts)
-            cell = 8 * code.astype(np.intp)  # the code's first click cell, less 12
-            outcome = _codes(u_click, (np.take(cdf[12 + k :], cell) for k in range(7)), out=np.ones_like(code))
+            u_parts.append(u[idx])
             if emit_ttags:
-                log_codes = _codes(u, cdf[:11], out=log[base + t : base + t + len(u)])  # 11 for a click frame
-                log_codes[idx] = code
-            hits.append((t + idx, code, outcome))
-        idx, code, outcome = (np.concatenate(part) for part in zip(*hits))
+                idx_parts.append(t + idx)
+                _codes(u, cdf[:11], out=log[base + t : base + t + len(u)])  # 11 for a click frame
+        u_click = np.concatenate(u_parts)
+        del u_parts  # hold the block's click uniforms once
+        code = _codes(u_click, code_cuts)
+        cell = 8 * code.astype(np.intp)  # the code's first click cell, less 12
+        outcome = _codes(u_click, (np.take(cdf[12 + k :], cell) for k in range(7)), out=np.ones_like(code))
+        del u_click, cell  # before the emitted records are built
         channel = (outcome - 1) & 3
         pairs += np.bincount(code * 4 + channel, minlength=48)
 
         if emit_ttags:
-            n_ev = len(idx)
-            jitter = np.rint(rng.normal(0.0, sigma_ticks, size=n_ev)).astype(np.int64)
-            bg_off = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=n_ev)
+            idx = np.concatenate(idx_parts)
+            log[base + idx] = code
+            jitter = np.rint(rng.normal(0.0, sigma_ticks, size=len(idx))).astype(np.int64)
+            bg_off = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=len(idx))
             offs = np.where(outcome <= 4, jitter, bg_off) + phase_ticks
             ticks = (base + idx.astype(np.int64)) * period + offs
             np.clip(ticks, 0, None, out=ticks)
@@ -194,9 +198,7 @@ def run(
             tick_chunks.append(ticks[order].astype(np.uint64))
             chan_chunks.append(channel[order])
 
-    stream = None
-    alice_log = None
-    dropped = 0
+    stream, alice_log, dropped = None, None, 0
     if emit_ttags:
         ticks, chans = np.concatenate(tick_chunks), np.concatenate(chan_chunks)
         # the period as a factor: dividing by the rate instead can round the cap differently
@@ -207,7 +209,7 @@ def run(
         stream = TimeTagStream(ticks, chans)
         alice_log = AliceLog(log)
 
-    sent = np.diff(below, prepend=0, append=frames - pairs.sum()) + pairs.reshape(3, 16).sum(axis=1)
+    sent = np.diff([0, below_mu, below_nu1, frames - pairs.sum()]) + pairs.reshape(3, 16).sum(axis=1)
     counts = np.vstack([sent, tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)])  # exact float sums
     return RunResult(summary=ClassCounts(counts), stream=stream, alice_log=alice_log, dropped_records=dropped)
 

@@ -287,6 +287,7 @@ class SiftedKey(ClassCounts):
 
     frames: np.ndarray  # frame index of each kept detection
     collisions: int
+    unattributed: int  # detection records whose frame lies outside the log
 
     sifted_per_class = ClassCounts.sifted
 
@@ -299,9 +300,10 @@ def sift(
 ) -> SiftedKey:
     """Sift the gated detections against Alice's emission log.
 
-    Detections are mapped to frames from their ticks; frames with more
-    than one accepted detection keep one chosen uniformly at random
-    (counted in ``collisions``), and the kept ones are counted by
+    Detections (channels 0-3) are mapped to frames from their ticks;
+    those outside the log are dropped, counted in ``unattributed``.
+    Frames with more than one detection keep one chosen uniformly at
+    random (counted in ``collisions``), and the kept ones are counted by
     :func:`tally` under the log's :func:`sent_per_class`, so a gain
     from the table counts each frame once.
 
@@ -312,9 +314,9 @@ def sift(
     """
     acc = gating.accepted
     frames = frame_indices(acc.ticks, gating.phase_ticks, period_ticks)
-    # markers and frames outside Alice's log cannot be attributed
     ok = (acc.channels < 4) & (frames >= 0) & (frames < len(alice))
     frames, channels = frames[ok], acc.channels[ok]
+    unattributed = int(np.count_nonzero(acc.channels < 4)) - len(frames)
 
     perm = np.random.default_rng(seed).permutation(len(frames))  # rank -> record
     if np.any(frames[1:] < frames[:-1]):  # out of order: sort, and let perm name the sorted records
@@ -335,7 +337,7 @@ def sift(
     frames, channels = frames[keep], channels[keep]
 
     counts = np.vstack([sent_per_class(alice.code), tally(alice.code[frames], channels)])
-    return SiftedKey(counts, frames, collisions)
+    return SiftedKey(counts, frames, collisions, unattributed)
 
 
 __all__ = [

@@ -566,6 +566,7 @@ class TestMalformedInput:
             "crlf_log": b"bit,basis,class\r\n0,Z,signal\r\n1,Z,decoy1\r\n",
             "no_lf_log": b"bit,basis,class\n0,Z,signal\n1,Z,decoy1",
             "non_ascii_log": b"bit,basis,class\n0,Z,sign\xe9l\n1,Z,decoy1\n",
+            "cut_log": log.getvalue()[: 16 + 100 * 11],  # the header and the first 100 of the 240 rows
         }
         for name, data in logs.items():
             (tmp_path / f"{name}.alice.csv").write_bytes(data)
@@ -737,6 +738,13 @@ class TestMalformedInput:
         argv = f"analyze-ttags --config {{cfg}} --ttags {{ttag}} --alice-log {{{log}}}".format(**inputs)
         assert main(argv.split()) == 2
         assert capsys.readouterr().err == f"error: cannot read alice log: {message}\n"
+
+    def test_alice_log_shorter_than_its_stream_rejected(self, inputs, capsys):
+        # the detections of frames 100-239 have no row to be scored against
+        argv = "analyze-ttags --config {cfg} --ttags {frames_ttag} --alice-log {cut_log} --seed 1"
+        assert main(argv.format(**inputs).split()) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: alice log covers 100 frames; 140 detection records lie outside it\n")
 
     def test_zero_model_gain_names_the_attenuation(self, inputs, capsys):
         argv = "sweep --config {zero_bg} --out {out} --atten-min 3000 --atten-max 4000 --atten-step 10"

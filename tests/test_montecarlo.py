@@ -363,7 +363,69 @@ def block_and_frames(draw):
     return block, edge + draw(st.integers(-1, 1))
 
 
+def reference_cells(source: SourceConfig, link: LinkConfig, frames: int, seed: int, block: int) -> np.ndarray:
+    """Each frame's joint cell, drawn without the engine: one ``random(n)`` per block and a binary search.
+
+    The cells are the 12 no-click cells in code order, then each code's 8
+    click cells (outcome 1..8); the CDF is their cumulative sum over
+    ``p_code * outcome_table``, divided by its last entry.
+    """
+    joint = np.outer(source.class_probs, source.pol_probs).reshape(12, 1) * montecarlo.outcome_table(source, link)
+    cdf = np.cumsum(np.concatenate([joint[:, 0], joint[:, 1:].ravel()]))
+    cdf /= cdf[-1]
+    draws = [
+        np.random.default_rng(np.random.SeedSequence([seed, i])).random(min(block, frames - base))
+        for i, base in enumerate(range(0, frames, block))
+    ]
+    return np.searchsorted(cdf, np.concatenate(draws), side="right")
+
+
 class TestDraw:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        class_probs=distribution(3),
+        pol_probs=distribution(4),
+        background_yield=st.sampled_from([0.0, LinkConfig().background_yield]),
+        block_frames=block_and_frames(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_matches_reference_draw(self, class_probs, pol_probs, background_yield, block_frames, seed):
+        # the summary, the log and the records are exactly what each frame's
+        # cell gives, across block and tile edges and with cells of width 0
+        block, frames = block_frames
+        p_mu, p_nu1, p_nu2 = class_probs
+        src = SourceConfig(p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
+        link = LinkConfig(background_yield=background_yield, jitter_sigma_s=0.0)
+        cell = reference_cells(src, link, frames, seed, block)
+        click = np.flatnonzero(cell >= 12)
+        code = np.where(cell < 12, cell, (cell - 12) // 8).astype(np.uint8)
+        channel = ((cell[click] - 12) & 3).astype(np.uint8)
+        expected = np.vstack([np.bincount(code >> 2, minlength=3), timetag.tally(code[click], channel)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "BLOCK_FRAMES", block)
+            plain = run(src, link, ProtocolConfig(), frames=frames, seed=seed)
+            emitted = run(src, link, ProtocolConfig(), frames=frames, seed=seed, emit_ttags=True)
+        assert np.array_equal(plain.summary.counts, expected)
+        assert np.array_equal(emitted.summary.counts, expected)
+        assert np.array_equal(emitted.alice_log.code, code)
+        kept = len(emitted.stream)  # the throughput cap drops the tail
+        assert kept + emitted.dropped_records == len(click)
+        frame = timetag.frame_indices(emitted.stream.ticks, 0, timetag.period_ticks(src.pulse_rate_hz))
+        assert np.array_equal(frame, click[:kept])
+        assert np.array_equal(emitted.stream.channels, channel[:kept])
+
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_run_without_clicks(self, emit):
+        # every mean 0 and no background: over several blocks no frame clicks
+        src = SourceConfig(mu=0.0, nu1=0.0, nu2=0.0)
+        frames = 2 * montecarlo.BLOCK_FRAMES + 1
+        res = run(src, LinkConfig(background_yield=0.0), ProtocolConfig(), frames=frames, seed=3, emit_ttags=emit)
+        assert res.summary.sent.sum() == frames
+        assert not res.summary.counts[1:].any()
+        if emit:
+            assert len(res.stream) == 0 and res.dropped_records == 0
+            assert np.array_equal(res.summary.sent, sent_per_class(res.alice_log.code))
+
     @settings(max_examples=100, deadline=None)
     @given(
         class_probs=distribution(3),
@@ -473,7 +535,7 @@ class TestDraw:
         assert run(src, LinkConfig(), ProtocolConfig(), frames=100, seed=1).summary.sent.sum() == 100
 
     def test_summary_run_memory(self, bench6db):
-        # one tile of uniforms and the block's click frames, ~1.5 B/frame
+        # one tile of uniforms and the block's click uniforms, codes and gather indexes, ~1.6 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1)
         tracemalloc.start()
@@ -486,7 +548,7 @@ class TestDraw:
 
     def test_emit_run_memory(self, bench6db):
         # the log, 1 B/frame, is the only per-frame array; uniforms are drawn a
-        # tile at a time, and the click frames' records make up the rest, ~4.1 B/frame
+        # tile at a time, and the click frames' records make up the rest, ~4.0 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1, emit_ttags=True)
         tracemalloc.start()

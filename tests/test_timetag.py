@@ -414,6 +414,7 @@ class TestSift:
         chans = rng.integers(0, 4, size=len(frames)).astype(np.uint8)
         key = sift(alice, gate(TimeTagStream(ticks, chans), PERIOD, 37, 13), PERIOD, seed=seed)
         assert np.array_equal(key.frames, chosen)
+        assert key.unattributed == 3
         assert np.array_equal(key.sent, np.bincount(alice.code >> 2, minlength=3))
         assert np.array_equal(key.detected, np.bincount(alice.code[chosen] >> 2, minlength=3))
 
@@ -447,6 +448,8 @@ class TestSift:
         channel = np.array([channels[kept[f]] for f in order], dtype=np.uint8)
         assert key.frames.tolist() == order
         assert key.collisions == len(frames) - len(kept)
+        # frames below 0 clip to tick 0, which the gate rejects
+        assert key.unattributed == sum(c < 4 and f >= len(codes) for f, _, c in records)
         sent = [sum(c >> 2 == k for c in codes) for k in range(3)]
         assert np.array_equal(key.counts, np.vstack([sent, timetag.tally(code, channel)]))
 
@@ -470,6 +473,7 @@ class TestSift:
         assert sent.sum() == len(alice)
         gated_in_log = sum(c < 4 and -6 <= d <= 6 and f < len(codes) for f, d, c in records)
         assert detected.sum() == gated_in_log - key.collisions
+        assert key.unattributed == sum(c < 4 and -6 <= d <= 6 and f >= len(codes) for f, d, c in records)
 
     def test_sift_memory(self):
         # only records sharing a frame are ranked, and nothing is sorted when the
