@@ -7,8 +7,9 @@ be a finite number.  All randomness flows from --seed; when absent a
 random seed is drawn and printed so runs stay reproducible.  Output
 files, the Alice log included, are written atomically (temp file +
 rename) with the mode the umask gives a new file; the text outputs are
-``key = value`` lines from one writer.  Sweeps and intensity searches
-evaluate their whole grid in one array call of the decoy chain.
+``key = value`` lines from one writer (``analyze-ttags`` and ``sidechannel``
+print the mapping they write).  Sweeps, written as CSV, and intensity
+searches evaluate their whole grid in one array call of the decoy chain.
 """
 
 from __future__ import annotations
@@ -128,12 +129,9 @@ def cmd_sweep(args) -> int:
     source, link, proto = load_config(args.config)
     reports = decoy.sweep(link, _attenuations(args), source, proto, gain_convention=args.gain_convention)
     columns = reports.columns()
-    if args.format == "csv":  # the csv module's default dialect: comma-separated, CRLF line ends
-        cells = ([format(v, fmt) for v in columns[name]] for name, _, fmt in decoy.SWEEP_COLUMNS)
-        payload = "".join(",".join(row) + "\r\n" for row in [list(columns), *zip(*cells)])
-    else:  # structured text: one key=value block per attenuation
-        payload = "\n".join(_kv_text(dict(zip(columns, row))) for row in zip(*columns.values()))
-    _write_atomic(Path(args.out), payload)
+    # the csv module's default dialect: comma-separated, CRLF line ends
+    cells = ([format(v, fmt) for v in columns[name]] for name, _, fmt in decoy.SWEEP_COLUMNS)
+    _write_atomic(Path(args.out), "".join(",".join(row) + "\r\n" for row in [list(columns), *zip(*cells)]))
 
     hits = (f"at {a:g} dB" for a, e in zip(columns["attenuation_db"], columns["E_mu"]) if e > decoy.QBER_CUTOFF)
     print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) {next(hits, 'not reached')}")
@@ -216,22 +214,19 @@ def cmd_analyze_ttags(args) -> int:
     y0, report = decoy.rate_from_counts(sifted.counts, source, link, proto)
     obs, est = report.observables, report.estimates
 
-    duration = len(alice) / source.pulse_rate_hz
+    fields = dict(  # printed and written as they are, one name per number
+        records=len(stream), gated=len(gated.accepted), rejected=gated.rejected,
+        phase_ticks=phase.phase_ticks, window_ticks=window, collisions=sifted.collisions,
+        sifted_rate_cps=sifted.counts[2].sum() / (len(alice) / source.pulse_rate_hz),
+        **{name: getattr(obs, name) for name in ("q_mu", "q_nu1", "q_nu2", "e_mu", "e_nu1")},
+        e_nu2=sifted.qber_class(2), y0_est=y0, y1_lower=est.y1_lower, q1_lower=est.q1_lower, e1_upper=est.e1_upper,
+        rkr_bps=report.raw_key_rate_bps, lbskr_bps=report.secure_key_rate_bps,
+    )
     _print_seed(args, seed)
     if phase.low_confidence:
         print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
-    print(f"records = {len(stream)}, gated = {len(gated.accepted)}, rejected = {gated.rejected}")
-    print(f"phase_ticks = {phase.phase_ticks}, window_ticks = {window}, collisions = {sifted.collisions}")
-    print(f"sifted_rate_cps = {sifted.counts[2].sum() / duration:.6e}")
-    for i, (label, q) in enumerate(zip(timetag.CLASS_LABELS, (obs.q_mu, obs.q_nu1, obs.q_nu2))):
-        print(f"Q_{label} = {q:.6e}  qber_{label} = {sifted.qber_class(i):.6e}")
-    print(f"Y0_est = {y0:.6e}")
-    print(f"Y1_lower = {est.y1_lower:.6e}  Q1_lower = {est.q1_lower:.6e}  e1_upper = {est.e1_upper:.6e}")
-    print(f"lbskr_bps = {report.secure_key_rate_bps:.6e}")
+    print(_kv_text(fields), end="")
     if args.out:
-        fields = {name: getattr(obs, name) for name in ("q_mu", "q_nu1", "q_nu2", "e_mu", "e_nu1")}
-        fields.update(y0_est=y0, y1_lower=est.y1_lower, q1_lower=est.q1_lower, e1_upper=est.e1_upper)
-        fields.update(rkr_bps=report.raw_key_rate_bps, lbskr_bps=report.secure_key_rate_bps)
         _write_atomic(Path(args.out), _kv_text(fields))
     return EXIT_OK
 
@@ -268,15 +263,12 @@ def cmd_sidechannel(args) -> int:
         "leakage_spatial_bits_per_pulse": budget.spatial,
         "leakage_total_bits_per_pulse": budget.total,
     }
-    shown = dict(fields)
     if config:  # debit the leakage from the config's link, at its attenuation
         source, link, proto = config
         report = decoy.evaluate_link(source, link, proto, args.gain_convention)
-        lbskr, adjusted = report.secure_key_rate_bps, sidechannel.leakage_adjusted_rate(report, budget)
-        fields.update(attenuation_db=link.attenuation_db, lbskr_bps=lbskr, leakage_adjusted_bps=adjusted)
-        shown.update(attenuation_db=f"{link.attenuation_db:g}", lbskr_bps=f"{lbskr:.6e}")
-        shown.update(leakage_adjusted_bps=f"{adjusted:.6e}")
-    print(_kv_text(shown), end="")
+        fields.update(attenuation_db=link.attenuation_db, lbskr_bps=report.secure_key_rate_bps)
+        fields.update(leakage_adjusted_bps=sidechannel.leakage_adjusted_rate(report, budget))
+    print(_kv_text(fields), end="")
     if args.out:
         _write_atomic(Path(args.out), _kv_text(fields))
     return EXIT_OK
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atten-max", type=_finite, default=40.0)
     p.add_argument("--atten-step", type=_finite, default=1.0)
     p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
-    p.add_argument("--format", choices=["csv", "text"], default="csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo run; optional .ttag emission")

@@ -17,6 +17,7 @@ dataclass field.  Unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def build_configs(values: dict[str, float]) -> tuple[SourceConfig, LinkConfig, P
     src_kw = by_section["source"]
     if pol_given:
         src_kw["pol_probs"] = tuple(pol)
-    if "nu2" not in src_kw and "extinction_ratio_db" in src_kw:
+    if "nu2" not in src_kw and src_kw.get("extinction_ratio_db", 0.0) > 0:  # validation rejects the rest
         mu = src_kw.get("mu", SourceConfig.mu)
         src_kw["nu2"] = mu * 10.0 ** (-src_kw["extinction_ratio_db"] / 10.0)
 
@@ -206,13 +207,26 @@ def build_configs(values: dict[str, float]) -> tuple[SourceConfig, LinkConfig, P
     return source, link, proto
 
 
+def _schema_values(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig):
+    """(key, value) of each :data:`CONFIG_SCHEMA` key in schema order; None for an unset optional field."""
+    configs = {"source": source, "link": link, "protocol": proto}
+    for key, (section, attr, _) in CONFIG_SCHEMA.items():
+        name, _, index = attr.partition(":")
+        value = getattr(configs[section], name)
+        yield key, value[int(index)] if index else value
+
+
 def validate(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -> list[str]:
     """Check every config invariant; return a list of violation messages.
 
-    Total on any finite numeric input: violations are returned as data,
-    never raised.  An empty list means all invariants hold.
+    Total on any numeric input: violations are returned as data, never
+    raised.  An empty list means all invariants hold.  A value that is
+    not finite is reported alone, as no other rule can be judged on it.
     """
-    v: list[str] = []
+    values = _schema_values(source, link, proto)
+    v = [f"{key}: must be finite" for key, val in values if val is not None and not math.isfinite(val)]
+    if v:
+        return v
 
     if not source.pulse_rate_hz > 0:
         v.append("pulse_rate_hz: must be > 0")
@@ -237,11 +251,9 @@ def validate(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -> l
     if not source.pulse_fwhm_s > 0:
         v.append("pulse_fwhm_s: must be > 0")
     elif source.pulse_rate_hz > 0 and not source.pulse_fwhm_s <= 1.0 / source.pulse_rate_hz * (1 + 1e-12):
-        v.append("pulse_fwhm_s: must be finite and not exceed the pulse period")
+        v.append("pulse_fwhm_s: must not exceed the pulse period")
     if not source.time_bandwidth_product >= TRANSFORM_LIMIT_TBP:
         v.append(f"time_bandwidth_product: below the transform limit {TRANSFORM_LIMIT_TBP}")
-    elif source.time_bandwidth_product == float("inf"):
-        v.append("time_bandwidth_product: must be finite")
 
     if not link.attenuation_db >= 0:
         v.append("attenuation_db: must be >= 0")
@@ -283,15 +295,9 @@ def dump_config(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -
     configs equal to the inputs.
     """
     lines = ["# qkdbench configuration (flat key = value)"]
-    for key, (section, attr, unit) in CONFIG_SCHEMA.items():
-        obj = {"source": source, "link": link, "protocol": proto}[section]
-        if attr.startswith("pol_probs:"):
-            val = obj.pol_probs[int(attr.split(":")[1])]
-        else:
-            val = getattr(obj, attr)
-        if val is None:
-            continue
-        lines.append(f"{key} = {val!r}  # {unit}")
+    for key, val in _schema_values(source, link, proto):
+        if val is not None:
+            lines.append(f"{key} = {val!r}  # {CONFIG_SCHEMA[key][2]}")
     return "\n".join(lines) + "\n"
 
 

@@ -140,22 +140,18 @@ def window_ticks_from_seconds(window_s: float) -> int:
     return max(1, int(round(window_s / TICK_SECONDS)))
 
 
-def signed_residues(ticks: np.ndarray, phase: int, period: int) -> np.ndarray:
-    """Circular residue of each tick relative to the phase, in [-P/2, P/2)."""
-    r = (ticks.astype(np.int64) - phase) % period
-    return ((r + period // 2) % period) - period // 2
-
-
 def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_ticks: int) -> GatingResult:
     """Keep detections within the software window around the clock phase.
 
     A window of w ticks accepts exactly the w residues
     d in [-(w//2), (w-1)//2] around the phase (for the 1 ns / 13-tick
-    window: d in -6..+6).  Marker records pass through unconditionally.
+    window: d in -6..+6), d in [-P/2, P/2) being the tick's offset from the
+    phase of its :func:`frame_indices` frame.  Markers pass through unconditionally.
     """
     if not 0 < window_ticks <= period_ticks:
         raise ValueError("window must lie in (0, period]")
-    d = signed_residues(stream.ticks, phase_ticks, period_ticks)
+    d = stream.ticks.astype(np.int64) - phase_ticks
+    d -= period_ticks * frame_indices(stream.ticks, phase_ticks, period_ticks)
     in_window = (d >= -(window_ticks // 2)) & (d <= (window_ticks - 1) // 2)
     keep = in_window | (stream.channels >= 4)
     rejected = int(len(stream) - keep.sum())
@@ -210,31 +206,37 @@ class AliceLog:
 
     @classmethod
     def from_csv(cls, fh: BinaryIO) -> "AliceLog":
-        """Parse a binary file object, e.g. ``open(path, "rb")``; a bad line raises ValueError.
+        """Parse a seekable binary file object, e.g. ``open(path, "rb")``; a bad line raises ValueError.
 
         Every valid row is one of the 12 rows, 11 bytes each, so the file
         is read as fixed-width rows: each row's code comes from three of
         its bytes, and a block is accepted when the rows rebuilt from
         those codes equal its bytes.  Up to the first bad line every
         line is a whole row, so the first mismatching row (or a trailing
-        partial one) starts exactly at that line.
+        partial one) starts exactly at that line.  The codes fill one
+        array sized from the file, through one reused read buffer.
         """
         header = fh.readline()
         if header != _ALICE_HEADER:
             raise ValueError(f"bad alice log header: {header.decode('ascii', 'backslashreplace')!r}")
-        parts = []
+        start = fh.tell()
+        code = np.empty((fh.seek(0, 2) - start) // _ROW_BYTES, np.uint8)  # the whole rows
+        fh.seek(start)
+        buf = np.empty(_READ_ROWS * _ROW_BYTES, np.uint8)
         done = 0  # rows accepted so far
-        while block := fh.read(_READ_ROWS * _ROW_BYTES):
-            n = len(block) // _ROW_BYTES
-            rows = np.frombuffer(block, np.uint8, n * _ROW_BYTES).reshape(n, _ROW_BYTES)
-            code = rows[:, 0] & 1 | ~rows[:, 2] & 2 | (rows[:, 9] & 3) << 2
-            rebuilt = np.take(_ALICE_ROWS, code, mode="clip")
-            if rebuilt.tobytes() != block:  # a bad row, or a partial one after the last whole row
-                bad = np.append((rebuilt.view(np.uint8).reshape(n, _ROW_BYTES) != rows).any(axis=1), True)
+        while got := fh.readinto(buf):
+            n = got // _ROW_BYTES
+            rows = buf[: n * _ROW_BYTES].reshape(n, _ROW_BYTES)
+            block = code[done : done + n]
+            np.bitwise_or(rows[:, 0] & 1 | ~rows[:, 2] & 2, (rows[:, 9] & 3) << 2, out=block)
+            rebuilt = np.take(_ALICE_ROWS, block, mode="clip").view(np.uint8)
+            if not np.array_equal(rebuilt, buf[:got]):  # a bad row, or a partial one after the last whole row
+                bad = np.append((rebuilt.reshape(n, _ROW_BYTES) != rows).any(axis=1), True)
                 raise ValueError(f"alice log line {done + int(np.argmax(bad)) + 2}: malformed row")
-            parts.append(code)
             done += n
-        return cls(np.concatenate(parts) if parts else np.zeros(0, np.uint8))
+        if done != len(code):
+            raise ValueError("alice log changed size while it was read")
+        return cls(code)
 
 
 def sent_per_class(code: np.ndarray) -> np.ndarray:
@@ -352,7 +354,6 @@ __all__ = [
     "GatingResult",
     "period_ticks",
     "window_ticks_from_seconds",
-    "signed_residues",
     "gate",
     "frame_indices",
     "AliceLog",

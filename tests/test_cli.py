@@ -32,20 +32,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class TestSweep:
     @pytest.mark.parametrize(
-        "convention, fmt, cutoff_db, digest",
+        "convention, cutoff_db, digest",
         [
-            ("attenuation-only", "csv", 23.7, "ea314f56d384ad46e47b592622f9a170238eca115dd500dcaea53c233e4182ef"),
-            ("attenuation-only", "text", 23.7, "4d8a68d58f8b81a2b79ac96570ad398caee6ea3ff481cc7755a3084ac17da820"),
-            ("full-budget", "csv", 18.7, "c7ba7a143f86d5a5b4f8db3350b65deb16144034043d5d1553c48b8a860aa689"),
-            ("full-budget", "text", 18.7, "aabad8318a8b73fd0f8bf5ca2cc9cdbf5dc688a6d721f26ae9a4ce78b4b5e046"),
+            ("attenuation-only", 23.7, "ea314f56d384ad46e47b592622f9a170238eca115dd500dcaea53c233e4182ef"),
+            ("full-budget", 18.7, "c7ba7a143f86d5a5b4f8db3350b65deb16144034043d5d1553c48b8a860aa689"),
         ],
     )
-    def test_benchmark_sweep_is_pinned(self, convention, fmt, cutoff_db, digest, tmp_path, capsys):
-        out = tmp_path / f"sweep.{fmt}"
+    def test_benchmark_sweep_is_pinned(self, convention, cutoff_db, digest, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--config", str(ROOT / "configs" / "benchmark6db.cfg"), "--out", str(out),
              "--atten-min", "0", "--atten-max", "40", "--atten-step", "0.1",
-             "--gain-convention", convention, "--format", fmt]
+             "--gain-convention", convention]
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -102,16 +100,11 @@ class TestSweep:
               "--atten-min", "0", "--atten-max", "40", "--atten-step", "1"])
         assert "cutoff" in capsys.readouterr().out
 
-    def test_text_format(self, bench_config_file, tmp_path):
+    def test_csv_is_the_one_format(self, bench_config_file, tmp_path, capsys):
         out = tmp_path / "sweep.txt"
-        code = main(
-            ["sweep", "--config", str(bench_config_file), "--out", str(out),
-             "--atten-min", "6", "--atten-max", "8", "--atten-step", "1", "--format", "text"]
-        )
-        assert code == 0
-        text = out.read_text()
-        assert text.count("attenuation_db = ") == 3
-        assert "lbskr_bps = " in text
+        assert main(["sweep", "--config", str(bench_config_file), "--out", str(out), "--format", "text"]) == 2
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --format text\n")
+        assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, bench_config_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -344,9 +337,7 @@ class TestAnalyzeTtags:
              "--alice-log", str(alice), "--seed", "11"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        line = next(l for l in out.splitlines() if l.startswith("Q_signal"))
-        qber_mu = float(line.split("qber_signal = ")[1])
+        qber_mu = float(dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())["e_mu"])
         # analytic comparator with the 13/128 gated background
         from dataclasses import replace
 
@@ -375,12 +366,11 @@ class TestAnalyzeTtags:
         argv = ["analyze-ttags", "--config", str(open_gate), "--ttags", str(ttag),
                 "--alice-log", str(alice), "--seed", "11"]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "collisions = 0" in out
-        for label in timetag.CLASS_LABELS:
-            line = next(l for l in out.splitlines() if l.startswith(f"Q_{label} = "))
+        out = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())
+        assert out["collisions"] == "0"
+        for label, key in zip(timetag.CLASS_LABELS, ("q_mu", "q_nu1", "q_nu2")):
             gain = int(summary[f"detected_{label}"]) / int(summary[f"sent_{label}"])
-            assert float(line.split()[2]) == pytest.approx(gain, rel=1e-6)
+            assert float(out[key]) == pytest.approx(gain, rel=1e-15)
 
     def test_gate_is_the_sidecar_window(self, bench_config_file, tmp_path, capsys):
         # simulate writes the sidecar's window_ticks from window_s, and analyze-ttags gates with the same key
@@ -394,7 +384,20 @@ class TestAnalyzeTtags:
                 "--alice-log", prefix + ".alice.csv", "--seed", "11"]
         assert main(argv) == 0
         assert sidecar["window_ticks"] == "5"
-        assert ", window_ticks = 5, " in capsys.readouterr().out
+        assert "\nwindow_ticks = 5\n" in capsys.readouterr().out
+
+    def test_stdout_is_the_written_mapping(self, bench_config_file, simulated, tmp_path, capsys):
+        ttag, alice = simulated
+        out = tmp_path / "analysis.txt"
+        argv = ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
+                "--alice-log", str(alice), "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert [line.split(" = ")[0] for line in out.read_text().splitlines()] == [
+            "records", "gated", "rejected", "phase_ticks", "window_ticks", "collisions", "sifted_rate_cps",
+            "q_mu", "q_nu1", "q_nu2", "e_mu", "e_nu1", "e_nu2",
+            "y0_est", "y1_lower", "q1_lower", "e1_upper", "rkr_bps", "lbskr_bps",
+        ]
 
     def test_random_seed_printed(self, bench_config_file, simulated, capsys):
         ttag, alice = simulated
@@ -465,15 +468,18 @@ class TestSidechannel:
              "--config", str(ROOT / "configs" / "benchmark6db.cfg")]
         )
         assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[4:] == ["attenuation_db = 6", f"lbskr_bps = {lbskr}", f"leakage_adjusted_bps = {adjusted}"]
-        assert float(lines[3].split(" = ")[1]) > 1e-2  # the total leakage
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert list(out)[4:] == ["attenuation_db", "lbskr_bps", "leakage_adjusted_bps"]
+        assert out["attenuation_db"] == "6.0"
+        assert (f"{float(out['lbskr_bps']):.6e}", f"{float(out['leakage_adjusted_bps']):.6e}") == (lbskr, adjusted)
+        assert float(out["leakage_total_bits_per_pulse"]) > 1e-2
 
     @pytest.mark.parametrize("convention", decoy.GAIN_CONVENTIONS)
-    def test_debit_is_the_config_link_report(self, bench_config_file, convention, tmp_path):
+    def test_debit_is_the_config_link_report(self, bench_config_file, convention, tmp_path, capsys):
         out = tmp_path / "audit.txt"
         argv = ["sidechannel", "--synth", "--pedestals", "0.05,0,0,0.05", "--gain-convention", convention]
         assert main([*argv, "--config", str(bench_config_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()  # the mapping printed is the one written
         written = dict(line.split(" = ") for line in out.read_text().splitlines())
         source, link, proto = load_config(bench_config_file)
         report = decoy.evaluate_link(source, link, proto, convention)
@@ -491,7 +497,7 @@ class TestSidechannel:
         out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
         source, link, proto = load_config(bench_config_file)
         report = decoy.evaluate_link(source, link, proto, "full-budget")
-        assert out["lbskr_bps"] == f"{report.secure_key_rate_bps:.6e}"
+        assert out["lbskr_bps"] == repr(report.secure_key_rate_bps)
         assert 0 < float(out["leakage_adjusted_bps"]) < float(out["lbskr_bps"])
 
     def test_synth_pulse_shape_from_config(self, tmp_path, capsys):
@@ -590,7 +596,10 @@ class TestMalformedInput:
             **{f"fwhm_{v}": {"pulse_fwhm_s": v} for v in ("nan", "inf", "1e300", "1e-300")},
             **{f"tbp_{v}": {"time_bandwidth_product": v} for v in ("inf", "1e300", "1e200")},
             "tbp_below_limit": {"time_bandwidth_product": 0.43},
+            "jitter_inf": {"jitter_sigma_s": "inf"},
+            "signal_pulses_inf": {"signal_pulses": "inf"},
         }
+        (tmp_path / "er_below_0.cfg").write_text("extinction_ratio_db = -4000\n")  # nu2 derived from it
         return {
             **{name: str(with_keys(bench_config_file, f"{name}.cfg", **keys)) for name, keys in twins.items()},
             **{
@@ -611,6 +620,7 @@ class TestMalformedInput:
             **{name: str(tmp_path / f"{name}.alice.csv") for name in logs},
             "zero_bg": str(zero_bg),
             "zero_bg_far": str(tmp_path / "zero_bg_far.cfg"),
+            "er_below_0": str(tmp_path / "er_below_0.cfg"),
             "markers_ttag": str(tmp_path / "markers.ttag"),
         }
 
@@ -663,6 +673,9 @@ class TestMalformedInput:
             "analyze-ttags --config {cfg} --ttags {markers_ttag} --alice-log {alice}",
             "sidechannel --profiles {word_profile}",
             "sidechannel --profiles {nan_axis_profile}",
+            "simulate --config {jitter_inf} --frames 100 --seed 1 --out {out} --emit-ttags",
+            "analyze-ttags --config {signal_pulses_inf} --ttags {frames_ttag} --alice-log {frames_log} --seed 1",
+            "optimize --config {er_below_0}",  # 10 ** 400 would overflow
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -695,6 +708,8 @@ class TestMalformedInput:
             ("--spatial-bits", "sidechannel --synth --spatial-bits -1"),
             ("window_s", "analyze-ttags --config {window_inf} --ttags {missing} --alice-log {missing}"),  # config first
             ("--atten-step", "sweep --config {cfg} --out {out} --atten-step -inf"),
+            ("jitter_sigma_s", "simulate --config {jitter_inf} --frames 100 --seed 1 --out {out} --emit-ttags"),
+            ("extinction_ratio_db", "optimize --config {er_below_0}"),
         ],
     )
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):

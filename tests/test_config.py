@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qkdbench.config import (
+    CONFIG_SCHEMA,
     ConfigError,
     LinkConfig,
     ProtocolConfig,
@@ -128,6 +129,21 @@ def test_validate_window_vs_period():
 def test_validate_pulse_shape(kwargs, key):
     violations = validate(SourceConfig(**kwargs), LinkConfig(), ProtocolConfig())
     assert len(violations) == 1 and violations[0].startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("key", CONFIG_SCHEMA)
+def test_every_key_must_be_finite(tmp_path, key, value):
+    path = tmp_path / "inf.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"(^|; ){key}: must be finite(;|$)"):
+        load_config(path)
+
+
+def test_extinction_ratio_below_zero_rejected_not_overflowed():
+    # nu2 = mu * 10^(-ER/10) is derived only from a valid ratio; 10.0 ** 400 raises OverflowError
+    with pytest.raises(ConfigError, match="^extinction_ratio_db: must be > 0 dB$"):
+        build_configs({"extinction_ratio_db": -4000.0})
 
 
 def test_validate_total_on_weird_numbers():

@@ -9,10 +9,12 @@ class.  Each name ``__init__.py`` re-exports is imported from the top
 level by a caller, and each dataclass field is read by some code (a
 config field by code besides validation and (de)serialization).  The
 benchmark's span table is imported, and every function it names must
-resolve.  ``import qkdbench.cli`` loads a fixed set of modules.  Last,
-every ``qkdbench`` command of the README parses.
+resolve.  ``import qkdbench.cli`` loads a fixed set of modules, and each
+subcommand takes a fixed set of options.  Last, every ``qkdbench``
+command of the README parses.
 """
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -43,6 +45,17 @@ FIELD_PLUMBING = {"validate", "build_configs", "dump_config"}
 CLI_IMPORTS = {
     "__future__", "_blake2", "_csv", "_hashlib", "argparse", "base64", "copy", "csv", "dataclasses", "gettext",
     "hashlib", "hmac", "secrets",
+}
+#: the option strings of each subcommand (``-h`` and ``--help`` aside); an option is added or removed only on purpose
+CLI_OPTIONS = {
+    "sweep": {"--config", "--out", "--atten-min", "--atten-max", "--atten-step", "--gain-convention"},
+    "simulate": {"--config", "--seed", "--out", "--frames", "--emit-ttags", "--phase-ticks"},
+    "analyze-ttags": {"--config", "--seed", "--ttags", "--alice-log", "--out"},
+    "sidechannel": {
+        "--profiles", "--domain", "--synth", "--config", "--pedestals", "--shifts-ps", "--spatial-bits",
+        "--gain-convention", "--out",
+    },
+    "optimize": {"--config", "--mu-grid", "--nu1-grid", "--gain-convention"},
 }
 #: dataclass fields that no code reads, each with its reason
 UNREAD_FIELDS = {
@@ -226,6 +239,17 @@ def test_cli_import_set():
     added = {name for name in proc.stdout.split() if name.split(".")[0] != "qkdbench"}
     assert "decimal" not in added
     assert added == CLI_IMPORTS, f"new: {sorted(added - CLI_IMPORTS)}, gone: {sorted(CLI_IMPORTS - added)}"
+
+
+def test_cli_option_set():
+    from qkdbench import cli
+
+    (commands,) = (a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, parser in commands.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_every_bench_span_target_resolves():

@@ -19,7 +19,6 @@ from qkdbench.timetag import (
     gate,
     recover_phase,
     sift,
-    signed_residues,
     window_ticks_from_seconds,
 )
 
@@ -235,7 +234,8 @@ class TestGate:
         stream = TimeTagStream(ticks, np.zeros(3000, dtype=np.uint8))
         for w in (5, 13, 26):
             result = gate(stream, PERIOD, 40, w)
-            d = signed_residues(result.accepted.ticks, 40, PERIOD)
+            kept = result.accepted.ticks
+            d = kept.astype(np.int64) - 40 - PERIOD * frame_indices(kept, 40, PERIOD)
             assert np.all(np.abs(d) <= w / 2)
 
     def test_markers_never_gated(self):
@@ -559,6 +559,37 @@ class TestSift:
         assert max(sink.writes) == 11 * timetag._READ_ROWS
         assert np.array_equal(AliceLog.from_csv(io.BytesIO(csv_bytes(alice))).code, alice.code)
 
+    def test_alice_log_read_into_one_array(self, tmp_path):
+        # the codes fill one array sized from the file, so the peak grows by
+        # one byte per added frame (per-block arrays joined at the end: ~1.94 B)
+        sizes, peaks = (1 << 20, 1 << 22), []
+        for frames in sizes:
+            codes = np.resize(np.arange(12, dtype=np.uint8), frames)
+            path = tmp_path / f"{frames}.alice.csv"
+            with open(path, "wb") as fh:
+                AliceLog(codes).to_csv(fh)
+            with open(path, "rb") as fh:
+                tracemalloc.start()
+                try:
+                    back = AliceLog.from_csv(fh)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert np.array_equal(back.code, codes)
+        growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+        assert growth <= 1.1, growth
+
+    def test_alice_log_that_shrinks_while_read_rejected(self):
+        class Shrinking(io.BytesIO):
+            def seek(self, pos, whence=0):
+                end = super().seek(pos, whence)
+                if whence == io.SEEK_END:  # the last row goes once the log is sized
+                    self.truncate(end - 11)
+                return end
+
+        with pytest.raises(ValueError, match="^alice log changed size while it was read$"):
+            AliceLog.from_csv(Shrinking(csv_bytes(AliceLog(np.zeros(10, np.uint8)))))
+
     @pytest.mark.parametrize("block", [1, 5, 7])
     def test_alice_log_streamed_rows_across_blocks(self, block, monkeypatch):
         # the bytes do not depend on where the blocks end
@@ -682,3 +713,15 @@ class TestFrameIndices:
         tick = frame * period + phase + d
         assume(tick >= 0)
         assert frame_indices(np.array([tick], dtype=np.uint64), phase, period).tolist() == [frame]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ticks=st.lists(st.integers(0, MAX_TICK), min_size=1, max_size=50), data=st.data())
+    def test_offset_from_the_home_frame_is_the_circular_residue(self, ticks, data):
+        # the offset gate windows on, tick - phase - P * frame, lies in [-P/2, P/2)
+        # and equals the residue of tick - phase folded into that range
+        period = data.draw(st.integers(1, 1000))
+        phase = data.draw(st.integers(0, period - 1))
+        t = np.array(ticks, dtype=np.uint64)
+        d = t.astype(np.int64) - phase - period * frame_indices(t, phase, period)
+        assert np.all((-(period // 2) <= d) & (d <= (period - 1) // 2))
+        assert d.tolist() == [((tick - phase) % period + period // 2) % period - period // 2 for tick in ticks]
