@@ -225,6 +225,8 @@ def cmd_analyze_ttags(args) -> int:
     _print_seed(args, seed)
     if phase.low_confidence:
         print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
+    if est.clamped:
+        print("warning: a decoy bound (y1_lower or e1_upper) was clamped into its range; lbskr_bps is unreliable")
     print(_kv_text(fields), end="")
     if args.out:
         _write_atomic(Path(args.out), _kv_text(fields))

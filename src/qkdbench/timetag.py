@@ -226,6 +226,8 @@ class AliceLog:
         done = 0  # rows accepted so far
         while got := fh.readinto(buf):
             n = got // _ROW_BYTES
+            if done + n > len(code):  # the file grew past the rows the array was sized for
+                break
             rows = buf[: n * _ROW_BYTES].reshape(n, _ROW_BYTES)
             block = code[done : done + n]
             np.bitwise_or(rows[:, 0] & 1 | ~rows[:, 2] & 2, (rows[:, 9] & 3) << 2, out=block)
@@ -234,7 +236,7 @@ class AliceLog:
                 bad = np.append((rebuilt.reshape(n, _ROW_BYTES) != rows).any(axis=1), True)
                 raise ValueError(f"alice log line {done + int(np.argmax(bad)) + 2}: malformed row")
             done += n
-        if done != len(code):
+        if got or done != len(code):
             raise ValueError("alice log changed size while it was read")
         return cls(code)
 
@@ -287,7 +289,6 @@ class ClassCounts:
 class SiftedKey(ClassCounts):
     """Result of matching Bob's gated detections against Alice's log."""
 
-    frames: np.ndarray  # frame index of each kept detection
     collisions: int
     unattributed: int  # detection records whose frame lies outside the log
 
@@ -304,42 +305,38 @@ def sift(
 
     Detections (channels 0-3) are mapped to frames from their ticks;
     those outside the log are dropped, counted in ``unattributed``.
-    Frames with more than one detection keep one chosen uniformly at
-    random (counted in ``collisions``), and the kept ones are counted by
-    :func:`tally` under the log's :func:`sent_per_class`, so a gain
-    from the table counts each frame once.
+    Each frame keeps one detection (the others count as ``collisions``),
+    and the kept ones are counted by :func:`tally` under the log's
+    :func:`sent_per_class`, so a gain from the table counts each frame once.
 
-    The choice is the first of a frame's detections in the order of
-    ``default_rng(seed).permutation``.  Only detections that share a
-    frame are ranked by it; the rest are kept as they are, and the
-    records are sorted only if their frames are out of order.
+    A frame with k >= 2 detections keeps its detection floor(u * k),
+    counted from 0 in stream order, u being the next value of
+    ``default_rng(seed).random``: one draw per shared frame, in ascending
+    frame order.  So each is kept with chance 1/k, and frame-aligned
+    chunks drawing from one generator keep what one pass keeps.  The
+    records are sorted (stably) only if their frames are out of order.
     """
     acc = gating.accepted
     frames = frame_indices(acc.ticks, gating.phase_ticks, period_ticks)
     ok = (acc.channels < 4) & (frames >= 0) & (frames < len(alice))
     frames, channels = frames[ok], acc.channels[ok]
     unattributed = int(np.count_nonzero(acc.channels < 4)) - len(frames)
-
-    perm = np.random.default_rng(seed).permutation(len(frames))  # rank -> record
-    if np.any(frames[1:] < frames[:-1]):  # out of order: sort, and let perm name the sorted records
+    if np.any(frames[1:] < frames[:-1]):  # out of order: a stable sort keeps stream order within a frame
         order = np.argsort(frames, kind="stable")
         frames, channels = frames[order], channels[order]
-        perm = np.argsort(order)[perm]
         del order
 
-    # keep each record alone in its frame, and of each shared frame its lowest-ranked record
     keep = np.ones(len(frames), dtype=bool)
     np.not_equal(frames[1:], frames[:-1], out=keep[1:])  # first record of its frame
-    keep[:-1] &= keep[1:]  # and its last
-    shared = perm[np.flatnonzero(~keep[perm])]  # records sharing a frame, lowest rank first
-    del perm
-    _, first = np.unique(frames[shared], return_index=True)
-    keep[shared[first]] = True
+    starts = np.flatnonzero(keep[:-1] & ~keep[1:])  # first records of the shared frames
+    sizes = np.searchsorted(frames, frames[starts], "right") - starts
+    keep[starts] = False  # move each shared frame's flag forward by floor(u * size)
+    keep[starts + (np.random.default_rng(seed).random(len(starts)) * sizes).astype(np.int64)] = True
     collisions = len(frames) - int(np.count_nonzero(keep))
     frames, channels = frames[keep], channels[keep]
 
     counts = np.vstack([sent_per_class(alice.code), tally(alice.code[frames], channels)])
-    return SiftedKey(counts, frames, collisions, unattributed)
+    return SiftedKey(counts, collisions, unattributed)
 
 
 __all__ = [

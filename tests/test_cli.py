@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkdbench import decoy, montecarlo, sidechannel, timetag
+from qkdbench import cli, decoy, montecarlo, sidechannel, timetag
 from qkdbench.cli import _write_atomic, main
 from qkdbench.config import load_config
 
@@ -392,7 +392,7 @@ class TestAnalyzeTtags:
         argv = ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
                 "--alice-log", str(alice), "--seed", "7", "--out", str(out)]
         assert main(argv) == 0
-        assert capsys.readouterr().out == out.read_text()
+        assert capsys.readouterr().out == out.read_text()  # no bound is clamped, so no warning line precedes it
         assert [line.split(" = ")[0] for line in out.read_text().splitlines()] == [
             "records", "gated", "rejected", "phase_ticks", "window_ticks", "collisions", "sifted_rate_cps",
             "q_mu", "q_nu1", "q_nu2", "e_mu", "e_nu1", "e_nu2",
@@ -753,6 +753,29 @@ class TestMalformedInput:
         argv = f"analyze-ttags --config {{cfg}} --ttags {{ttag}} --alice-log {{{log}}}".format(**inputs)
         assert main(argv.split()) == 2
         assert capsys.readouterr().err == f"error: cannot read alice log: {message}\n"
+
+    def test_clamped_bound_warned_once(self, inputs, capsys):
+        # every frame detected in Alice's own state: no decoy errors, so e1_upper is clamped up to 0
+        argv = "analyze-ttags --config {cfg} --ttags {frames_ttag} --alice-log {frames_log} --seed 1 --out {out}"
+        assert main(argv.format(**inputs).split()) == 0
+        warning, mapping = capsys.readouterr().out.split("\n", 1)
+        assert warning == "warning: a decoy bound (y1_lower or e1_upper) was clamped into its range; lbskr_bps is unreliable"
+        assert mapping == Path(inputs["out"]).read_text()
+        assert "\ne1_upper = 0.0\n" in mapping
+
+    def test_alice_log_that_grows_while_read_rejected(self, inputs, monkeypatch, capsys):
+        class Growing(io.BytesIO):  # a row arrives once the log is sized
+            def seek(self, pos, whence=0):
+                end = super().seek(pos, whence)
+                if whence == io.SEEK_END:
+                    self.write(b"0,Z,signal\n")
+                return end
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: Growing(Path(path).read_bytes()), raising=False)
+        argv = "analyze-ttags --config {cfg} --ttags {frames_ttag} --alice-log {frames_log} --seed 1"
+        assert main(argv.format(**inputs).split()) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: cannot read alice log: alice log changed size while it was read\n")
 
     def test_alice_log_shorter_than_its_stream_rejected(self, inputs, capsys):
         # the detections of frames 100-239 have no row to be scored against

@@ -60,7 +60,6 @@ CLI_OPTIONS = {
 #: dataclass fields that no code reads, each with its reason
 UNREAD_FIELDS = {
     "SourceConfig.extinction_ratio_db": "build_configs derives nu2 from the raw key",
-    "DecoyEstimates.clamped": "shown by the run report, ROADMAP item 3",
 }
 
 
@@ -216,7 +215,8 @@ def dataclass_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read():
     # a field nothing reads is state nobody uses; a config field that only validation and
-    # (de)serialization touch is a setting that changes nothing
+    # (de)serialization touch is a setting that changes nothing.  ``args.<name>`` reads the
+    # argparse namespace, not a dataclass, so it counts for no field
     read = {
         sub.attr
         for path in MODULES + CALLERS
@@ -224,6 +224,7 @@ def test_every_dataclass_field_is_read():
         if not (path.name == "config.py" and isinstance(node, ast.FunctionDef) and node.name in FIELD_PLUMBING)
         for sub in ast.walk(node)
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        and not (isinstance(sub.value, ast.Name) and sub.value.id == "args")
     }
     unread = {name for name in dataclass_fields() if name.split(".")[1] not in read}
     assert unread <= set(UNREAD_FIELDS), f"fields read by no code: {sorted(unread - set(UNREAD_FIELDS))}"
