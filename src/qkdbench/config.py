@@ -10,9 +10,11 @@ A run is described by three immutable configs:
   error-correction efficiency, transmission duration, signal pulse count).
 
 Configs are loaded from a flat ``key = value`` text file (one key per
-line, ``#`` comments allowed, no sections).  Every key and its unit are
-listed in :data:`CONFIG_SCHEMA`; a missing key takes the default of its
-dataclass field.  Unknown keys are rejected.
+line, ``#`` comments allowed, no sections).  Every key, its unit and its
+valid range are listed in :data:`CONFIG_SCHEMA`; a missing key takes the
+default of its dataclass field.  Unknown keys are rejected, and so is a
+value outside its range, as ``key: must lie in <range>``.  Beyond the
+ranges, :func:`validate` checks only the rules that relate keys.
 """
 
 from __future__ import annotations
@@ -100,36 +102,36 @@ class ProtocolConfig:
         return source.p_mu * source.pulse_rate_hz
 
 
-# key -> (section, field, unit)
-CONFIG_SCHEMA: dict[str, tuple[str, str, str]] = {
-    "pulse_rate_hz": ("source", "pulse_rate_hz", "Hz"),
-    "mu": ("source", "mu", "photons/pulse"),
-    "nu1": ("source", "nu1", "photons/pulse"),
-    "nu2": ("source", "nu2", "photons/pulse"),
-    "p_mu": ("source", "p_mu", "probability"),
-    "p_nu1": ("source", "p_nu1", "probability"),
-    "p_nu2": ("source", "p_nu2", "probability"),
-    "p_pol_h": ("source", "pol_probs:0", "probability"),
-    "p_pol_v": ("source", "pol_probs:1", "probability"),
-    "p_pol_d": ("source", "pol_probs:2", "probability"),
-    "p_pol_a": ("source", "pol_probs:3", "probability"),
-    "extinction_ratio_db": ("source", "extinction_ratio_db", "dB"),
-    "degree_of_polarization": ("source", "degree_of_polarization", "fraction"),
-    "pulse_fwhm_s": ("source", "pulse_fwhm_s", "s"),
-    "time_bandwidth_product": ("source", "time_bandwidth_product", "1"),
-    "attenuation_db": ("link", "attenuation_db", "dB"),
-    "setup_loss_db": ("link", "setup_loss_db", "dB"),
-    "detector_efficiency": ("link", "detector_efficiency", "fraction"),
-    "background_yield": ("link", "background_yield", "probability/pulse"),
-    "background_error": ("link", "background_error", "fraction"),
-    "detection_error": ("link", "detection_error", "fraction"),
-    "jitter_sigma_s": ("link", "jitter_sigma_s", "s"),
-    "window_s": ("link", "window_s", "s"),
-    "background_suppression": ("link", "background_suppression", "fraction"),
-    "sifting_q": ("protocol", "sifting_q", "fraction"),
-    "error_correction_f": ("protocol", "error_correction_f", "1"),
-    "duration_s": ("protocol", "duration_s", "s"),
-    "signal_pulses": ("protocol", "signal_pulses", "count"),
+# key -> (section, field, unit, valid range); a range is interval text, "inf" meaning no upper bound
+CONFIG_SCHEMA: dict[str, tuple[str, str, str, str]] = {
+    "pulse_rate_hz": ("source", "pulse_rate_hz", "Hz", "(0, inf)"),
+    "mu": ("source", "mu", "photons/pulse", "[0, inf)"),
+    "nu1": ("source", "nu1", "photons/pulse", "[0, inf)"),
+    "nu2": ("source", "nu2", "photons/pulse", "[0, inf)"),
+    "p_mu": ("source", "p_mu", "probability", "[0, 1]"),
+    "p_nu1": ("source", "p_nu1", "probability", "[0, 1]"),
+    "p_nu2": ("source", "p_nu2", "probability", "[0, 1]"),
+    "p_pol_h": ("source", "pol_probs:0", "probability", "[0, 1]"),
+    "p_pol_v": ("source", "pol_probs:1", "probability", "[0, 1]"),
+    "p_pol_d": ("source", "pol_probs:2", "probability", "[0, 1]"),
+    "p_pol_a": ("source", "pol_probs:3", "probability", "[0, 1]"),
+    "extinction_ratio_db": ("source", "extinction_ratio_db", "dB", "(0, inf)"),
+    "degree_of_polarization": ("source", "degree_of_polarization", "fraction", "(0, 1]"),
+    "pulse_fwhm_s": ("source", "pulse_fwhm_s", "s", "(0, inf)"),
+    "time_bandwidth_product": ("source", "time_bandwidth_product", "1", f"[{TRANSFORM_LIMIT_TBP}, inf)"),
+    "attenuation_db": ("link", "attenuation_db", "dB", "[0, inf)"),
+    "setup_loss_db": ("link", "setup_loss_db", "dB", "[0, inf)"),
+    "detector_efficiency": ("link", "detector_efficiency", "fraction", "[0, 1]"),
+    "background_yield": ("link", "background_yield", "probability/pulse", "[0, 1]"),
+    "background_error": ("link", "background_error", "fraction", "[0, 1]"),
+    "detection_error": ("link", "detection_error", "fraction", "[0, 1]"),
+    "jitter_sigma_s": ("link", "jitter_sigma_s", "s", "[0, inf)"),
+    "window_s": ("link", "window_s", "s", "(0, inf)"),
+    "background_suppression": ("link", "background_suppression", "fraction", "[0, 1]"),
+    "sifting_q": ("protocol", "sifting_q", "fraction", "(0, 1]"),
+    "error_correction_f": ("protocol", "error_correction_f", "1", "[1, inf)"),
+    "duration_s": ("protocol", "duration_s", "s", "(0, inf)"),
+    "signal_pulses": ("protocol", "signal_pulses", "count", "(0, inf)"),
 }
 
 
@@ -166,11 +168,13 @@ def load_config(path: str | Path) -> tuple[SourceConfig, LinkConfig, ProtocolCon
     Raises :class:`ConfigError` on parse failure or any invariant
     violation (the message names the violated rule).
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    values = _parse_kv(path.read_text())
-    return build_configs(values)
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return build_configs(_parse_kv(text))
 
 
 def build_configs(values: dict[str, float]) -> tuple[SourceConfig, LinkConfig, ProtocolConfig]:
@@ -181,18 +185,15 @@ def build_configs(values: dict[str, float]) -> tuple[SourceConfig, LinkConfig, P
 
     by_section: dict[str, dict[str, float]] = {"source": {}, "link": {}, "protocol": {}}
     pol = list(SourceConfig.pol_probs)
-    pol_given = False
     for key, val in values.items():
-        section, attr, _ = CONFIG_SCHEMA[key]
+        section, attr, _, _ = CONFIG_SCHEMA[key]
         if attr.startswith("pol_probs:"):
             pol[int(attr.split(":")[1])] = val
-            pol_given = True
         else:
             by_section[section][attr] = val
 
     src_kw = by_section["source"]
-    if pol_given:
-        src_kw["pol_probs"] = tuple(pol)
+    src_kw["pol_probs"] = tuple(pol)
     if "nu2" not in src_kw and src_kw.get("extinction_ratio_db", 0.0) > 0:  # validation rejects the rest
         mu = src_kw.get("mu", SourceConfig.mu)
         src_kw["nu2"] = mu * 10.0 ** (-src_kw["extinction_ratio_db"] / 10.0)
@@ -208,12 +209,20 @@ def build_configs(values: dict[str, float]) -> tuple[SourceConfig, LinkConfig, P
 
 
 def _schema_values(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig):
-    """(key, value) of each :data:`CONFIG_SCHEMA` key in schema order; None for an unset optional field."""
+    """(key, value) of each :data:`CONFIG_SCHEMA` key in schema order; an unset optional field is skipped."""
     configs = {"source": source, "link": link, "protocol": proto}
-    for key, (section, attr, _) in CONFIG_SCHEMA.items():
+    for key, (section, attr, _, _) in CONFIG_SCHEMA.items():
         name, _, index = attr.partition(":")
         value = getattr(configs[section], name)
-        yield key, value[int(index)] if index else value
+        if value is not None:
+            yield key, value[int(index)] if index else value
+
+
+def _in_range(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written like ``"(0, 1]"``."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    return above and (value <= hi if interval[-1] == "]" else value < hi)
 
 
 def validate(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -> list[str]:
@@ -222,69 +231,29 @@ def validate(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -> l
     Total on any numeric input: violations are returned as data, never
     raised.  An empty list means all invariants hold.  A value that is
     not finite is reported alone, as no other rule can be judged on it.
+    A value outside its :data:`CONFIG_SCHEMA` range is reported as
+    ``key: must lie in <range>``; the rules that relate keys follow.
     """
-    values = _schema_values(source, link, proto)
-    v = [f"{key}: must be finite" for key, val in values if val is not None and not math.isfinite(val)]
+    values = list(_schema_values(source, link, proto))
+    v = [f"{key}: must be finite" for key, val in values if not math.isfinite(val)]
     if v:
         return v
+    v = [f"{key}: must lie in {CONFIG_SCHEMA[key][3]}" for key, val in values
+         if not _in_range(val, CONFIG_SCHEMA[key][3])]
 
-    if not source.pulse_rate_hz > 0:
-        v.append("pulse_rate_hz: must be > 0")
-    for cls_label, mean in (("mu", source.mu), ("nu1", source.nu1), ("nu2", source.nu2)):
-        if not mean >= 0:
-            v.append(f"{cls_label}: mean photon number must be >= 0")
-    if not (source.mu > source.nu1 > source.nu2 >= 0):
-        v.append("intensity ordering: require mu > nu1 > nu2 >= 0")
+    if not source.mu > source.nu1 > source.nu2:
+        v.append("intensity ordering: require mu > nu1 > nu2")
     probs = source.class_probs
-    if any(not (0 <= p <= 1) for p in probs):
-        v.append("class probabilities: each must lie in [0, 1]")
     if abs(sum(probs) - 1.0) > 1e-12:
         v.append(f"class probabilities: p_mu + p_nu1 + p_nu2 must sum to 1 (got {sum(probs)!r})")
-    if any(not (0 <= p <= 1) for p in source.pol_probs):
-        v.append("polarization probabilities: each must lie in [0, 1]")
     if abs(sum(source.pol_probs) - 1.0) > 1e-12:
         v.append("polarization probabilities: must sum to 1")
-    if not source.extinction_ratio_db > 0:
-        v.append("extinction_ratio_db: must be > 0 dB")
-    if not (0 < source.degree_of_polarization <= 1):
-        v.append("degree_of_polarization: must lie in (0, 1]")
-    if not source.pulse_fwhm_s > 0:
-        v.append("pulse_fwhm_s: must be > 0")
-    elif source.pulse_rate_hz > 0 and not source.pulse_fwhm_s <= 1.0 / source.pulse_rate_hz * (1 + 1e-12):
-        v.append("pulse_fwhm_s: must not exceed the pulse period")
-    if not source.time_bandwidth_product >= TRANSFORM_LIMIT_TBP:
-        v.append(f"time_bandwidth_product: below the transform limit {TRANSFORM_LIMIT_TBP}")
-
-    if not link.attenuation_db >= 0:
-        v.append("attenuation_db: must be >= 0")
-    if not link.setup_loss_db >= 0:
-        v.append("setup_loss_db: must be >= 0")
-    for name, frac in (
-        ("detector_efficiency", link.detector_efficiency),
-        ("background_yield", link.background_yield),
-        ("background_error", link.background_error),
-        ("detection_error", link.detection_error),
-    ):
-        if not (0 <= frac <= 1):
-            v.append(f"{name}: must lie in [0, 1]")
-    if link.background_suppression is not None and not (0 <= link.background_suppression <= 1):
-        v.append("background_suppression: must lie in [0, 1]")
-    if not link.jitter_sigma_s >= 0:
-        v.append("jitter_sigma_s: must be >= 0")
-    if not link.window_s > 0:
-        v.append("window_s: must be > 0")
-    if source.pulse_rate_hz > 0 and link.window_s > 1.0 / source.pulse_rate_hz * (1 + 1e-12):
-        v.append("window_s: gating window must not exceed the pulse period")
-
-    if not (0 < proto.sifting_q <= 1):
-        v.append("sifting_q: must lie in (0, 1]")
-    if not proto.error_correction_f >= 1:
-        v.append("error_correction_f: must be >= 1")
-    if not proto.duration_s > 0:
-        v.append("duration_s: must be > 0")
-    if proto.signal_pulses is not None and not proto.signal_pulses > 0:
-        v.append("signal_pulses: must be > 0 when given")
-
+    if source.pulse_rate_hz > 0:  # else its range is reported
+        period = 1.0 / source.pulse_rate_hz * (1 + 1e-12)
+        if source.pulse_fwhm_s > period:
+            v.append("pulse_fwhm_s: must not exceed the pulse period")
+        if link.window_s > period:
+            v.append("window_s: gating window must not exceed the pulse period")
     return v
 
 
@@ -296,8 +265,7 @@ def dump_config(source: SourceConfig, link: LinkConfig, proto: ProtocolConfig) -
     """
     lines = ["# qkdbench configuration (flat key = value)"]
     for key, val in _schema_values(source, link, proto):
-        if val is not None:
-            lines.append(f"{key} = {val!r}  # {CONFIG_SCHEMA[key][2]}")
+        lines.append(f"{key} = {val!r}  # {CONFIG_SCHEMA[key][2]}")
     return "\n".join(lines) + "\n"
 
 

@@ -420,6 +420,22 @@ class TestAnalyzeTtags:
         assert captured.out == ""
         assert captured.err == "error: no pulses sent for at least one intensity class\n"
 
+    def test_low_confidence_phase_warned(self, bench_config_file, tmp_path, capsys):
+        # uniform arrivals carry no pulse-train phase; the run still completes
+        rng = np.random.default_rng(0)
+        frames = 200_000
+        ticks = np.sort(rng.integers(0, frames * 128, size=20_000, dtype=np.uint64))
+        stream = timetag.TimeTagStream(ticks, rng.integers(0, 4, len(ticks)))
+        (tmp_path / "uniform.ttag").write_bytes(timetag.encode(stream))
+        with open(tmp_path / "uniform.alice.csv", "wb") as fh:
+            timetag.AliceLog(rng.integers(0, 12, frames, dtype=np.uint8)).to_csv(fh)
+        argv = ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(tmp_path / "uniform.ttag"),
+                "--alice-log", str(tmp_path / "uniform.alice.csv"), "--seed", "1", "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        warning, mapping = capsys.readouterr().out.split("\n", 1)
+        assert warning == "warning: low-confidence phase (contrast 1.23)"
+        assert mapping == (tmp_path / "a").read_text()
+
     def test_empty_stream(self, bench_config_file, tmp_path, capsys):
         empty = tmp_path / "empty.ttag"
         empty.write_bytes(b"")
@@ -537,6 +553,14 @@ class TestSidechannel:
 
 
 class TestOptimize:
+    def test_zero_rate_noted(self, bench_config_file, tmp_path, capsys):
+        far = tmp_path / "far.cfg"
+        far.write_text(bench_config_file.read_text().replace("attenuation_db = 6.0", "attenuation_db = 60"))
+        assert main(["optimize", "--config", str(far)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "note: rate is zero on the whole grid; reported point is the first grid point\n"
+        )
+
     def test_smoke(self, bench_config_file, capsys):
         code = main(
             ["optimize", "--config", str(bench_config_file),
@@ -600,6 +624,8 @@ class TestMalformedInput:
             "signal_pulses_inf": {"signal_pulses": "inf"},
         }
         (tmp_path / "er_below_0.cfg").write_text("extinction_ratio_db = -4000\n")  # nu2 derived from it
+        (tmp_path / "cfg_dir.cfg").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes(b"mu = 0.5  # \xb5\n")  # not UTF-8
         return {
             **{name: str(with_keys(bench_config_file, f"{name}.cfg", **keys)) for name, keys in twins.items()},
             **{
@@ -621,6 +647,8 @@ class TestMalformedInput:
             "zero_bg": str(zero_bg),
             "zero_bg_far": str(tmp_path / "zero_bg_far.cfg"),
             "er_below_0": str(tmp_path / "er_below_0.cfg"),
+            "cfg_dir": str(tmp_path / "cfg_dir.cfg"),
+            "latin1_cfg": str(tmp_path / "latin1.cfg"),
             "markers_ttag": str(tmp_path / "markers.ttag"),
         }
 
@@ -676,6 +704,12 @@ class TestMalformedInput:
             "simulate --config {jitter_inf} --frames 100 --seed 1 --out {out} --emit-ttags",
             "analyze-ttags --config {signal_pulses_inf} --ttags {frames_ttag} --alice-log {frames_log} --seed 1",
             "optimize --config {er_below_0}",  # 10 ** 400 would overflow
+            "optimize --config {cfg_dir}",
+            "optimize --config {latin1_cfg}",
+            "sidechannel --synth --pedestals 0,0,0",
+            "sidechannel --synth --pedestals -0.1,0,0,0",
+            "sweep --config {cfg} --out {out} --atten-min 5 --atten-max 1",
+            "sweep --config {cfg} --out {out} --atten-step 0",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -710,6 +744,8 @@ class TestMalformedInput:
             ("--atten-step", "sweep --config {cfg} --out {out} --atten-step -inf"),
             ("jitter_sigma_s", "simulate --config {jitter_inf} --frames 100 --seed 1 --out {out} --emit-ttags"),
             ("extinction_ratio_db", "optimize --config {er_below_0}"),
+            ("cfg_dir.cfg", "optimize --config {cfg_dir}"),
+            ("latin1.cfg", "optimize --config {latin1_cfg}"),
         ],
     )
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):

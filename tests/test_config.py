@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qkdbench.cli import main
 from qkdbench.config import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -67,6 +68,8 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("banana = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
+    with pytest.raises(ConfigError, match=r"^unknown keys: \['banana'\]$"):
+        build_configs({"banana": 1.0})
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -140,9 +143,40 @@ def test_every_key_must_be_finite(tmp_path, key, value):
         load_config(path)
 
 
+def just_outside_and_inside(interval: str) -> list[tuple[float, float]]:
+    """(value just outside, value just inside) at each finite end of an interval like ``"(0, 1]"``."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    ends = [(lo, math.nextafter(lo, math.inf)) if interval[0] == "(" else (math.nextafter(lo, -math.inf), lo)]
+    if math.isfinite(hi):
+        ends.append((hi, math.nextafter(hi, -math.inf)) if interval[-1] == ")" else (math.nextafter(hi, math.inf), hi))
+    return ends
+
+
+@pytest.mark.parametrize(
+    "key, outside, inside",
+    [(key, *pair) for key, (*_, interval) in CONFIG_SCHEMA.items() for pair in just_outside_and_inside(interval)],
+)
+def test_each_key_must_lie_in_its_range(tmp_path, capsys, key, outside, inside):
+    message = f"{key}: must lie in {CONFIG_SCHEMA[key][3]}"
+    path = tmp_path / "range.cfg"
+    path.write_text(f"{key} = {outside!r}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert message in str(info.value)
+    assert main(["optimize", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and message in err
+    # the value just inside may break a rule that relates keys, but not its own range
+    path.write_text(f"{key} = {inside!r}\n")
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        assert message not in str(exc)
+
+
 def test_extinction_ratio_below_zero_rejected_not_overflowed():
     # nu2 = mu * 10^(-ER/10) is derived only from a valid ratio; 10.0 ** 400 raises OverflowError
-    with pytest.raises(ConfigError, match="^extinction_ratio_db: must be > 0 dB$"):
+    with pytest.raises(ConfigError, match=r"^extinction_ratio_db: must lie in \(0, inf\)$"):
         build_configs({"extinction_ratio_db": -4000.0})
 
 

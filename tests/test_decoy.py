@@ -101,6 +101,16 @@ def y1_lower(obs, mu, nu1, y0):
     return decoy_estimates(obs, mu, nu1, y0).y1_lower
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("q_mu", 1.5, "q_mu: gain must lie in [0, 1]"), ("e_nu1", 0.6, "e_nu1: QBER must lie in [0, 0.5]")],
+)
+def test_observables_out_of_range_rejected(field, value, message):
+    with pytest.raises(ValueError) as info:
+        replace(bench6db_observables(), **{field: value})
+    assert str(info.value).startswith(message)
+
+
 class TestY1Lower:
     def test_benchmark_chain(self):
         obs = bench6db_observables()

@@ -72,6 +72,18 @@ class TestMutualInformation:
         assert val == pytest.approx(0.029049405545331361, abs=1e-12)
         assert val == pytest.approx(0.0290, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]], "one column per label"),
+            ([0.5, 0.5], "one column per label"),
+            ([[0.6, -0.1], [0.25, 0.25]], "finite and >= 0"),
+        ],
+    )
+    def test_rejects_malformed_matrix(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            JointDistribution(("a", "b"), np.array(matrix))
+
     def test_rejects_bad_normalization(self):
         with pytest.raises(ValueError, match="sums to"):
             JointDistribution(("a", "b"), np.array([[0.3, 0.3], [0.3, 0.3]]))
@@ -145,6 +157,8 @@ class TestProfiles:
     def test_mismatched_bins_rejected(self):
         with pytest.raises(ValueError):
             mi_from_profiles([np.ones(8), np.ones(4)])
+        with pytest.raises(ValueError, match="one common bin axis"):
+            mi_from_profiles(np.ones(4))
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, 1e308])
     def test_row_without_finite_positive_total_rejected(self, bad):

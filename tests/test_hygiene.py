@@ -262,6 +262,24 @@ def test_every_bench_span_target_resolves():
     assert not missing, f"bench/spans.py TARGETS name functions the package no longer has: {missing}"
 
 
+def readme_schema_rows() -> dict[str, tuple[str, str]]:
+    """key -> (unit, range) of each key named in the README's "Configuration schema" table."""
+    section = (ROOT / "README.md").read_text().split("\n## Configuration schema\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, unit, interval = (cell.strip() for cell in line.split("|")[1:4])
+            rows.update(dict.fromkeys(re.findall(r"`(\w+)`", names), (unit, interval.strip("`"))))
+    return rows
+
+
+def test_readme_schema_table_matches_config_schema():
+    # a key added, renamed or re-ranged in the code shows up here, not as a stale README row
+    from qkdbench.config import CONFIG_SCHEMA
+
+    assert readme_schema_rows() == {key: (unit, interval) for key, (*_, unit, interval) in CONFIG_SCHEMA.items()}
+
+
 def readme_commands() -> list[str]:
     """The ``qkdbench`` commands of the README's ``sh`` blocks, continuation lines joined."""
     blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S)

@@ -119,6 +119,10 @@ class TestSynthProfiles:
         with pytest.raises(ValueError, match="transform limit"):
             synth_profiles(tbp=0.3)
 
+    def test_nonpositive_fwhm_rejected(self):
+        with pytest.raises(ValueError, match="fwhm must be positive"):
+            synth_profiles(fwhm_s=0.0)
+
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError, match="per state"):
             synth_profiles(ase_pedestal=(0.1, 0.0))

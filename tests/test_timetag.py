@@ -63,9 +63,13 @@ class TestCodec:
         with pytest.raises(ValueError, match="truncated"):
             decode(b"\x00" * 12)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="60-bit"):
-            TimeTagStream(np.array([1 << 60], dtype=np.uint64), np.array([0], dtype=np.uint8))
+    @pytest.mark.parametrize(
+        "ticks, channels, message",
+        [([1 << 60], [0], "60-bit"), ([0], [16], "4-bit"), ([0, 1], [0], "equal length")],
+    )
+    def test_out_of_range_rejected(self, ticks, channels, message):
+        with pytest.raises(ValueError, match=message):
+            TimeTagStream(np.array(ticks, dtype=np.uint64), np.array(channels, dtype=np.uint8))
 
     def test_non_monotonic_warns_but_preserves(self):
         stream = stream_of([(10, 0), (5, 1)])
@@ -143,6 +147,10 @@ class TestRecoverPhase:
         est = recover_phase(TimeTagStream(ticks, np.zeros(2000, dtype=np.uint8)), PERIOD)
         off = abs(est.phase_ticks - phase)
         assert min(off, PERIOD - off) <= 1
+
+    def test_nonpositive_period_rejected(self):
+        with pytest.raises(ValueError, match="period must be positive"):
+            recover_phase(TimeTagStream(np.arange(20, dtype=np.uint64), np.zeros(20, dtype=np.uint8)), 0)
 
     def test_insufficient_data(self):
         ticks = np.arange(5, dtype=np.uint64) * PERIOD
