@@ -5,10 +5,9 @@ table and its exact mean per frame, ``montecarlo.expected_tally``, share
 one layout, so each class's gain and the signal QBER come from both
 through ``timetag.ratios`` and are compared as a pull in binomial standard
 deviations, so the check does not turn into a bias as the pulse count
-grows.  The closed-form model of the paper is printed next to them, as
-``qkdbench simulate`` prints it; it is not the simulator's mean, since
-its gain Y0 + 1 - e^(-eta mu) counts a frame with both a signal and a
-background click twice.
+grows.  The closed-form model of the paper is printed next to them; it
+is not the simulator's mean, since its gain Y0 + 1 - e^(-eta mu) counts
+a frame with both a signal and a background click twice.
 """
 
 import math

@@ -7,9 +7,9 @@ be a finite number.  All randomness flows from --seed; when absent a
 random seed is drawn and printed so runs stay reproducible.  Output
 files, the Alice log included, are written atomically (temp file +
 rename) with the mode the umask gives a new file; the text outputs are
-``key = value`` lines from one writer (``analyze-ttags`` and ``sidechannel``
-print the mapping they write).  Sweeps, written as CSV, and intensity
-searches evaluate their whole grid in one array call of the decoy chain.
+``key = value`` lines from one writer, and every command prints the
+mapping it computes.  Sweeps, written as CSV, and intensity searches
+evaluate their whole grid in one array call of the decoy chain.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def cmd_sweep(args) -> int:
     cells = ([format(v, fmt) for v in columns[name]] for name, _, fmt in decoy.SWEEP_COLUMNS)
     _write_atomic(Path(args.out), "".join(",".join(row) + "\r\n" for row in [list(columns), *zip(*cells)]))
 
-    hits = (f"at {a:g} dB" for a, e in zip(columns["attenuation_db"], columns["E_mu"]) if e > decoy.QBER_CUTOFF)
-    print(f"wrote {len(reports)} rows to {args.out}; QBER cutoff (>{decoy.QBER_CUTOFF}) {next(hits, 'not reached')}")
+    hits = (a for a, e in zip(columns["attenuation_db"], columns["E_mu"]) if e > decoy.QBER_CUTOFF)
+    print(_kv_text({"rows": len(reports), "qber_cutoff_db": next(hits, math.nan)}), end="")
     return EXIT_OK
 
 
@@ -142,20 +142,22 @@ def cmd_simulate(args) -> int:
     source, link, proto = load_config(args.config)
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
-    # deltas against the simulator's exact table; the paper gain Y0 + 1 - e^(-eta m)
-    # counts a frame where both click twice, and the paper QBER leaves out (1 - DOP)/2
-    obs_model = decoy.channel_observables(source, link, "full-budget")
-    exact = timetag.ratios(montecarlo.expected_tally(source, link))
     period = timetag.period_ticks(source.pulse_rate_hz) if args.emit_ttags else 1
     phase = 37 % period if args.phase_ticks is None else args.phase_ticks  # the default, on the circle of phases
     seed = _resolve_seed(args)
     result = montecarlo.run(source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=phase)
     counts = result.summary.counts
-    mc = timetag.ratios(counts)
+    # each gain and QBER against the exact mean, in binomial sigmas over its denominator; NaN where sigma is 0
+    mc, exact = timetag.ratios(counts), timetag.ratios(montecarlo.expected_tally(source, link))
+    sigma = np.sqrt(exact * (1 - exact) / np.maximum(counts[::2], 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(sigma > 0, (mc - exact) / sigma, np.nan)
     summary = {"frames": args.frames, "simulated_s": args.frames / source.pulse_rate_hz}
     for i, label in enumerate(timetag.CLASS_LABELS):
         summary.update({f"{row}_{label}": c for row, c in zip(("sent", "detected", "sifted", "errors"), counts[:, i])})
-        summary.update({f"gain_{label}": mc[0, i], f"qber_{label}": mc[1, i]})
+        for j, ratio in enumerate(("gain", "qber")):
+            summary.update({f"{ratio}_{label}": mc[j, i], f"{ratio}_exact_{label}": exact[j, i],
+                            f"{ratio}_delta_{label}": delta[j, i]})
     out = str(args.out)  # output prefix, suffixes appended
     _write_atomic(Path(out + ".summary.txt"), _kv_text(summary))
     if args.emit_ttags:
@@ -171,20 +173,12 @@ def cmd_simulate(args) -> int:
         _write_atomic(Path(out + ".sidecar.txt"), _kv_text(sidecar))
 
     _print_seed(args, seed)
-    print(f"frames = {args.frames}, simulated {summary['simulated_s']:g} s")
     if result.dropped_records:
         share = result.dropped_records / (len(result.stream) + result.dropped_records)
         print(f"warning: {result.dropped_records} records ({share:.1%}) dropped by the",
               f"{montecarlo.THROUGHPUT_CAP_MCPS:g} Mcps throughput cap;",
               "analyze-ttags counts their frames as sent and not detected")
-    names = [f"Q_{label}" for label in timetag.CLASS_LABELS] + ["E_signal"]
-    cells = [(0, 0), (0, 1), (0, 2), (1, 0)]  # (ratio row, class): the class gains, then the signal QBER
-    papers = (obs_model.q_mu, obs_model.q_nu1, obs_model.q_nu2, obs_model.e_mu)
-    for name, (row, i), paper in zip(names, cells, papers):
-        m, x, n = float(mc[row, i]), float(exact[row, i]), int(counts[2 * row, i])  # n: the ratio's denominator
-        sigma = (x * (1 - x) / max(n, 1)) ** 0.5
-        delta = (m - x) / sigma if sigma > 0 else float("nan")
-        print(f"{name}: mc={m:.6e} exact={x:.6e} delta={delta:+.2f} sigma paper={paper:.6e}")
+    print(_kv_text(summary), end="")
     return EXIT_OK
 
 
@@ -285,11 +279,9 @@ def cmd_optimize(args) -> int:
     result = decoy.optimize_intensities(
         link, proto, grid, source_template=source, gain_convention=args.gain_convention
     )
-    print(f"mu_opt = {result.mu:g}")
-    print(f"nu1_opt = {result.nu1:g}")
-    print(f"lbskr_bps = {result.secure_key_rate_bps:.6e}")
     if result.all_zero:
         print("note: rate is zero on the whole grid; reported point is the first grid point")
+    print(_kv_text({"mu_opt": result.mu, "nu1_opt": result.nu1, "lbskr_bps": result.secure_key_rate_bps}), end="")
     return EXIT_OK
 
 

@@ -78,8 +78,9 @@ def mi_from_profiles(profiles: Sequence[np.ndarray]) -> float:
     and :func:`mutual_information` scores it.  Zero exactly when all
     rows are proportional.
     """
-    rows = np.asarray(profiles, dtype=float)
-    if rows.ndim != 2:
+    ragged = len({np.shape(row) for row in profiles}) > 1  # numpy's own error on it names no rule
+    rows = None if ragged else np.asarray(profiles, dtype=float)
+    if ragged or rows.ndim != 2:
         raise ValueError("profiles must share one common bin axis")
     with np.errstate(over="ignore"):
         sums = rows.sum(axis=1)

@@ -47,7 +47,7 @@ class TestSweep:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        assert capsys.readouterr().out == f"wrote 401 rows to {out}; QBER cutoff (>0.11) at {cutoff_db:g} dB\n"
+        assert capsys.readouterr().out == f"rows = 401\nqber_cutoff_db = {cutoff_db!r}\n"
 
     def test_grid_points_are_the_decimal_steps(self, bench_config_file, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -94,11 +94,13 @@ class TestSweep:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_cutoff_printed(self, bench_config_file, tmp_path, capsys):
+    @pytest.mark.parametrize("atten_max, cutoff", [("40", "19.0"), ("5", "nan")])
+    def test_cutoff_printed(self, bench_config_file, tmp_path, capsys, atten_max, cutoff):
+        # the first attenuation whose E_mu passes the cutoff, nan when none does
         out = tmp_path / "sweep.csv"
         main(["sweep", "--config", str(bench_config_file), "--out", str(out),
-              "--atten-min", "0", "--atten-max", "40", "--atten-step", "1"])
-        assert "cutoff" in capsys.readouterr().out
+              "--atten-min", "0", "--atten-max", atten_max, "--atten-step", "1"])
+        assert capsys.readouterr().out == f"rows = {int(atten_max) + 1}\nqber_cutoff_db = {cutoff}\n"
 
     def test_csv_is_the_one_format(self, bench_config_file, tmp_path, capsys):
         out = tmp_path / "sweep.txt"
@@ -218,30 +220,42 @@ class TestSimulate:
         suffixes = ("summary.txt", "ttag", "alice.csv", "sidecar.txt")
         assert modes == {f"run.{suffix}": 0o644 for suffix in suffixes}
 
-    def test_delta_against_exact_table(self, bench_config_file, tmp_path, capsys):
-        # the delta is taken against the exact click probability; the paper
-        # gain Y0 + 1 - e^(-eta m) is printed next to it
+    def test_stdout_is_the_written_mapping(self, bench_config_file, tmp_path, capsys):
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "1000", "--seed", "2"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("Q_")]
+        assert capsys.readouterr().out == (tmp_path / "run.summary.txt").read_text()
+        keys = [line.split(" = ")[0] for line in (tmp_path / "run.summary.txt").read_text().splitlines()]
+        assert keys == ["frames", "simulated_s"] + [
+            f"{name}_{label}"
+            for label in timetag.CLASS_LABELS
+            for name in ("sent", "detected", "sifted", "errors", "gain", "gain_exact", "gain_delta",
+                         "qber", "qber_exact", "qber_delta")
+        ]
+
+    def test_delta_against_exact_table(self, bench_config_file, tmp_path, capsys):
+        # the delta is taken against the exact click probability, not the paper
+        # gain Y0 + 1 - e^(-eta m), which counts a frame where both click twice
+        argv = ["simulate", "--config", str(bench_config_file), "--frames", "1000", "--seed", "2"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        fields = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())
         source, link, _ = load_config(bench_config_file)
         eta = decoy.transmittance(link)
         paper = decoy.channel_observables(source, link, "full-budget")
-        for line, mean, q_paper in zip(lines, (0.5, 0.066, 0.002), (paper.q_mu, paper.q_nu1, paper.q_nu2)):
-            fields = dict(f.split("=") for f in line.split()[1:] if "=" in f)
+        papers = (paper.q_mu, paper.q_nu1, paper.q_nu2)
+        for label, mean, q_paper in zip(timetag.CLASS_LABELS, (0.5, 0.066, 0.002), papers):
             exact = 1 - (1 - link.background_yield) * math.exp(-eta * mean)
-            assert float(fields["exact"]) == pytest.approx(exact, rel=1e-6)
-            assert float(fields["paper"]) == pytest.approx(q_paper, rel=1e-6)
-            assert float(fields["exact"]) != float(fields["paper"])
-        assert len(lines) == 3
+            assert float(fields[f"gain_exact_{label}"]) == pytest.approx(exact, rel=1e-12)
+            assert float(fields[f"gain_exact_{label}"]) != pytest.approx(q_paper, rel=1e-6)
+            sigma = math.sqrt(exact * (1 - exact) / int(fields[f"sent_{label}"]))
+            delta = (float(fields[f"gain_{label}"]) - exact) / sigma
+            assert float(fields[f"gain_delta_{label}"]) == pytest.approx(delta, rel=1e-9)
 
     def test_signal_qber_delta_against_exact_table(self, bench_config_file, tmp_path, capsys):
         # the exact value is the signal class's sifted error rate in the outcome
-        # table; the paper QBER, printed next to it, leaves out (1 - DOP)/2
+        # table; the paper QBER leaves out (1 - DOP)/2
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "1000", "--seed", "2"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
-        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("E_signal:")]
-        fields = dict(f.split("=") for f in line.split()[1:] if "=" in f)
+        fields = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())
         source, link, _ = load_config(bench_config_file)
         table = montecarlo.outcome_table(source, link)
         sifted = errors = 0.0
@@ -251,24 +265,38 @@ class TestSimulate:
                 p = source.pol_probs[code] * (table[code, 1 + channel] + table[code, 5 + channel])
                 sifted += p
                 errors += p if channel & 1 != bit else 0.0
-        assert float(fields["exact"]) == pytest.approx(errors / sifted, rel=1e-6)
-        assert float(fields["exact"]) == pytest.approx(1.63145e-2, rel=1e-5)
-        paper = decoy.channel_observables(source, link, "full-budget").e_mu
-        assert float(fields["paper"]) == pytest.approx(paper, rel=1e-6)
-        summary = dict(l.split(" = ") for l in (tmp_path / "run.summary.txt").read_text().splitlines())
-        sigma = math.sqrt(float(fields["exact"]) * (1 - float(fields["exact"])) / int(summary["sifted_signal"]))
-        delta = (float(fields["mc"]) - float(fields["exact"])) / sigma
-        assert float(fields["delta"]) == pytest.approx(delta, abs=0.006)
+        exact = float(fields["qber_exact_signal"])
+        assert exact == pytest.approx(errors / sifted, rel=1e-12)
+        assert exact == pytest.approx(1.63145e-2, rel=1e-5)
+        assert exact != pytest.approx(decoy.channel_observables(source, link, "full-budget").e_mu, rel=1e-6)
+        sigma = math.sqrt(exact * (1 - exact) / int(fields["sifted_signal"]))
+        delta = (float(fields["qber_signal"]) - exact) / sigma
+        assert float(fields["qber_delta_signal"]) == pytest.approx(delta, rel=1e-9)
 
     def test_class_never_sent_has_no_exact_value(self, bench_config_file, tmp_path, capsys):
         # per-frame probabilities of a class with p = 0 are all 0: its gain is 0/0,
-        # printed as nan like its mc value, with no RuntimeWarning
+        # written as nan like its mc value, with no RuntimeWarning
         cfg = tmp_path / "no_decoy2.cfg"
         cfg.write_text(bench_config_file.read_text() + "p_mu = 0.85\np_nu1 = 0.15\np_nu2 = 0\n")
         argv = ["simulate", "--config", str(cfg), "--frames", "1000", "--seed", "2", "--out", str(tmp_path / "run")]
         assert main(argv) == 0
-        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("Q_decoy2:")]
-        assert line.startswith("Q_decoy2: mc=nan exact=nan delta=+nan sigma")
+        fields = dict(l.split(" = ") for l in capsys.readouterr().out.splitlines())
+        assert [fields[key] for key in ("gain_decoy2", "gain_exact_decoy2", "gain_delta_decoy2")] == ["nan"] * 3
+
+    def test_dark_link_runs(self, bench_config_file, tmp_path, capsys):
+        # no background and no transmission: nothing clicks, every gain is exactly 0 with
+        # no spread to score a pull in, and every QBER is 0/0; nothing here needs the model gain
+        keys = dict(line.split(" = ") for line in bench_config_file.read_text().splitlines())
+        keys.update(attenuation_db=4000, background_yield=0)
+        dark = tmp_path / "dark.cfg"
+        dark.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        argv = ["simulate", "--config", str(dark), "--frames", "1000", "--seed", "2", "--out", str(tmp_path / "run")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("gain_signal = 0.0", "gain_exact_signal = 0.0", "gain_delta_signal = nan", "qber_signal = nan"):
+            assert line in lines
 
     def test_alice_log_is_the_row_table_over_the_codes(self, bench_config_file, tmp_path):
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "5000", "--seed", "9", "--emit-ttags"]
@@ -557,8 +585,9 @@ class TestOptimize:
         far = tmp_path / "far.cfg"
         far.write_text(bench_config_file.read_text().replace("attenuation_db = 6.0", "attenuation_db = 60"))
         assert main(["optimize", "--config", str(far)]) == 0
-        assert capsys.readouterr().out.endswith(
+        assert capsys.readouterr().out == (
             "note: rate is zero on the whole grid; reported point is the first grid point\n"
+            "mu_opt = 0.25\nnu1_opt = 0.05\nlbskr_bps = 0.0\n"
         )
 
     def test_smoke(self, bench_config_file, capsys):

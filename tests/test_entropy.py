@@ -155,10 +155,14 @@ class TestProfiles:
         assert val == pytest.approx(h2(0.25), abs=1e-6)
 
     def test_mismatched_bins_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one common bin axis"):
             mi_from_profiles([np.ones(8), np.ones(4)])
         with pytest.raises(ValueError, match="one common bin axis"):
             mi_from_profiles(np.ones(4))
+
+    def test_non_numeric_cell_keeps_numpys_error(self):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            mi_from_profiles([["a", 1.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, 1e308])
     def test_row_without_finite_positive_total_rejected(self, bad):

@@ -9,9 +9,10 @@ class.  Each name ``__init__.py`` re-exports is imported from the top
 level by a caller, and each dataclass field is read by some code (a
 config field by code besides validation and (de)serialization).  The
 benchmark's span table is imported, and every function it names must
-resolve.  ``import qkdbench.cli`` loads a fixed set of modules, and each
-subcommand takes a fixed set of options.  Last, every ``qkdbench``
-command of the README parses.
+resolve.  ``import qkdbench.cli`` loads a fixed set of modules, each
+subcommand takes a fixed set of options, and each ``print`` in ``cli.py``
+shows a ``_kv_text`` mapping or a line of a fixed kind.  Last, every
+``qkdbench`` command of the README parses.
 """
 
 import argparse
@@ -251,6 +252,25 @@ def test_cli_option_set():
         for name, parser in commands.items()
     }
     assert options == CLI_OPTIONS
+
+
+#: the lines ``cli.py`` may print by hand, by their start; every other output is a ``_kv_text`` mapping
+CLI_LINE_PREFIXES = ("seed = ", "warning: ", "note: ", "error: ", "I/O error: ")
+
+
+def test_cli_prints_mappings_through_one_writer():
+    def allowed(arg):
+        if isinstance(arg, ast.Call):
+            return isinstance(arg.func, ast.Name) and arg.func.id == "_kv_text"
+        if isinstance(arg, ast.JoinedStr) and arg.values:
+            arg = arg.values[0]  # the literal text an f-string starts with
+        return isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value.startswith(CLI_LINE_PREFIXES)
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    prints = [n for n in calls if n.func.id == "print"]
+    assert prints
+    assert [ast.unparse(n) for n in prints if not (n.args and allowed(n.args[0]))] == []
 
 
 def test_every_bench_span_target_resolves():
