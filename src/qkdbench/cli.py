@@ -20,6 +20,7 @@ import os
 import secrets
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,11 @@ def cmd_simulate(args) -> int:
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
     period = timetag.period_ticks(source.pulse_rate_hz) if args.emit_ttags else 1
+    if args.phase_ticks is not None and not args.emit_ttags:
+        raise ConfigError("--phase-ticks applies only with --emit-ttags")
     phase = 37 % period if args.phase_ticks is None else args.phase_ticks  # the default, on the circle of phases
+    if not 0 <= phase < period:
+        raise ConfigError(f"--phase-ticks must lie in [0, {period}), got {phase}")
     seed = _resolve_seed(args)
     result = montecarlo.run(source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=phase)
     counts = result.summary.counts
@@ -173,11 +178,6 @@ def cmd_simulate(args) -> int:
         _write_atomic(Path(out + ".sidecar.txt"), _kv_text(sidecar))
 
     _print_seed(args, seed)
-    if result.dropped_records:
-        share = result.dropped_records / (len(result.stream) + result.dropped_records)
-        print(f"warning: {result.dropped_records} records ({share:.1%}) dropped by the",
-              f"{montecarlo.THROUGHPUT_CAP_MCPS:g} Mcps throughput cap;",
-              "analyze-ttags counts their frames as sent and not detected")
     print(_kv_text(summary), end="")
     return EXIT_OK
 
@@ -187,7 +187,9 @@ def cmd_analyze_ttags(args) -> int:
     period = timetag.period_ticks(source.pulse_rate_hz)  # checked before the inputs are read
     window = timetag.window_ticks_from_seconds(link.window_s)
     try:
-        stream = timetag.decode(Path(args.ttags).read_bytes())
+        with warnings.catch_warnings(record=True) as decode_warnings:  # shown as warning: lines below
+            warnings.simplefilter("always")
+            stream = timetag.decode(Path(args.ttags).read_bytes())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read timetag stream: {exc}") from exc
     if not np.any(stream.channels < 4):
@@ -217,6 +219,8 @@ def cmd_analyze_ttags(args) -> int:
         rkr_bps=report.raw_key_rate_bps, lbskr_bps=report.secure_key_rate_bps,
     )
     _print_seed(args, seed)
+    for caught in decode_warnings:
+        print(f"warning: {caught.message}")
     if phase.low_confidence:
         print(f"warning: low-confidence phase (contrast {phase.contrast:.2f})")
     if est.clamped:
@@ -232,6 +236,11 @@ def cmd_sidechannel(args) -> int:
         raise ConfigError("ambiguous input: give either --profiles or --synth, not both")
     if not args.synth and not args.profiles:
         raise ConfigError("need an input: --profiles FILE or --synth")
+    if args.synth and args.domain is not None:
+        raise ConfigError("--domain applies only to --profiles")
+    for flag, value in (("--pedestals", args.pedestals), ("--shifts-ps", args.shifts_ps)):
+        if args.profiles and value is not None:
+            raise ConfigError(f"{flag} applies only to --synth")
     config = load_config(args.config) if args.config else None
 
     if args.profiles:
@@ -239,11 +248,12 @@ def cmd_sidechannel(args) -> int:
             mi = sidechannel.leakage(sidechannel.load_profiles(args.profiles))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"malformed profiles: {exc}") from exc
-        temporal, spectral = (mi, 0.0) if args.domain == "temporal" else (0.0, mi)
+        temporal, spectral = (0.0, mi) if args.domain == "spectral" else (mi, 0.0)
     else:
         source = config[0] if config else SourceConfig()
-        pedestals = _floats(args.pedestals, "--pedestals", 4)
-        shifts = tuple(s * 1e-12 for s in _floats(args.shifts_ps, "--shifts-ps", 4))
+        pedestals = (0.0,) * 4 if args.pedestals is None else _floats(args.pedestals, "--pedestals", 4)
+        shifts_ps = (0.0,) * 4 if args.shifts_ps is None else _floats(args.shifts_ps, "--shifts-ps", 4)
+        shifts = tuple(s * 1e-12 for s in shifts_ps)
         profiles = sidechannel.synth_profiles(
             fwhm_s=source.pulse_fwhm_s, tbp=source.time_bandwidth_product, ase_pedestal=pedestals, shifts_s=shifts
         )
@@ -324,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sidechannel", help="mutual-information leakage audit")
     p.add_argument("--profiles", default=None, help="per-state profile CSV")
-    p.add_argument("--domain", choices=["temporal", "spectral"], default="temporal")
+    p.add_argument("--domain", choices=["temporal", "spectral"], default=None, help="--profiles only (default temporal)")
     p.add_argument("--synth", action="store_true", help="synthesize Gaussian profiles")
     p.add_argument("--config", default=None, help="the device: --synth pulse shape, link to debit the leakage from")
-    p.add_argument("--pedestals", default="0,0,0,0", help="per-state ASE floor, fraction of peak")
-    p.add_argument("--shifts-ps", default="0,0,0,0", help="per-state temporal shifts, ps")
+    p.add_argument("--pedestals", default=None, help="--synth only: per-state ASE floor, fraction of peak (default 0)")
+    p.add_argument("--shifts-ps", default=None, help="--synth only: per-state temporal shifts, ps (default 0)")
     p.add_argument("--spatial-bits", type=_finite, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
     p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
     p.add_argument("--out", default=None)

@@ -32,7 +32,7 @@ Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
 generators derive from (seed, block index), so results are reproducible;
 each block's clicks are counted per (code, channel) pair, and an emitted
 run writes the block's click codes over the per-tile codes in its log.
-Emitted streams are capped at ``THROUGHPUT_CAP_MCPS``.
+An emitted stream holds one time-ordered record per clicked frame.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ from .timetag import TICK_SECONDS, AliceLog, ClassCounts, TimeTagStream, period_
 BLOCK_FRAMES = 1 << 20
 #: frames per cache-sized tile in which a block's uniforms are drawn and consumed
 TILE_FRAMES = 1 << 16
-#: emitted records per second beyond which the stream's tail is dropped, in Mcps
-THROUGHPUT_CAP_MCPS = 10.0
 _PAIR_CODE, _PAIR_CHANNEL = np.divmod(np.arange(48), 4)  # every (code, channel) pair, code-major
 
 
@@ -59,6 +57,7 @@ class RunResult:
     summary: ClassCounts
     stream: TimeTagStream | None = None
     alice_log: AliceLog | None = None
+    # always 0; the benchmark's span counts and roundtrip check still read it (ROADMAP item 8 removes both)
     dropped_records: int = 0
 
 
@@ -135,9 +134,7 @@ def run(
 
     The summary is identical whether or not a stream is emitted (stream
     offsets are drawn after all of a block's uniforms).
-    Emitted records are time-ordered; when the record rate exceeds
-    ``THROUGHPUT_CAP_MCPS`` the tail is dropped, like a saturated DMA
-    transfer.
+    Emitted records are time-ordered, one per clicked frame.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -198,26 +195,17 @@ def run(
             tick_chunks.append(ticks[order].astype(np.uint64))
             chan_chunks.append(channel[order])
 
-    stream, alice_log, dropped = None, None, 0
-    if emit_ttags:
-        ticks, chans = np.concatenate(tick_chunks), np.concatenate(chan_chunks)
-        # the period as a factor: dividing by the rate instead can round the cap differently
-        cap = int(THROUGHPUT_CAP_MCPS * 1e6 * frames * (1.0 / source.pulse_rate_hz))
-        if len(ticks) > cap:
-            dropped = len(ticks) - cap
-            ticks, chans = ticks[:cap], chans[:cap]
-        stream = TimeTagStream(ticks, chans)
-        alice_log = AliceLog(log)
+    stream = TimeTagStream(np.concatenate(tick_chunks), np.concatenate(chan_chunks)) if emit_ttags else None
+    alice_log = AliceLog(log) if emit_ttags else None
 
     sent = np.diff([0, below_mu, below_nu1, frames - pairs.sum()]) + pairs.reshape(3, 16).sum(axis=1)
     counts = np.vstack([sent, tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)])  # exact float sums
-    return RunResult(summary=ClassCounts(counts), stream=stream, alice_log=alice_log, dropped_records=dropped)
+    return RunResult(summary=ClassCounts(counts), stream=stream, alice_log=alice_log)
 
 
 __all__ = [
     "BLOCK_FRAMES",
     "TILE_FRAMES",
-    "THROUGHPUT_CAP_MCPS",
     "RunResult",
     "outcome_table",
     "expected_tally",

@@ -141,25 +141,20 @@ class TestSimulate:
         assert "period_ticks = 128" in sidecar
         assert "channels = 0:H 1:V 2:D 3:A\n" in sidecar
 
-    def test_dropped_records_warned(self, bench_config_file, tmp_path, capsys):
-        # a lossless link clicks at ~18 Mcps, above the cap, which keeps 10 Mcps x 1 ms =
-        # 10,000 records; the benchmark link's ~4 Mcps is below it
+    def test_lossless_link_emits_every_detection(self, bench_config_file, tmp_path, capsys):
+        # a lossless link clicks at ~18 Mcps: the .ttag holds one record per detected frame, unwarned
         lossless = tmp_path / "lossless.cfg"
         text = bench_config_file.read_text().replace("attenuation_db = 6.0", "attenuation_db = 0.0")
         lossless.write_text(text.replace("setup_loss_db = 2.0", "setup_loss_db = 0.0"))
-        for config, warned in ((lossless, True), (bench_config_file, False)):
-            prefix = str(tmp_path / config.stem)
-            argv = ["simulate", "--config", str(config), "--frames", "100000", "--seed", "2", "--out", prefix]
-            assert main(argv + ["--emit-ttags"]) == 0
-            warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
-            sidecar = dict(l.split(" = ") for l in Path(prefix + ".sidecar.txt").read_text().splitlines())
-            dropped = int(sidecar["dropped_records"])
-            assert (dropped > 0) == warned
-            line = (
-                f"warning: {dropped} records ({dropped / (dropped + 10_000):.1%}) dropped by the 10 Mcps "
-                "throughput cap; analyze-ttags counts their frames as sent and not detected"
-            )
-            assert warnings == ([line] if warned else [])
+        prefix = str(tmp_path / "lossless")
+        argv = ["simulate", "--config", str(lossless), "--frames", "100000", "--seed", "2", "--out", prefix]
+        assert main(argv + ["--emit-ttags"]) == 0
+        out = capsys.readouterr().out
+        summary = dict(l.split(" = ") for l in out.splitlines())
+        detected = sum(int(summary[f"detected_{label}"]) for label in timetag.CLASS_LABELS)
+        assert detected / (100_000 / 1e8) > 1.5e7
+        assert Path(prefix + ".ttag").stat().st_size == 8 * detected
+        assert "warning:" not in out
 
     def test_summary_values_are_plain_numbers(self, bench_config_file, tmp_path):
         main(
@@ -400,6 +395,22 @@ class TestAnalyzeTtags:
             gain = int(summary[f"detected_{label}"]) / int(summary[f"sent_{label}"])
             assert float(out[key]) == pytest.approx(gain, rel=1e-15)
 
+    def test_reversed_stream_warned_on_one_line(self, bench_config_file, simulated, tmp_path, capsys):
+        # out-of-order ticks are analyzed as they are (no frame is shared, so no pick depends
+        # on the order), and the decoder's warning is one stdout line, not a Python warning
+        ttag, alice = simulated
+        backwards = tmp_path / "backwards.ttag"
+        backwards.write_bytes(np.frombuffer(ttag.read_bytes(), "<u8")[::-1].tobytes())
+        argv = ["analyze-ttags", "--config", str(bench_config_file), "--alice-log", str(alice), "--seed", "11"]
+        assert main([*argv, "--ttags", str(ttag)]) == 0
+        in_order = capsys.readouterr().out
+        assert "\ncollisions = 0\n" in in_order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--ttags", str(backwards), "--out", str(tmp_path / "backwards.txt")]) == 0
+        assert capsys.readouterr() == ("warning: decode: non-monotonic ticks (preserved)\n" + in_order, "")
+        assert (tmp_path / "backwards.txt").read_text() == in_order
+
     def test_gate_is_the_sidecar_window(self, bench_config_file, tmp_path, capsys):
         # simulate writes the sidecar's window_ticks from window_s, and analyze-ttags gates with the same key
         config = with_keys(bench_config_file, "gate_04ns.cfg", window_s=0.4e-9)
@@ -500,6 +511,16 @@ class TestSidechannel:
         out = capsys.readouterr().out
         total = float(next(l for l in out.splitlines() if "total" in l).split(" = ")[1])
         assert total == pytest.approx(1e-5, rel=1e-9)
+
+    @pytest.mark.parametrize("domain, scored", [([], 0), (["--domain", "temporal"], 0), (["--domain", "spectral"], 1)])
+    def test_profiles_scored_in_their_domain(self, domain, scored, tmp_path, capsys):
+        path = tmp_path / "shifted.csv"
+        rows = "".join(f"{i}e-12,{1 + (i == 3)},1,1,1\n" for i in range(8))  # stateH brighter in one bin
+        path.write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
+        assert main(["sidechannel", "--profiles", str(path), *domain]) == 0
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        leakage = [float(out[f"leakage_{k}_bits_per_pulse"]) for k in ("temporal", "spectral")]
+        assert leakage[scored] > 0 and leakage[1 - scored] == 0
 
     @pytest.mark.parametrize(
         "convention, lbskr, adjusted",
@@ -637,7 +658,7 @@ class TestMalformedInput:
         tiny_nu1.write_text(text.replace("nu1 = 0.066", "nu1 = 1e-320").replace("nu2 = 0.002", "nu2 = 0.0"))
         markers = timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([4, 15]))
         (tmp_path / "markers.ttag").write_bytes(timetag.encode(markers))
-        for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308)):
+        for name, state_h in (("zero_profile", 0.0), ("huge_profile", 1e308), ("good_profile", 3.0)):
             rows = "".join(f"{i}e-12,{state_h!r},1.0,2.0,1.0\n" for i in range(8))
             (tmp_path / f"{name}.csv").write_text("axis,stateH,stateV,stateD,stateA\n" + rows)
         # a word in row 3's stateV cell; a nan axis in row 2, the first data row
@@ -659,7 +680,7 @@ class TestMalformedInput:
             **{name: str(with_keys(bench_config_file, f"{name}.cfg", **keys)) for name, keys in twins.items()},
             **{
                 name: str(tmp_path / f"{name}.csv")
-                for name in ("zero_profile", "huge_profile", "word_profile", "nan_axis_profile")
+                for name in ("zero_profile", "huge_profile", "good_profile", "word_profile", "nan_axis_profile")
             },
             "cfg": str(bench_config_file),
             "tiny_nu1": str(tiny_nu1),
@@ -739,6 +760,12 @@ class TestMalformedInput:
             "sidechannel --synth --pedestals -0.1,0,0,0",
             "sweep --config {cfg} --out {out} --atten-min 5 --atten-max 1",
             "sweep --config {cfg} --out {out} --atten-step 0",
+            "simulate --config {cfg} --frames 100 --seed 1 --out {out} --phase-ticks 500",  # no --emit-ttags
+            "simulate --config {cfg} --frames 100 --seed 1 --out {out} --phase-ticks 0",
+            "sidechannel --synth --domain spectral",
+            "sidechannel --synth --domain temporal",
+            "sidechannel --profiles {good_profile} --pedestals 0,0,0,0",
+            "sidechannel --profiles {good_profile} --shifts-ps 5,0,0,0",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -775,6 +802,11 @@ class TestMalformedInput:
             ("extinction_ratio_db", "optimize --config {er_below_0}"),
             ("cfg_dir.cfg", "optimize --config {cfg_dir}"),
             ("latin1.cfg", "optimize --config {latin1_cfg}"),
+            ("--phase-ticks", "simulate --config {cfg} --frames 100 --seed 1 --out {out} --phase-ticks 500"),
+            ("--phase-ticks", "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks 500"),
+            ("--domain", "sidechannel --synth --domain spectral"),
+            ("--pedestals", "sidechannel --profiles {good_profile} --pedestals 0,0,0,0"),
+            ("--shifts-ps", "sidechannel --profiles {good_profile} --shifts-ps 5,0,0,0"),
         ],
     )
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):

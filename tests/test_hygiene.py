@@ -12,7 +12,8 @@ benchmark's span table is imported, and every function it names must
 resolve.  ``import qkdbench.cli`` loads a fixed set of modules, each
 subcommand takes a fixed set of options, and each ``print`` in ``cli.py``
 shows a ``_kv_text`` mapping or a line of a fixed kind.  Last, every
-``qkdbench`` command of the README parses.
+``qkdbench`` command of the README parses, and every ``<module>.<name>``
+it names resolves.
 """
 
 import argparse
@@ -298,6 +299,21 @@ def test_readme_schema_table_matches_config_schema():
     from qkdbench.config import CONFIG_SCHEMA
 
     assert readme_schema_rows() == {key: (unit, interval) for key, (*_, unit, interval) in CONFIG_SCHEMA.items()}
+
+
+def readme_module_names() -> set[tuple[str, str]]:
+    """(module, name) of each backticked ``<module>.<name>`` of the README, call arguments cut."""
+    modules = {path.stem for path in MODULES}
+    refs = re.findall(r"`(\w+)\.(\w+)[`(]", (ROOT / "README.md").read_text())
+    return {(module, name) for module, name in refs if module in modules}
+
+
+def test_readme_module_names_resolve():
+    # a name the code dropped or renamed fails here, not as a stale README sentence
+    refs = readme_module_names()
+    assert refs
+    missing = sorted(f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(f"qkdbench.{m}"), n))
+    assert not missing, f"README names {missing}, which qkdbench does not define"
 
 
 def readme_commands() -> list[str]:
