@@ -114,10 +114,14 @@ def _probabilities(p, name: str) -> np.ndarray:
 
 
 def _codes(u: np.ndarray, cuts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per uniform, the number of ``cuts`` (scalars, or arrays like ``u``) at or below it, added into ``out``."""
+    """Per uniform, the number of ``cuts`` (scalars, or arrays like ``u``) at or below it, added into ``out``.
+
+    Each compare mask is added as the bytes it is (a ``uint8`` view of
+    the bools), so the ``uint8`` add needs no buffered cast.
+    """
     code = np.zeros(len(u), dtype=np.uint8) if out is None else out
     for cut in cuts:
-        code += u >= cut
+        code += (u >= cut).view(np.uint8)
     return code
 
 

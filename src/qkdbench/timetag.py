@@ -17,9 +17,10 @@ QBER rule.
 On disk it is CSV: the header ``bit,basis,class``, then one row per
 frame from frame 0 on (row i is frame i).  Each row is one of 12 lines
 of exactly 11 bytes, and lines end in LF only, so a CRLF log is
-rejected.  The codec is array code: a table lookup writes the rows, and
-reading checks fixed-width blocks of rows against the same table; both
-stream through the file a block of rows at a time.
+rejected.  The codec is array code: one renderer writes the rows, three
+per copy from a table of row triples.  Reading derives each block's
+codes in place and checks its bytes against the rows rendered from
+them.  Both stream through the file a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -44,16 +45,17 @@ class TimeTagStream:
     channels: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.ticks, dtype=np.uint64)
-        c = np.ascontiguousarray(self.channels, dtype=np.uint8)
+        t, c = np.asarray(self.ticks), np.asarray(self.channels)  # checked as given, so a cast cannot wrap
+        if t.dtype.kind not in "iu" or c.dtype.kind not in "iu":
+            raise ValueError(f"ticks and channels must be integer arrays, got {t.dtype} and {c.dtype}")
         if t.shape != c.shape or t.ndim != 1:
             raise ValueError("ticks and channels must be 1-d arrays of equal length")
-        if len(t) and (int(t.max()) > MAX_TICK):
+        if len(t) and (int(t.min()) < 0 or int(t.max()) > MAX_TICK):
             raise ValueError("tick exceeds the 60-bit range")
-        if np.any(c > 15):
+        if len(c) and (int(c.min()) < 0 or int(c.max()) > 15):
             raise ValueError("channel exceeds the 4-bit range")
-        object.__setattr__(self, "ticks", t)
-        object.__setattr__(self, "channels", c)
+        object.__setattr__(self, "ticks", np.ascontiguousarray(t, dtype=np.uint64))
+        object.__setattr__(self, "channels", np.ascontiguousarray(c, dtype=np.uint8))
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -173,9 +175,31 @@ _ALICE_ROWS = np.array(
     [f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n".encode() for code in range(12)], dtype="S11"
 )
 _ROW_BYTES = _ALICE_ROWS.itemsize
+#: the 1,728 runs of three rows, ``_ALICE_ROWS[a] + _ALICE_ROWS[b] + _ALICE_ROWS[c]`` at ``144 a + 12 b + c``,
+#: so one copy writes three rows; it goes with the CSV codec once the log is binary (ROADMAP item 1)
+_ALICE_TRIPLES = (_ALICE_ROWS[:, None, None] + _ALICE_ROWS[:, None] + _ALICE_ROWS).ravel()
 #: rows the codec writes, or reads and checks, at a time (and codes ``sent_per_class`` counts),
 #: so working memory stays small
 _READ_ROWS = 1 << 16
+
+
+def _alice_rows(code: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The CSV rows of ``code``, written into the front of the ``uint8`` buffer ``buf``; returns those bytes.
+
+    The first 3 * (n // 3) codes go three rows per copy through
+    ``_ALICE_TRIPLES``, the 0-2 left through ``_ALICE_ROWS``.  Both takes
+    clip, so a code of 12..15 (one ``from_csv`` derives from a bad row)
+    still writes valid rows; so does a triple aliased by such a code.
+    """
+    n = len(code)
+    m = n - n % 3
+    triple = code[0:m:3] * np.uint16(12)
+    triple += code[1:m:3]
+    triple *= 12
+    triple += code[2:m:3]
+    np.take(_ALICE_TRIPLES, triple, out=buf[: m * _ROW_BYTES].view(_ALICE_TRIPLES.dtype), mode="clip")
+    np.take(_ALICE_ROWS, code[m:], out=buf[m * _ROW_BYTES : n * _ROW_BYTES].view(_ALICE_ROWS.dtype), mode="clip")
+    return buf[: n * _ROW_BYTES]
 
 
 @dataclass(frozen=True)
@@ -184,6 +208,12 @@ class AliceLog:
 
     code: np.ndarray  # uint8, bit | basis << 1 | class << 2; basis 0=Z 1=X, class 0=signal 1=decoy1 2=decoy2
 
+    def __post_init__(self):
+        code = self.code
+        if not (isinstance(code, np.ndarray) and code.ndim == 1 and code.dtype.kind in "iu"):
+            got = f"ndim={code.ndim}, dtype={code.dtype}" if isinstance(code, np.ndarray) else type(code).__name__
+            raise ValueError(f"alice log code must be a 1-d integer array, got {got}")
+
     def __len__(self) -> int:
         return len(self.code)
 
@@ -191,30 +221,30 @@ class AliceLog:
         """Write the log as CSV into a binary file object: the header, then one row per frame.
 
         The codes are checked before the first byte is written.  The rows
-        go out ``_READ_ROWS`` at a time through one reused row buffer, so
-        the log is never held twice.
+        go out ``_READ_ROWS`` at a time, three rows per table copy, through
+        one reused buffer, so the log is never held twice.
         """
         if len(self.code) and not 0 <= self.code.min() <= self.code.max() < len(_ALICE_ROWS):
             raise ValueError(f"alice log code out of range 0..{len(_ALICE_ROWS) - 1}")
         fh.write(_ALICE_HEADER)
-        rows = np.empty(min(len(self.code), _READ_ROWS), _ALICE_ROWS.dtype)
-        for i in range(0, len(self.code), _READ_ROWS):  # one take over all codes would widen them to intp
-            codes = self.code[i : i + _READ_ROWS]
-            # codes are checked above; mode="raise" would buffer all of ``out``
-            np.take(_ALICE_ROWS, codes, out=rows[: len(codes)], mode="clip")
-            fh.write(rows[: len(codes)])
+        buf = np.empty(min(len(self.code), _READ_ROWS) * _ROW_BYTES, np.uint8)
+        for i in range(0, len(self.code), _READ_ROWS):  # a block's triple index and take's intp copy stay small
+            fh.write(_alice_rows(self.code[i : i + _READ_ROWS], buf))
 
     @classmethod
     def from_csv(cls, fh: BinaryIO) -> "AliceLog":
         """Parse a seekable binary file object, e.g. ``open(path, "rb")``; a bad line raises ValueError.
 
         Every valid row is one of the 12 rows, 11 bytes each, so the file
-        is read as fixed-width rows: each row's code comes from three of
-        its bytes, and a block is accepted when the rows rebuilt from
-        those codes equal its bytes.  Up to the first bad line every
+        is read as fixed-width rows: each row's code is derived in place
+        from three of its bytes, and a block is accepted when the rows
+        rendered from those codes equal its bytes, compared as 64-bit
+        words.  Rendered rows are always valid, so equal bytes mean every
+        row is valid and carries its derived code.  On a mismatch the
+        block is rebuilt one row per code: up to the first bad line every
         line is a whole row, so the first mismatching row (or a trailing
         partial one) starts exactly at that line.  The codes fill one
-        array sized from the file, through one reused read buffer.
+        array sized from the file, through two reused buffers.
         """
         header = fh.readline()
         if header != _ALICE_HEADER:
@@ -223,6 +253,7 @@ class AliceLog:
         code = np.empty((fh.seek(0, 2) - start) // _ROW_BYTES, np.uint8)  # the whole rows
         fh.seek(start)
         buf = np.empty(_READ_ROWS * _ROW_BYTES, np.uint8)
+        render_buf = np.empty_like(buf)
         done = 0  # rows accepted so far
         while got := fh.readinto(buf):
             n = got // _ROW_BYTES
@@ -230,10 +261,21 @@ class AliceLog:
                 break
             rows = buf[: n * _ROW_BYTES].reshape(n, _ROW_BYTES)
             block = code[done : done + n]
-            np.bitwise_or(rows[:, 0] & 1 | ~rows[:, 2] & 2, (rows[:, 9] & 3) << 2, out=block)
-            rebuilt = np.take(_ALICE_ROWS, block, mode="clip").view(np.uint8)
-            if not np.array_equal(rebuilt, buf[:got]):  # a bad row, or a partial one after the last whole row
-                bad = np.append((rebuilt.reshape(n, _ROW_BYTES) != rows).any(axis=1), True)
+            # the codes, in place: class = the label's last byte ('l', '1', '2') & 3, bit = '0' / '1' & 1,
+            # and basis from 'Z' (0x5A) or 'X' (0x58), whose shared bit 3 the ^ 0b1010 clears again
+            np.left_shift(rows[:, 9], 2, out=block)
+            block |= rows[:, 0]
+            block ^= rows[:, 2]
+            block ^= 0b1010
+            block &= 0b1111
+            rendered = _alice_rows(block, render_buf)
+            words = len(rendered) - len(rendered) % 8
+            if got != len(rendered) or not (  # a partial row after the last whole row, or a bad row
+                np.array_equal(rendered[:words].view(np.uint64), buf[:words].view(np.uint64))
+                and np.array_equal(rendered[words:], buf[words:got])
+            ):
+                rebuilt = np.take(_ALICE_ROWS, block, mode="clip").view(np.uint8).reshape(n, _ROW_BYTES)
+                bad = np.append((rebuilt != rows).any(axis=1), True)
                 raise ValueError(f"alice log line {done + int(np.argmax(bad)) + 2}: malformed row")
             done += n
         if got or done != len(code):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo, timetag
@@ -381,6 +382,28 @@ def reference_cells(source: SourceConfig, link: LinkConfig, frames: int, seed: i
 
 
 class TestDraw:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 40),
+        k=st.integers(1, 11),
+        per_frame=st.booleans(),
+    )
+    def test_codes_count_the_cuts_at_or_below(self, data, n, k, per_frame):
+        # each uniform's count of cuts at or below it is searchsorted's right
+        # side, ties included, for scalar cuts and for one sorted column per frame
+        unit = st.floats(0, 1, exclude_max=True)
+        cuts = np.sort(data.draw(hnp.arrays(float, (k, n) if per_frame else k, elements=unit)), axis=0)
+        ties = cuts.ravel().tolist()
+        u = data.draw(hnp.arrays(float, n, elements=st.one_of(unit, st.sampled_from(ties)) if ties else unit))
+        if per_frame:
+            expected = np.array([np.searchsorted(cuts[:, i], u[i], side="right") for i in range(n)], dtype=np.intp)
+        else:
+            expected = np.searchsorted(cuts, u, side="right")
+        got = montecarlo._codes(u, cuts)
+        assert got.dtype == np.uint8 and np.array_equal(got, expected)
+        assert np.array_equal(montecarlo._codes(u, iter(cuts), out=np.ones(n, np.uint8)), expected + 1)
+
     @settings(max_examples=40, deadline=None)
     @given(
         class_probs=distribution(3),

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo, timetag
@@ -23,6 +24,14 @@ from qkdbench.timetag import (
 )
 
 PERIOD = 128  # 10 ns at 78.125 ps per tick
+INT_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
+
+
+def int_array(dtype, n, near):
+    """A 1-d ``dtype`` array of ``n`` values, mostly close to the values in ``near``."""
+    info = np.iinfo(dtype)
+    values = st.one_of(*(st.integers(v - 1, v + 1) for v in near), st.integers(int(info.min), int(info.max)))
+    return hnp.arrays(dtype, n, elements=values.filter(lambda v: info.min <= v <= info.max))
 
 
 def stream_of(pairs):
@@ -70,6 +79,36 @@ class TestCodec:
     def test_out_of_range_rejected(self, ticks, channels, message):
         with pytest.raises(ValueError, match=message):
             TimeTagStream(np.array(ticks, dtype=np.uint64), np.array(channels, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "ticks, channels, message",
+        [([5], [256], "4-bit"), ([5], [260], "4-bit"), ([5], [-1], "4-bit"), ([1.7], [0], "integer arrays"),
+         ([5], [1.0], "integer arrays"), ([-1], [0], "60-bit")],
+    )
+    def test_values_checked_before_the_cast(self, ticks, channels, message):
+        # cast first, these became channel 0, channel 4, channel 255, tick 1 and channel 1
+        # (a tick of -1 became 2**64 - 1, out of range either way)
+        with pytest.raises(ValueError, match=message):
+            TimeTagStream(np.array(ticks), np.array(channels))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 5),
+        tick_dtype=st.sampled_from(INT_DTYPES),
+        channel_dtype=st.sampled_from(INT_DTYPES),
+    )
+    def test_accepted_stream_equals_its_inputs(self, data, n, tick_dtype, channel_dtype):
+        ticks = data.draw(int_array(tick_dtype, n, (0, MAX_TICK)))
+        channels = data.draw(int_array(channel_dtype, n, (0, 15)))
+        if not (all(0 <= t <= MAX_TICK for t in ticks.tolist()) and all(0 <= c <= 15 for c in channels.tolist())):
+            with pytest.raises(ValueError, match="range"):
+                TimeTagStream(ticks, channels)
+            return
+        stream = TimeTagStream(ticks, channels)
+        assert (stream.ticks.dtype, stream.channels.dtype) == (np.uint64, np.uint8)
+        assert stream.ticks.tolist() == ticks.tolist()
+        assert stream.channels.tolist() == channels.tolist()
 
     def test_non_monotonic_warns_but_preserves(self):
         stream = stream_of([(10, 0), (5, 1)])
@@ -652,6 +691,36 @@ class TestSift:
         with pytest.raises(ValueError, match="out of range"):
             alice.to_csv(sink)
         assert sink.writes == []
+
+    @pytest.mark.parametrize(
+        "code, message", [(np.zeros((2, 2), np.uint8), "ndim=2"), (np.array([0, 2.5]), "dtype=float64")]
+    )
+    def test_alice_log_of_a_non_integer_or_not_1d_array_rejected(self, code, message):
+        with pytest.raises(ValueError, match=f"^alice log code must be a 1-d integer array, got .*{message}"):
+            AliceLog(code)
+
+    def test_alice_triples_are_three_rows_each(self):
+        expected = [a + b + c for a in ALICE_ROWS for b in ALICE_ROWS for c in ALICE_ROWS]
+        assert timetag._ALICE_TRIPLES.tolist() == expected
+
+    @pytest.mark.parametrize("junk", [b"0,Z,decoy3\n", b"2,Z,signal\n"], ids=["code-12", "code-0"])
+    @pytest.mark.parametrize("block", [4, 5, 7, None])
+    @pytest.mark.parametrize("tail", [1, 2])
+    def test_alice_log_bad_row_anywhere_in_a_block(self, junk, block, tail, monkeypatch):
+        # an 11-byte bad row at each place a block's rows go: in a triple
+        # (rows 3k, 3k + 1, 3k + 2), in the block's 1-2-row tail and in the
+        # last, shorter block.  "decoy3" derives code 12 + bit | basis << 1,
+        # which a triple would alias to another triple's rows
+        if block is not None:
+            monkeypatch.setattr(timetag, "_READ_ROWS", block)
+        block = timetag._READ_ROWS
+        rows = [ALICE_ROWS[c] for c in np.random.default_rng(block).integers(0, 12, 2 * block + tail).tolist()]
+        places = range(len(rows)) if block < 8 else [0, 1, 2, 3, 4, 5, block - 2, block - 1, block, block + 1]
+        for at in sorted({*places, 2 * block, 2 * block + tail - 1}):
+            data = ALICE_HEADER + b"".join(rows[:at]) + junk + b"".join(rows[at + 1 :])
+            assert reference_parse(data) == at + 2
+            with pytest.raises(ValueError, match=f"^alice log line {at + 2}: malformed row$"):
+                AliceLog.from_csv(io.BytesIO(data))
 
     @pytest.mark.parametrize(
         "data",
