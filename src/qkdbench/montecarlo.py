@@ -4,21 +4,32 @@ The frame physics is one exact table, :func:`outcome_table`: for each of
 the 12 states Alice emits, the probability of no click and of a signal
 or a background click on each of Bob's four detector channels (full link
 budget, passive basis choice, detector and depolarization errors).
-``run`` samples it with one uniform per frame.  Its summary is a
-:class:`~qkdbench.timetag.ClassCounts` table, rows sent, detected,
-sifted and errored per class, and :func:`expected_tally` is that table's
-exact mean per frame.
+``run`` samples it with one uniform per frame, drawn 16 bits at a time.
+Its summary is a :class:`~qkdbench.timetag.ClassCounts` table, rows
+sent, detected, sifted and errored per class, and
+:func:`expected_tally` is that table's exact mean per frame.
 
 The uniform picks the frame's code and outcome at once, by inverse CDF
 over 108 joint cells ``p_code[c] * outcome_table[c, k]``
 (``p_code = outer(class_probs, pol_probs)``): the 12 no-click cells in
 code order, then each code's 8 click cells.  The CDF ends at exactly 1,
 so a cell of probability 0 is never drawn.  A frame clicks exactly when
-its uniform is past every no-click cell (~3% of frames at 6 dB).  A run
-holds one tile of ``TILE_FRAMES`` uniforms; a tile keeps only its click
-uniforms, and once per block each click gets a code, the number of
-code-start cuts at or below it, and an outcome, one plus the number of
-that code's inner cuts at or below it.
+its uniform is past every no-click cell (~3% of frames at 6 dB).
+
+A frame first draws a 16-bit lane, four per raw 64-bit generator word,
+which picks one of the 2**16 bins of width 2**-16.  The lanes are ordered
+so that lanes below a count ``pure`` are the bins lying inside one
+no-click cell, in order: such a frame's code is the number of lane cuts
+at or below its lane, with no more bits drawn (a table method, after
+Marsaglia, Tsang & Wang, J. Stat. Softw. 11(3), 2004).  Every other lane
+is a hard bin, one holding a cut or lying at or above ``p0``; its frame
+draws one more raw word, whose top 37 bits complete the uniform on the
+2**-53 grid of ``Generator.random``, and takes the float path.  The
+distribution is that of one 53-bit uniform per frame, exactly; 3.26% of
+frames are hard at 6 dB.  A run holds one tile of ``TILE_FRAMES``
+lanes; a tile keeps only its click uniforms, and once per block each
+click gets a code, the number of code-start cuts at or below it, and an
+outcome, one plus the number of that code's inner cuts at or below it.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -47,7 +58,7 @@ from .timetag import TICK_SECONDS, AliceLog, ClassCounts, TimeTagStream, period_
 
 #: frames per independently seeded block
 BLOCK_FRAMES = 1 << 20
-#: frames per cache-sized tile in which a block's uniforms are drawn and consumed
+#: frames per cache-sized tile in which a block's lanes are drawn and consumed
 TILE_FRAMES = 1 << 16
 _PAIR_CODE, _PAIR_CHANNEL = np.divmod(np.arange(48), 4)  # every (code, channel) pair, code-major
 
@@ -125,6 +136,25 @@ def _codes(u: np.ndarray, cuts: np.ndarray, out: np.ndarray | None = None) -> np
     return code
 
 
+def _lane_map(cdf: np.ndarray) -> tuple[list[int], int, np.ndarray]:
+    """The 16-bit lane cuts of the 11 inner no-click cuts, the pure-lane count and the hard lanes' bins.
+
+    Bin b is ``[b, b + 1) * 2**-16``.  A bin is hard when it holds one of
+    ``cdf[:11]`` off its edge, or lies at or above ``floor(p0 * 2**16)``
+    (``p0 = cdf[11]``); every other bin lies inside one no-click cell.
+    Lanes ``[0, pure)`` are those bins in order, so the number of lane
+    cuts at or below a lane is its bin's code; lane ``pure + j`` is bin
+    ``hard_bins[j]``.  Scaling by 2**16 is exact, so all three follow
+    from the 12 cuts, with no test of each bin.
+    """
+    scaled = (cdf[:12] * 2.0**16).tolist()
+    floors = [int(c) for c in scaled]
+    top = floors[11]  # the first bin that holds p0 or lies above it
+    inner = sorted({f for f, c in zip(floors[:11], scaled) if f != c and f < top})  # bins holding a cut, once each
+    lane_cuts = [min(f, top) - sum(h < f for h in inner) for f in floors[:11]]
+    return lane_cuts, top - len(inner), np.concatenate([np.array(inner, dtype=np.intp), np.arange(top, 1 << 16)])
+
+
 def run(
     source: SourceConfig,
     link: LinkConfig,
@@ -136,8 +166,11 @@ def run(
 ) -> RunResult:
     """Simulate ``frames`` pulses, one uniform each; deterministic for a given seed.
 
-    The summary is identical whether or not a stream is emitted (stream
-    offsets are drawn after all of a block's uniforms).
+    Each block's generator is read in one order: per tile of m frames,
+    ceil(m/4) raw words give m lanes (little-endian 16-bit words), then one
+    raw word per hard lane, in frame order, refines its bin.  The summary
+    is identical whether or not a stream is emitted (stream offsets are
+    drawn after all of a block's tiles).
     Emitted records are time-ordered, one per clicked frame.
     """
     if frames < 1:
@@ -153,6 +186,7 @@ def run(
     cdf /= cdf[-1]  # exact 1 at the end, so a cell of probability 0 has zero width and is never drawn
     p0 = cdf[11]  # a frame clicks exactly when its uniform is at or above every no-click cell
     code_cuts = cdf[19:107:8]  # where the click cells of codes 1..11 start
+    lane_cuts, pure, hard_bins = _lane_map(cdf)
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
@@ -161,23 +195,30 @@ def run(
     pairs = np.zeros(48, dtype=np.int64)  # clicks per (code, channel) pair
     tick_chunks: list[np.ndarray] = []
     chan_chunks: list[np.ndarray] = []
-    uniforms = np.empty(min(frames, TILE_FRAMES))
     log = np.zeros(frames if emit_ttags else 0, dtype=np.uint8)
 
     for block, base in enumerate(range(0, frames, BLOCK_FRAMES)):
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        raw = rng.bit_generator.random_raw
         u_parts, idx_parts = [], []  # per tile: the click frames' uniforms and, when emitting, block indexes
         for t in range(0, n, TILE_FRAMES):
-            u = uniforms[: min(TILE_FRAMES, n - t)]
-            rng.random(out=u)
+            m = min(TILE_FRAMES, n - t)
+            lane = raw(-(-m // 4)).astype("<u8", copy=False).view("<u2")[:m]  # four 16-bit lanes per word
+            below_mu += np.count_nonzero(lane < lane_cuts[3])
+            below_nu1 += np.count_nonzero(lane < lane_cuts[7])
+            hard = np.flatnonzero(lane >= pure)
+            # the hard frame's bin plus 37 more bits: u on the 2**-53 grid of Generator.random, exactly
+            # (the lane offset is an intp, since pure is 2**16 when no lane is hard)
+            u = (hard_bins[lane[hard] - np.intp(pure)] + (raw(len(hard)) >> 27) * 2.0**-37) * 2.0**-16
             below_mu += np.count_nonzero(u < cdf[3])
             below_nu1 += np.count_nonzero(u < cdf[7])
-            idx = np.flatnonzero(u >= p0)
-            u_parts.append(u[idx])
+            click = np.flatnonzero(u >= p0)
+            u_parts.append(u[click])
             if emit_ttags:
-                idx_parts.append(t + idx)
-                _codes(u, cdf[:11], out=log[base + t : base + t + len(u)])  # 11 for a click frame
+                idx_parts.append(t + hard[click])
+                tile_log = _codes(lane, lane_cuts, out=log[base + t : base + t + m])  # 11 for a hard frame
+                tile_log[hard] = _codes(u, cdf[:11])  # 11 for a click frame
         u_click = np.concatenate(u_parts)
         del u_parts  # hold the block's click uniforms once
         code = _codes(u_click, code_cuts)

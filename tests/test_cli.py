@@ -313,11 +313,11 @@ class TestSimulate:
 
     def test_alice_log_is_pinned(self, bench_config_file, tmp_path):
         # a log of two whole blocks and part of a third, streamed in many blocks
-        # of rows, as the one-uniform joint draw gives it
+        # of rows, as the 16-bit lane draw gives it
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "2100000", "--seed", "7", "--emit-ttags"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         digest = hashlib.sha256((tmp_path / "run.alice.csv").read_bytes()).hexdigest()
-        assert digest == "0a5a5c958f6d858f759dbf9591aee15f1b94b96d3c5743935381bdbcbb12856c"
+        assert digest == "e689d371000af8744a0489c14291bb6e686c5b89612c45a6f75462fba102480c"
 
 
 class TestWriteAtomic:
@@ -342,9 +342,11 @@ class TestWriteAtomic:
 class TestAnalyzeTtags:
     @pytest.fixture
     def simulated(self, bench_config_file, tmp_path):
+        # at 4e5 frames about a third of seeds clamp a decoy bound, and analyze-ttags then
+        # prints its warning line first; seed 10 clamps neither in the 1 ns nor the open gate
         main(
             ["simulate", "--config", str(bench_config_file), "--frames", "400000",
-             "--seed", "9", "--out", str(tmp_path / "run"), "--emit-ttags"]
+             "--seed", "10", "--out", str(tmp_path / "run"), "--emit-ttags"]
         )
         return tmp_path / "run.ttag", tmp_path / "run.alice.csv"
 

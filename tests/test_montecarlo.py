@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,26 +363,57 @@ def distribution(size: int):
 def block_and_frames(draw):
     """A block size, the real one or a small one, and a frame count next to a tile or block boundary."""
     tile = montecarlo.TILE_FRAMES
-    block = draw(st.sampled_from([montecarlo.BLOCK_FRAMES, 1000, tile + 1, 2 * tile - 1]))
+    block = draw(st.sampled_from([montecarlo.BLOCK_FRAMES, 999, 1000, tile + 1, 2 * tile - 1]))
     edge = draw(st.sampled_from([tile, min(block, 2 * tile)])) * draw(st.integers(1, 3))
-    return block, edge + draw(st.integers(-1, 1))
+    return block, edge + draw(st.integers(-3, 3))
 
 
-def reference_cells(source: SourceConfig, link: LinkConfig, frames: int, seed: int, block: int) -> np.ndarray:
-    """Each frame's joint cell, drawn without the engine: one ``random(n)`` per block and a binary search.
+def joint_cdf(source: SourceConfig, link: LinkConfig) -> np.ndarray:
+    """The CDF over the 108 joint cells: the 12 no-click cells in code order, then each code's 8 click cells.
 
-    The cells are the 12 no-click cells in code order, then each code's 8
-    click cells (outcome 1..8); the CDF is their cumulative sum over
-    ``p_code * outcome_table``, divided by its last entry.
+    It is the cumulative sum over ``p_code * outcome_table``, divided by
+    its last entry.
     """
     joint = np.outer(source.class_probs, source.pol_probs).reshape(12, 1) * montecarlo.outcome_table(source, link)
     cdf = np.cumsum(np.concatenate([joint[:, 0], joint[:, 1:].ravel()]))
-    cdf /= cdf[-1]
-    draws = [
-        np.random.default_rng(np.random.SeedSequence([seed, i])).random(min(block, frames - base))
-        for i, base in enumerate(range(0, frames, block))
-    ]
-    return np.searchsorted(cdf, np.concatenate(draws), side="right")
+    return cdf / cdf[-1]
+
+
+def lane_bins(cuts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each 16-bit lane's bin and the number of pure lanes, from testing each of the 2**16 bins.
+
+    Bin b is ``[b, b + 1) * 2**-16``.  It is pure when none of the 12
+    no-click cuts lies inside it and it lies below the last of them; the
+    pure bins come first, in order, then the others in order.
+    """
+    start = np.arange(1 << 16) * 2.0**-16
+    at_or_below = np.searchsorted(cuts[:12], start, side="right")
+    pure = (at_or_below == np.searchsorted(cuts[:12], start + 2.0**-16, side="left")) & (at_or_below < 12)
+    return np.concatenate([np.flatnonzero(pure), np.flatnonzero(~pure)]), int(pure.sum())
+
+
+def reference_cells(cdf: np.ndarray, frames: int, seed: int, block: int) -> np.ndarray:
+    """Each frame's joint cell, drawn without the engine and found by a binary search on its full uniform.
+
+    Each block's generator is read in the documented order: per tile of m
+    frames, ceil(m/4) raw words give m 16-bit lanes, low bits first; then one
+    raw word per hard lane, in frame order, whose top 37 bits refine the
+    lane's bin.  A pure frame's uniform is its bin's start.
+    """
+    lane_bin, pure = lane_bins(cdf)
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    cells = []
+    for i, base in enumerate(range(0, frames, block)):
+        raw = np.random.default_rng(np.random.SeedSequence([seed, i])).bit_generator.random_raw
+        n = min(block, frames - base)
+        for t in range(0, n, montecarlo.TILE_FRAMES):
+            m = min(montecarlo.TILE_FRAMES, n - t)
+            lanes = (raw(-(-m // 4))[:, None] >> shifts & np.uint64(0xFFFF)).ravel()[:m]
+            u = lane_bin[lanes] * 2.0**-16
+            hard = np.flatnonzero(lanes >= pure)
+            u[hard] += (raw(len(hard)) >> np.uint64(27)) * 2.0**-53
+            cells.append(np.searchsorted(cdf, u, side="right"))
+    return np.concatenate(cells)
 
 
 class TestDraw:
@@ -404,6 +439,57 @@ class TestDraw:
         assert got.dtype == np.uint8 and np.array_equal(got, expected)
         assert np.array_equal(montecarlo._codes(u, iter(cuts), out=np.ones(n, np.uint8)), expected + 1)
 
+    @staticmethod
+    def check_lane_map(cuts: np.ndarray) -> None:
+        # every lane against every bin: the lanes are a permutation of the bins, in the
+        # documented order, and a pure lane's code is the cell that holds its whole bin
+        lane_cuts, pure, hard_bins = montecarlo._lane_map(cuts)
+        lane_bin, expected_pure = lane_bins(cuts)
+        assert pure == expected_pure and len(lane_cuts) == 11
+        assert np.array_equal(hard_bins, lane_bin[pure:])
+        lanes = np.arange(1 << 16, dtype=np.uint16)
+        code = montecarlo._codes(lanes, lane_cuts)
+        start = lane_bin[:pure] * 2.0**-16
+        assert np.array_equal(code[:pure], np.searchsorted(cuts[:12], start, side="right"))
+        assert np.all(start + 2.0**-16 <= cuts[code[:pure]])
+        assert np.all(code[pure:] == 11)
+
+    @pytest.mark.parametrize(
+        "bins",
+        [
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],  # every cut on a bin edge
+            [0.5, 0.75, 3, 3.25, 3.5, 3.5, 3.5, 9, 9, 40.5, 40.5, 41.25],  # two cuts in a bin, zero-width cells
+            [0, 0, 0, 0, 100.5, 100.5, 100.5, 100.5, 60000.1, 60000.1, 60000.1, 65000],  # p0 on a bin edge
+            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999],  # every cut in bin 0: no pure lane
+            [2000.5, 4000, 8000.25, 10000, 20000, 30000.5, 40000, 50000, 60000.5, 65535.5, 65535.75, 65536],  # dark
+            [65536] * 12,  # a dark link whose cells all sit at the top
+        ],
+    )
+    def test_lane_map_cases(self, bins):
+        self.check_lane_map(np.array(bins) * 2.0**-16)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, (1 << 16) - 1), st.sampled_from([0.0, 2.0**-37, 0.5, 1 - 2.0**-37])),
+            min_size=12,
+            max_size=12,
+        ),
+        dark=st.booleans(),
+    )
+    def test_lane_map_of_any_cuts(self, cells, dark):
+        cuts = np.sort([(b + f) * 2.0**-16 for b, f in cells])
+        if dark:
+            cuts[11] = 1.0
+        self.check_lane_map(cuts)
+
+    def test_lane_map_of_benchmark_point(self, bench6db):
+        source, link, _ = bench6db
+        self.check_lane_map(joint_cdf(source, link))
+        _, pure, hard_bins = montecarlo._lane_map(joint_cdf(source, link))
+        # 3.26% of frames draw a full uniform: the 2,124 bins at or above p0 and 11 that hold a cut
+        assert len(hard_bins) == 2**16 - pure == 2135
+
     @settings(max_examples=40, deadline=None)
     @given(
         class_probs=distribution(3),
@@ -419,7 +505,7 @@ class TestDraw:
         p_mu, p_nu1, p_nu2 = class_probs
         src = SourceConfig(p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
         link = LinkConfig(background_yield=background_yield, jitter_sigma_s=0.0)
-        cell = reference_cells(src, link, frames, seed, block)
+        cell = reference_cells(joint_cdf(src, link), frames, seed, block)
         click = np.flatnonzero(cell >= 12)
         code = np.where(cell < 12, cell, (cell - 12) // 8).astype(np.uint8)
         channel = ((cell[click] - 12) & 3).astype(np.uint8)
@@ -474,15 +560,15 @@ class TestDraw:
             frame = timetag.frame_indices(res.stream.ticks, 0, timetag.period_ticks(src.pulse_rate_hz))
             assert not np.any(code[frame] >> 2 == dark_class)
 
-    def test_code_and_outcome_pairs_match_table(self, bench6db):
-        # an emitted run's (code x {no click, channel 0..3}) counts, each record's
-        # frame read back through the phase, against frames * p_code * the table's
-        # no-click and click columns: Pearson chi-square, 59 degrees of freedom
-        # (the 60 cells sum to the frame count); 98.32 is the 99.9% quantile
-        source, link, proto = bench6db
-        assert link.background_suppression == 1.0
-        frames, phase = 30_000_000, 37
-        res = run(source, link, proto, frames=frames, seed=1, emit_ttags=True, phase_ticks=phase)
+    @staticmethod
+    def code_and_outcome_counts(source, link, proto, frames, seed):
+        """An emitted run's observed and expected (code x {no click, channel 0..3}) counts.
+
+        Each record's frame is read back through the phase; the expected
+        counts are frames * p_code * the table's no-click and click columns.
+        """
+        phase = 37
+        res = run(source, link, proto, frames=frames, seed=seed, emit_ttags=True, phase_ticks=phase)
         code = res.alice_log.code
         frame = timetag.frame_indices(res.stream.ticks, phase, timetag.period_ticks(source.pulse_rate_hz))
         assert np.all(np.diff(frame) > 0)  # one record per clicked frame
@@ -490,10 +576,35 @@ class TestDraw:
         observed = np.column_stack([np.bincount(code, minlength=12) - clicks.sum(axis=1), clicks])
         table = montecarlo.outcome_table(source, link)
         p_code = np.outer(source.class_probs, source.pol_probs).reshape(12, 1)
-        expected = frames * p_code * np.column_stack([table[:, 0], table[:, 1:5] + table[:, 5:]])
+        return observed, frames * p_code * np.column_stack([table[:, 0], table[:, 1:5] + table[:, 5:]])
+
+    def test_code_and_outcome_pairs_match_table(self, bench6db):
+        # Pearson chi-square, 59 degrees of freedom (the 60 cells sum to the
+        # frame count); 98.32 is the 99.9% quantile
+        source, link, proto = bench6db
+        assert link.background_suppression == 1.0
+        observed, expected = self.code_and_outcome_counts(source, link, proto, frames=30_000_000, seed=1)
         assert expected.min() >= 50
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 <= 98.32, (chi2, observed.tolist())
+
+    def test_pairs_narrower_than_a_bin_match_table(self):
+        # 38 of the 48 (code, channel) cells are narrower than a 2**-16 bin, so their
+        # frames come from the hard bins' refinement.  The cells expecting fewer than 20
+        # frames are pooled into one, leaving 30 cells: Pearson chi-square, 29 degrees
+        # of freedom; 58.30 is the 99.9% quantile
+        source = SourceConfig(mu=0.5, nu1=0.066, nu2=0.002, p_nu1=0.1999, p_nu2=1e-4, pol_probs=(0.4, 0.3, 0.2, 0.1))
+        link = LinkConfig(attenuation_db=25.0, background_yield=3e-7, background_suppression=1.0)
+        table = montecarlo.outcome_table(source, link)
+        p_code = np.outer(source.class_probs, source.pol_probs).reshape(12, 1)
+        assert np.count_nonzero(p_code * (table[:, 1:5] + table[:, 5:]) < 2.0**-16) == 38
+        observed, expected = self.code_and_outcome_counts(source, link, ProtocolConfig(), frames=20_000_000, seed=3)
+        kept = expected >= 20
+        observed = np.append(observed[kept], observed[~kept].sum())
+        expected = np.append(expected[kept], expected[~kept].sum())
+        assert len(expected) == 30 and expected.min() >= 20
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 <= 58.30, (chi2, observed.tolist(), expected.tolist())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -516,16 +627,16 @@ class TestDraw:
 
     def test_summary_run_is_pinned(self, bench6db):
         # the four count arrays of a summary-only run crossing two block
-        # boundaries, as the one-uniform joint draw gives them
+        # boundaries, as the 16-bit lane draw gives them
         s = run(*bench6db, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7).summary
         h = hashlib.sha256()
         for counts in s.counts:  # rows sent, detected, sifted, errored
             h.update(np.asarray(counts, dtype=np.int64).tobytes())
-        assert h.hexdigest() == "d0fb014d87fddf2b57fd9c5b8d928c642ab0b51fefa9c0f4094bbfd8d23e477c"
+        assert h.hexdigest() == "b230585acc28d0b46660a9dabacdd4757731f8a11f0beb22b789674fa96ddae3"
 
     def test_seeded_run_is_pinned(self, bench6db):
         # counts, ticks, channels and codes of a run crossing two block
-        # boundaries, as the one-uniform joint draw gives them
+        # boundaries, as the 16-bit lane draw gives them
         source, link, proto = bench6db
         res = run(source, link, proto, frames=2 * montecarlo.BLOCK_FRAMES + 1, seed=7, emit_ttags=True, phase_ticks=37)
         h = hashlib.sha256()
@@ -533,7 +644,7 @@ class TestDraw:
             h.update(np.asarray(counts, dtype=np.int64).tobytes())
         for array in (res.stream.ticks, res.stream.channels, res.alice_log.code):
             h.update(array.tobytes())
-        assert h.hexdigest() == "8f244b6c8f65991b1be4038270c9ce485141c8fd249dad99dff32bffafcfcc79"
+        assert h.hexdigest() == "fa3cf303642002e87d5a71f6b5557a5987f249e3cdfdb8045ee6e98a144f4f0a"
 
     @pytest.mark.parametrize(
         "probs, match",
@@ -556,7 +667,7 @@ class TestDraw:
         assert run(src, LinkConfig(), ProtocolConfig(), frames=100, seed=1).summary.sent.sum() == 100
 
     def test_summary_run_memory(self, bench6db):
-        # one tile of uniforms and the block's click uniforms, codes and gather indexes, ~1.6 B/frame
+        # one tile of lanes and the block's click uniforms, codes and gather indexes, ~1.3 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1)
         tracemalloc.start()
@@ -568,8 +679,8 @@ class TestDraw:
         assert peak / frames <= 1.7, peak / frames
 
     def test_emit_run_memory(self, bench6db):
-        # the log, 1 B/frame, is the only per-frame array; uniforms are drawn a
-        # tile at a time, and the click frames' records make up the rest, ~4.0 B/frame
+        # the log, 1 B/frame, is the only per-frame array; lanes are drawn a
+        # tile at a time, and the click frames' records make up the rest, ~3.7 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1, emit_ttags=True)
         tracemalloc.start()
@@ -579,6 +690,28 @@ class TestDraw:
         finally:
             tracemalloc.stop()
         assert peak / frames <= 4.7, peak / frames
+
+
+    def test_first_run_loads_nothing_beyond_numpy_random(self):
+        # in a fresh interpreter: the package does not load numpy.random at import, which
+        # would move its ~8 ms into every command's set-up; once it is loaded, a first
+        # summary and emitted run load no other module (np.unique, for one, loads numpy.ma)
+        code = (
+            "import sys, qkdbench.cli\n"
+            "from qkdbench import config, montecarlo\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "import numpy.random\n"
+            "before = set(sys.modules)\n"
+            "for emit in (False, True):\n"
+            "    montecarlo.run(config.SourceConfig(), config.LinkConfig(), config.ProtocolConfig(), frames=100_000,\n"
+            "                   seed=1, emit_ttags=emit)\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        path = os.pathsep.join(p for p in (str(Path(montecarlo.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestSummary:
