@@ -22,14 +22,16 @@ so that lanes below a count ``pure`` are the bins lying inside one
 no-click cell, in order: such a frame's code is the number of lane cuts
 at or below its lane, with no more bits drawn (a table method, after
 Marsaglia, Tsang & Wang, J. Stat. Softw. 11(3), 2004).  Every other lane
-is a hard bin, one holding a cut or lying at or above ``p0``; its frame
-draws one more raw word, whose top 37 bits complete the uniform on the
-2**-53 grid of ``Generator.random``, and takes the float path.  The
-distribution is that of one 53-bit uniform per frame, exactly; 3.26% of
-frames are hard at 6 dB.  A run holds one tile of ``TILE_FRAMES``
-lanes; a tile keeps only its click uniforms, and once per block each
-click gets a code, the number of code-start cuts at or below it, and an
-outcome, one plus the number of that code's inner cuts at or below it.
+is a hard bin, one holding a no-click cut or lying at or above ``p0``;
+its frame draws one more raw word, so the read order is fixed.  Only
+where one of the 107 inner cuts passes through the bin (64 of 2,135 hard
+bins at 6 dB, where 3.26% of frames are hard) do its top 37 bits
+complete the uniform on the 2**-53 grid of ``Generator.random``, whose
+cell a binary search finds; any other hard bin lies in one cell, given
+by a per-bin table.  The distribution is that of one 53-bit uniform per
+frame, exactly.  A run holds one tile of ``TILE_FRAMES`` lanes; a tile
+keeps its hard lanes and words, and one ``bincount`` per block counts
+the hard frames' cells.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -42,7 +44,7 @@ uniformly over the whole frame and leaves the gating to the analysis.
 Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
 generators derive from (seed, block index), so results are reproducible;
 each block's clicks are counted per (code, channel) pair, and an emitted
-run writes the block's click codes over the per-tile codes in its log.
+run writes the block's hard-frame codes over the per-tile codes in its log.
 An emitted stream holds one time-ordered record per clicked frame.
 """
 
@@ -136,23 +138,28 @@ def _codes(u: np.ndarray, cuts: np.ndarray, out: np.ndarray | None = None) -> np
     return code
 
 
-def _lane_map(cdf: np.ndarray) -> tuple[list[int], int, np.ndarray]:
-    """The 16-bit lane cuts of the 11 inner no-click cuts, the pure-lane count and the hard lanes' bins.
+def _lane_map(cdf: np.ndarray) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """The 16-bit lane cuts of the 11 inner no-click cuts, the pure-lane count, the hard lanes' bins and their cells.
 
     Bin b is ``[b, b + 1) * 2**-16``.  A bin is hard when it holds one of
     ``cdf[:11]`` off its edge, or lies at or above ``floor(p0 * 2**16)``
     (``p0 = cdf[11]``); every other bin lies inside one no-click cell.
     Lanes ``[0, pure)`` are those bins in order, so the number of lane
     cuts at or below a lane is its bin's code; lane ``pure + j`` is bin
-    ``hard_bins[j]``.  Scaling by 2**16 is exact, so all three follow
-    from the 12 cuts, with no test of each bin.
+    ``hard_bins[j]``, and ``hard_cells[j]`` is the cell holding that whole
+    bin, or 255 when one of ``cdf[:107]`` lies strictly inside it.  Scaling
+    by 2**16 is exact, so all four follow from the cuts, with no test of
+    each bin.
     """
     scaled = (cdf[:12] * 2.0**16).tolist()
     floors = [int(c) for c in scaled]
     top = floors[11]  # the first bin that holds p0 or lies above it
     inner = sorted({f for f, c in zip(floors[:11], scaled) if f != c and f < top})  # bins holding a cut, once each
     lane_cuts = [min(f, top) - sum(h < f for h in inner) for f in floors[:11]]
-    return lane_cuts, top - len(inner), np.concatenate([np.array(inner, dtype=np.intp), np.arange(top, 1 << 16)])
+    hard_bins = np.concatenate([np.array(inner, dtype=np.intp), np.arange(top, 1 << 16)])
+    cell = np.searchsorted(cdf[:107] * 2.0**16, hard_bins, side="right")  # the cell holding the bin's start
+    straddle = np.searchsorted(cdf[:107] * 2.0**16, hard_bins + 1, side="left") != cell  # a cut inside the bin
+    return lane_cuts, top - len(inner), hard_bins, np.where(straddle, 255, cell).astype(np.uint8)
 
 
 def run(
@@ -168,7 +175,9 @@ def run(
 
     Each block's generator is read in one order: per tile of m frames,
     ceil(m/4) raw words give m lanes (little-endian 16-bit words), then one
-    raw word per hard lane, in frame order, refines its bin.  The summary
+    raw word per hard lane, in frame order (drawn for every hard lane, which
+    keeps seeded outputs, but used only where a cut passes through its bin).
+    The summary
     is identical whether or not a stream is emitted (stream offsets are
     drawn after all of a block's tiles).
     Emitted records are time-ordered, one per clicked frame.
@@ -184,9 +193,7 @@ def run(
     # the cells in draw order: the 12 no-click cells in code order, then each code's 8 click cells
     cdf = np.cumsum(np.concatenate([joint[:, 0], joint[:, 1:].ravel()]))
     cdf /= cdf[-1]  # exact 1 at the end, so a cell of probability 0 has zero width and is never drawn
-    p0 = cdf[11]  # a frame clicks exactly when its uniform is at or above every no-click cell
-    code_cuts = cdf[19:107:8]  # where the click cells of codes 1..11 start
-    lane_cuts, pure, hard_bins = _lane_map(cdf)
+    lane_cuts, pure, hard_bins, hard_cells = _lane_map(cdf)
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
@@ -201,44 +208,43 @@ def run(
         n = min(BLOCK_FRAMES, frames - base)
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
         raw = rng.bit_generator.random_raw
-        u_parts, idx_parts = [], []  # per tile: the click frames' uniforms and, when emitting, block indexes
+        lane_parts, word_parts, idx_parts = [], [], []  # per tile: hard lanes, their words, block indexes
         for t in range(0, n, TILE_FRAMES):
             m = min(TILE_FRAMES, n - t)
             lane = raw(-(-m // 4)).astype("<u8", copy=False).view("<u2")[:m]  # four 16-bit lanes per word
             below_mu += np.count_nonzero(lane < lane_cuts[3])
             below_nu1 += np.count_nonzero(lane < lane_cuts[7])
             hard = np.flatnonzero(lane >= pure)
-            # the hard frame's bin plus 37 more bits: u on the 2**-53 grid of Generator.random, exactly
-            # (the lane offset is an intp, since pure is 2**16 when no lane is hard)
-            u = (hard_bins[lane[hard] - np.intp(pure)] + (raw(len(hard)) >> 27) * 2.0**-37) * 2.0**-16
-            below_mu += np.count_nonzero(u < cdf[3])
-            below_nu1 += np.count_nonzero(u < cdf[7])
-            click = np.flatnonzero(u >= p0)
-            u_parts.append(u[click])
+            lane_parts.append(lane[hard])
+            word_parts.append(raw(len(hard)))  # one per hard lane, used or not, so the read order is fixed
             if emit_ttags:
-                idx_parts.append(t + hard[click])
-                tile_log = _codes(lane, lane_cuts, out=log[base + t : base + t + m])  # 11 for a hard frame
-                tile_log[hard] = _codes(u, cdf[:11])  # 11 for a click frame
-        u_click = np.concatenate(u_parts)
-        del u_parts  # hold the block's click uniforms once
-        code = _codes(u_click, code_cuts)
-        cell = 8 * code.astype(np.intp)  # the code's first click cell, less 12
-        outcome = _codes(u_click, (np.take(cdf[12 + k :], cell) for k in range(7)), out=np.ones_like(code))
-        del u_click, cell  # before the emitted records are built
-        channel = (outcome - 1) & 3
-        pairs += np.bincount(code * 4 + channel, minlength=48)
+                idx_parts.append(t + hard)
+                _codes(lane, lane_cuts, out=log[base + t : base + t + m])  # 11 for a hard frame
+        j = np.concatenate(lane_parts) - np.intp(pure)  # into hard_bins; an intp, as pure is 2**16 with no hard lane
+        cell = np.take(hard_cells, j)
+        cut = np.flatnonzero(cell == 255)
+        # a straddling bin plus 37 more bits: u on the 2**-53 grid of Generator.random, exactly
+        u = (hard_bins[j[cut]] + (np.concatenate(word_parts)[cut] >> 27) * 2.0**-37) * 2.0**-16
+        cell[cut] = np.searchsorted(cdf[:107], u, side="right")
+        del lane_parts, word_parts, j  # before the emitted records are built
+        hist = np.bincount(cell, minlength=108)
+        below_mu += hist[:4].sum()
+        below_nu1 += hist[:8].sum()
+        pairs += hist[12:].reshape(12, 2, 4).sum(axis=1).ravel()  # a code's signal and background clicks
 
         if emit_ttags:
             idx = np.concatenate(idx_parts)
-            log[base + idx] = code
+            log[base + idx] = np.where(cell < 12, cell, (cell - 12) >> 3)
+            click = cell >= 12
+            idx, j = idx[click], cell[click] - 12  # cell 12 + 8 code + outcome - 1
             jitter = np.rint(rng.normal(0.0, sigma_ticks, size=len(idx))).astype(np.int64)
             bg_off = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=len(idx))
-            offs = np.where(outcome <= 4, jitter, bg_off) + phase_ticks
+            offs = np.where(j & 4, bg_off, jitter) + phase_ticks  # outcomes 5..8 are background clicks
             ticks = (base + idx.astype(np.int64)) * period + offs
             np.clip(ticks, 0, None, out=ticks)
             order = np.argsort(ticks, kind="stable")
             tick_chunks.append(ticks[order].astype(np.uint64))
-            chan_chunks.append(channel[order])
+            chan_chunks.append((j & 3)[order])
 
     stream = TimeTagStream(np.concatenate(tick_chunks), np.concatenate(chan_chunks)) if emit_ttags else None
     alice_log = AliceLog(log) if emit_ttags else None

@@ -148,10 +148,12 @@ def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_tick
     A window of w ticks accepts exactly the w residues
     d in [-(w//2), (w-1)//2] around the phase (for the 1 ns / 13-tick
     window: d in -6..+6), d in [-P/2, P/2) being the tick's offset from the
-    phase of its :func:`frame_indices` frame.  Markers pass through unconditionally.
+    phase of its :func:`frame_indices` frame, the phase lying in [0, P).  Markers pass through unconditionally.
     """
     if not 0 < window_ticks <= period_ticks:
         raise ValueError("window must lie in (0, period]")
+    if not 0 <= phase_ticks < period_ticks:
+        raise ValueError(f"phase must lie in [0, {period_ticks}), got {phase_ticks}")
     d = stream.ticks.astype(np.int64) - phase_ticks
     d -= period_ticks * frame_indices(stream.ticks, phase_ticks, period_ticks)
     in_window = (d >= -(window_ticks // 2)) & (d <= (window_ticks - 1) // 2)
@@ -358,6 +360,8 @@ def sift(
     chunks drawing from one generator keep what one pass keeps.  The
     records are sorted (stably) only if their frames are out of order.
     """
+    if not 0 <= gating.phase_ticks < period_ticks:
+        raise ValueError(f"phase must lie in [0, {period_ticks}), got {gating.phase_ticks}")
     acc = gating.accepted
     frames = frame_indices(acc.ticks, gating.phase_ticks, period_ticks)
     ok = (acc.channels < 4) & (frames >= 0) & (frames < len(alice))

@@ -443,7 +443,7 @@ class TestDraw:
     def check_lane_map(cuts: np.ndarray) -> None:
         # every lane against every bin: the lanes are a permutation of the bins, in the
         # documented order, and a pure lane's code is the cell that holds its whole bin
-        lane_cuts, pure, hard_bins = montecarlo._lane_map(cuts)
+        lane_cuts, pure, hard_bins, hard_cells = montecarlo._lane_map(cuts)
         lane_bin, expected_pure = lane_bins(cuts)
         assert pure == expected_pure and len(lane_cuts) == 11
         assert np.array_equal(hard_bins, lane_bin[pure:])
@@ -453,6 +453,15 @@ class TestDraw:
         assert np.array_equal(code[:pure], np.searchsorted(cuts[:12], start, side="right"))
         assert np.all(start + 2.0**-16 <= cuts[code[:pure]])
         assert np.all(code[pure:] == 11)
+        # every bin against every inner cut: a hard bin's entry is the cell holding the
+        # whole bin, or 255 exactly when a cut lies strictly inside it
+        inner, lo = cuts[:107], np.arange(1 << 16)[:, None] * 2.0**-16
+        straddle = ((inner > lo) & (inner < lo + 2.0**-16)).any(axis=1)
+        holding = np.count_nonzero(inner <= lo, axis=1)
+        assert hard_cells.dtype == np.uint8 and len(hard_cells) == len(hard_bins)
+        assert np.array_equal(hard_cells, np.where(straddle, 255, holding)[hard_bins])
+        whole = hard_bins[hard_cells != 255]
+        assert np.all(lo[whole, 0] + 2.0**-16 <= np.append(inner, 1.0)[holding[whole]])
 
     @pytest.mark.parametrize(
         "bins",
@@ -486,9 +495,11 @@ class TestDraw:
     def test_lane_map_of_benchmark_point(self, bench6db):
         source, link, _ = bench6db
         self.check_lane_map(joint_cdf(source, link))
-        _, pure, hard_bins = montecarlo._lane_map(joint_cdf(source, link))
-        # 3.26% of frames draw a full uniform: the 2,124 bins at or above p0 and 11 that hold a cut
+        _, pure, hard_bins, hard_cells = montecarlo._lane_map(joint_cdf(source, link))
+        # 3.26% of frames are hard: the 2,124 bins at or above p0 and 11 that hold a cut;
+        # of those, only the 64 that a cut passes through use their refinement word
         assert len(hard_bins) == 2**16 - pure == 2135
+        assert np.count_nonzero(hard_cells == 255) == 64
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -505,6 +516,11 @@ class TestDraw:
         p_mu, p_nu1, p_nu2 = class_probs
         src = SourceConfig(p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2, pol_probs=pol_probs)
         link = LinkConfig(background_yield=background_yield, jitter_sigma_s=0.0)
+        self.check_run_against_reference(src, link, block, frames, seed)
+
+    @staticmethod
+    def check_run_against_reference(src, link, block, frames, seed):
+        """``run``, with and without emission, against :func:`reference_cells`."""
         cell = reference_cells(joint_cdf(src, link), frames, seed, block)
         click = np.flatnonzero(cell >= 12)
         code = np.where(cell < 12, cell, (cell - 12) // 8).astype(np.uint8)
@@ -521,6 +537,42 @@ class TestDraw:
         frame = timetag.frame_indices(emitted.stream.ticks, 0, timetag.period_ticks(src.pulse_rate_hz))
         assert np.array_equal(frame, click)
         assert np.array_equal(emitted.stream.channels, channel)
+
+    @pytest.mark.parametrize("unit, straddles", [(2.0**-16, False), (2.0**-17, True)])
+    def test_run_matches_reference_with_cuts_on_bin_edges(self, unit, straddles):
+        # a table whose 108 cells are whole multiples of `unit`, some of them empty: at
+        # 2**-16 every cut lies on a bin edge, so no bin straddles one; at 2**-17 some do
+        src = SourceConfig(p_mu=0.5, p_nu1=0.25, p_nu2=0.25, pol_probs=(0.25,) * 4)
+        p_code = np.outer(src.class_probs, src.pol_probs).reshape(12, 1)
+        rng = np.random.default_rng(31)
+        units = np.vstack([rng.multinomial(round(p / unit), rng.dirichlet(np.full(9, 0.3))) for p in p_code.ravel()])
+        table = units * unit / p_code  # rows sum to 1, and p_code * table is exact
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "outcome_table", lambda source, link: table)
+            cdf = joint_cdf(src, LinkConfig())
+            assert np.array_equal(cdf / unit, np.cumsum(np.concatenate([units[:, 0], units[:, 1:].ravel()])))
+            assert np.any(np.diff(cdf) == 0)
+            assert np.any(montecarlo._lane_map(cdf)[3] == 255) == straddles
+            self.check_run_against_reference(src, LinkConfig(jitter_sigma_s=0.0), 2 * montecarlo.TILE_FRAMES - 1,
+                                             200_003, 5)
+
+    @pytest.mark.parametrize(
+        "src, link",
+        [
+            # a class of mean 0 on a link without background: its 32 click cells have width 0
+            (SourceConfig(nu2=0.0), LinkConfig(background_yield=0.0, jitter_sigma_s=0.0)),
+            # two of them: 64 click cells of width 0, half the frames in a dark class
+            (
+                SourceConfig(nu1=0.0, nu2=0.0, p_mu=0.45, p_nu1=0.5, p_nu2=0.05),
+                LinkConfig(background_yield=0.0, jitter_sigma_s=0.0),
+            ),
+            # a 0 dB link, where most signal frames click and most bins are hard
+            (SourceConfig(), LinkConfig(attenuation_db=0.0, jitter_sigma_s=0.0)),
+        ],
+    )
+    def test_run_matches_reference_at_fragile_points(self, src, link):
+        self.check_run_against_reference(src, link, montecarlo.BLOCK_FRAMES, 200_003, 8)
+        self.check_run_against_reference(src, link, 2 * montecarlo.TILE_FRAMES - 1, 200_003, 9)
 
     @pytest.mark.parametrize("emit", [False, True])
     def test_run_without_clicks(self, emit):
@@ -667,7 +719,7 @@ class TestDraw:
         assert run(src, LinkConfig(), ProtocolConfig(), frames=100, seed=1).summary.sent.sum() == 100
 
     def test_summary_run_memory(self, bench6db):
-        # one tile of lanes and the block's click uniforms, codes and gather indexes, ~1.3 B/frame
+        # one tile of lanes and the block's hard lanes and their refinement words, ~1.1 B/frame
         frames = montecarlo.BLOCK_FRAMES
         run(*bench6db, frames=1000, seed=1)
         tracemalloc.start()

@@ -298,6 +298,12 @@ class TestGate:
         with pytest.raises(ValueError):
             gate(stream, PERIOD, 0, PERIOD + 1)
 
+    @pytest.mark.parametrize("phase", [-1, PERIOD, PERIOD + 37])
+    def test_phase_outside_one_period_rejected(self, phase):
+        # a phase a period off would gate the same residues but hand sift frames shifted by one
+        with pytest.raises(ValueError, match=rf"^phase must lie in \[0, {PERIOD}\), got {phase}$"):
+            gate(stream_of([(37, 0)]), PERIOD, phase, 13)
+
     def test_window_rounding(self):
         assert window_ticks_from_seconds(1e-9) == 13
         assert window_ticks_from_seconds(10e-9) == 128
@@ -448,6 +454,17 @@ class TestSift:
         key = sift(alice, gated, PERIOD, seed=4)
         assert key.detected.sum() == 1
         assert key.unattributed == 1
+
+    @pytest.mark.parametrize("phase", [-1, 0, PERIOD - 1, PERIOD, PERIOD + 37])
+    def test_phase_outside_one_period_rejected(self, phase):
+        # frames are counted from the phase, so one a period off would attribute every record to its neighbour
+        alice = AliceLog(np.zeros(2, dtype=np.uint8))
+        gated = timetag.GatingResult(stream_of([(PERIOD + phase, 0)]), rejected=0, phase_ticks=phase)
+        if 0 <= phase < PERIOD:
+            assert sift(alice, gated, PERIOD).detected.sum() == 1
+        else:
+            with pytest.raises(ValueError, match=rf"^phase must lie in \[0, {PERIOD}\), got {phase}$"):
+                sift(alice, gated, PERIOD)
 
     @settings(max_examples=50, deadline=None)
     @given(codes=st.lists(st.integers(0, 11), max_size=200), seed=st.integers(0, 2**32 - 1))
