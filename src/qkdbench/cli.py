@@ -76,7 +76,9 @@ def _kv_text(fields: dict) -> str:
 
 
 def _resolve_seed(args) -> int:
-    """--seed, or a random seed that _print_seed shows once the input is accepted."""
+    """--seed, checked before any input is read, or a random seed that _print_seed shows once the input is accepted."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     return secrets.randbits(32) if args.seed is None else args.seed
 
 
@@ -140,6 +142,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    seed = _resolve_seed(args)
     source, link, proto = load_config(args.config)
     if args.frames < 1:
         raise ConfigError("--frames must be >= 1")
@@ -149,7 +152,6 @@ def cmd_simulate(args) -> int:
     phase = 37 % period if args.phase_ticks is None else args.phase_ticks  # the default, on the circle of phases
     if not 0 <= phase < period:
         raise ConfigError(f"--phase-ticks must lie in [0, {period}), got {phase}")
-    seed = _resolve_seed(args)
     result = montecarlo.run(source, link, proto, args.frames, seed, emit_ttags=args.emit_ttags, phase_ticks=phase)
     counts = result.summary.counts
     # each gain and QBER against the exact mean, in binomial sigmas over its denominator; NaN where sigma is 0
@@ -183,6 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze_ttags(args) -> int:
+    seed = _resolve_seed(args)
     source, link, proto = load_config(args.config)
     period = timetag.period_ticks(source.pulse_rate_hz)  # checked before the inputs are read
     window = timetag.window_ticks_from_seconds(link.window_s)
@@ -199,7 +202,6 @@ def cmd_analyze_ttags(args) -> int:
             alice = timetag.AliceLog.from_csv(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read alice log: {exc}") from exc
-    seed = _resolve_seed(args)
 
     phase = timetag.recover_phase(stream, period)
     gated = timetag.gate(stream, period, phase.phase_ticks, window)

@@ -17,21 +17,21 @@ so a cell of probability 0 is never drawn.  A frame clicks exactly when
 its uniform is past every no-click cell (~3% of frames at 6 dB).
 
 A frame first draws a 16-bit lane, four per raw 64-bit generator word,
-which picks one of the 2**16 bins of width 2**-16.  The lanes are ordered
-so that lanes below a count ``pure`` are the bins lying inside one
-no-click cell, in order: such a frame's code is the number of lane cuts
-at or below its lane, with no more bits drawn (a table method, after
-Marsaglia, Tsang & Wang, J. Stat. Softw. 11(3), 2004).  Every other lane
-is a hard bin, one holding a no-click cut or lying at or above ``p0``;
-its frame draws one more raw word, so the read order is fixed.  Only
-where one of the 107 inner cuts passes through the bin (64 of 2,135 hard
-bins at 6 dB, where 3.26% of frames are hard) do its top 37 bits
-complete the uniform on the 2**-53 grid of ``Generator.random``, whose
-cell a binary search finds; any other hard bin lies in one cell, given
-by a per-bin table.  The distribution is that of one 53-bit uniform per
-frame, exactly.  A run holds one tile of ``TILE_FRAMES`` lanes; a tile
-keeps its hard lanes and words, and one ``bincount`` per block counts
-the hard frames' cells.
+which picks one of the 2**16 bins of width 2**-16, and one table of
+2**16 bytes gives each lane the cell that holds its whole bin (a table
+method, after Marsaglia, Tsang & Wang, J. Stat. Softw. 11(3), 2004).
+The lanes are ordered so that lanes below a count ``pure`` are the bins
+lying inside one no-click cell, in order: such a frame's cell is its
+code, with no more bits drawn.  Every other lane is a hard bin, one
+holding a no-click cut or lying at or above ``p0``; its frame draws one
+more raw word, so the read order is fixed.  Only where one of the 107
+inner cuts passes through the bin (64 of 2,135 hard bins at 6 dB, where
+3.26% of frames are hard) does the table hold 255 and the word's top 37
+bits complete the uniform on the 2**-53 grid of ``Generator.random``,
+whose cell a binary search finds.  The distribution is that of one
+53-bit uniform per frame, exactly.  A run holds one tile of
+``TILE_FRAMES`` lanes; a tile keeps its hard lanes and words, and one
+``bincount`` per block counts the hard frames' cells.
 
 Summaries count post-gate statistics: the configured background
 suppression factor stands in for the downstream software gate, scaling
@@ -44,7 +44,8 @@ uniformly over the whole frame and leaves the gating to the analysis.
 Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
 generators derive from (seed, block index), so results are reproducible;
 each block's clicks are counted per (code, channel) pair, and an emitted
-run writes the block's hard-frame codes over the per-tile codes in its log.
+run logs each tile's table entries, then the block's hard-frame codes
+over them.
 An emitted stream holds one time-ordered record per clicked frame.
 """
 
@@ -126,30 +127,18 @@ def _probabilities(p, name: str) -> np.ndarray:
     return p
 
 
-def _codes(u: np.ndarray, cuts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per uniform, the number of ``cuts`` (scalars, or arrays like ``u``) at or below it, added into ``out``.
-
-    Each compare mask is added as the bytes it is (a ``uint8`` view of
-    the bools), so the ``uint8`` add needs no buffered cast.
-    """
-    code = np.zeros(len(u), dtype=np.uint8) if out is None else out
-    for cut in cuts:
-        code += (u >= cut).view(np.uint8)
-    return code
-
-
 def _lane_map(cdf: np.ndarray) -> tuple[list[int], int, np.ndarray, np.ndarray]:
-    """The 16-bit lane cuts of the 11 inner no-click cuts, the pure-lane count, the hard lanes' bins and their cells.
+    """The 16-bit lane cuts of the 11 inner no-click cuts, the pure-lane count, the hard lanes' bins and each lane's cell.
 
     Bin b is ``[b, b + 1) * 2**-16``.  A bin is hard when it holds one of
     ``cdf[:11]`` off its edge, or lies at or above ``floor(p0 * 2**16)``
     (``p0 = cdf[11]``); every other bin lies inside one no-click cell.
-    Lanes ``[0, pure)`` are those bins in order, so the number of lane
-    cuts at or below a lane is its bin's code; lane ``pure + j`` is bin
-    ``hard_bins[j]``, and ``hard_cells[j]`` is the cell holding that whole
-    bin, or 255 when one of ``cdf[:107]`` lies strictly inside it.  Scaling
-    by 2**16 is exact, so all four follow from the cuts, with no test of
-    each bin.
+    Lanes ``[0, pure)`` are those bins in order, and lane ``pure + j`` is
+    bin ``hard_bins[j]``.  ``lane_cell`` has one ``uint8`` per lane: the
+    cell holding that whole bin (a pure lane's no-click code, which
+    changes at each lane cut), or 255 when one of ``cdf[:107]`` lies
+    strictly inside it.  Scaling by 2**16 is exact, so all four follow
+    from the cuts and the hard bins, with no test of each pure bin.
     """
     scaled = (cdf[:12] * 2.0**16).tolist()
     floors = [int(c) for c in scaled]
@@ -159,7 +148,8 @@ def _lane_map(cdf: np.ndarray) -> tuple[list[int], int, np.ndarray, np.ndarray]:
     hard_bins = np.concatenate([np.array(inner, dtype=np.intp), np.arange(top, 1 << 16)])
     cell = np.searchsorted(cdf[:107] * 2.0**16, hard_bins, side="right")  # the cell holding the bin's start
     straddle = np.searchsorted(cdf[:107] * 2.0**16, hard_bins + 1, side="left") != cell  # a cut inside the bin
-    return lane_cuts, top - len(inner), hard_bins, np.where(straddle, 255, cell).astype(np.uint8)
+    codes = np.repeat(np.arange(12, dtype=np.uint8), np.diff([0, *lane_cuts, top - len(inner)]))  # the pure lanes
+    return lane_cuts, len(codes), hard_bins, np.concatenate([codes, np.where(straddle, 255, cell).astype(np.uint8)])
 
 
 def run(
@@ -193,7 +183,7 @@ def run(
     # the cells in draw order: the 12 no-click cells in code order, then each code's 8 click cells
     cdf = np.cumsum(np.concatenate([joint[:, 0], joint[:, 1:].ravel()]))
     cdf /= cdf[-1]  # exact 1 at the end, so a cell of probability 0 has zero width and is never drawn
-    lane_cuts, pure, hard_bins, hard_cells = _lane_map(cdf)
+    lane_cuts, pure, hard_bins, lane_cell = _lane_map(cdf)
     sigma_ticks = link.jitter_sigma_s / TICK_SECONDS
     # background arrivals land within the gate slice the suppression models
     bg_width = max(1, int(round(link.suppression(source) * period))) if emit_ttags else 1
@@ -219,14 +209,14 @@ def run(
             word_parts.append(raw(len(hard)))  # one per hard lane, used or not, so the read order is fixed
             if emit_ttags:
                 idx_parts.append(t + hard)
-                _codes(lane, lane_cuts, out=log[base + t : base + t + m])  # 11 for a hard frame
-        j = np.concatenate(lane_parts) - np.intp(pure)  # into hard_bins; an intp, as pure is 2**16 with no hard lane
-        cell = np.take(hard_cells, j)
+                np.take(lane_cell, lane, out=log[base + t : base + t + m], mode="clip")  # hard frames: rewritten below
+        hard_lane = np.concatenate(lane_parts)  # uint16; pure is 2**16 with no hard lane, so subtract it as an intp
+        cell = np.take(lane_cell, hard_lane)
         cut = np.flatnonzero(cell == 255)
         # a straddling bin plus 37 more bits: u on the 2**-53 grid of Generator.random, exactly
-        u = (hard_bins[j[cut]] + (np.concatenate(word_parts)[cut] >> 27) * 2.0**-37) * 2.0**-16
+        u = (hard_bins[hard_lane[cut] - np.intp(pure)] + (np.concatenate(word_parts)[cut] >> 27) * 2.0**-37) * 2.0**-16
         cell[cut] = np.searchsorted(cdf[:107], u, side="right")
-        del lane_parts, word_parts, j  # before the emitted records are built
+        del lane_parts, word_parts, hard_lane  # before the emitted records are built
         hist = np.bincount(cell, minlength=108)
         below_mu += hist[:4].sum()
         below_nu1 += hist[:8].sum()

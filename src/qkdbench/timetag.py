@@ -154,8 +154,7 @@ def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_tick
         raise ValueError("window must lie in (0, period]")
     if not 0 <= phase_ticks < period_ticks:
         raise ValueError(f"phase must lie in [0, {period_ticks}), got {phase_ticks}")
-    d = stream.ticks.astype(np.int64) - phase_ticks
-    d -= period_ticks * frame_indices(stream.ticks, phase_ticks, period_ticks)
+    d = (stream.ticks.astype(np.int64) - phase_ticks + period_ticks // 2) % period_ticks - period_ticks // 2
     in_window = (d >= -(window_ticks // 2)) & (d <= (window_ticks - 1) // 2)
     keep = in_window | (stream.channels >= 4)
     rejected = int(len(stream) - keep.sum())

@@ -768,6 +768,8 @@ class TestMalformedInput:
             "sidechannel --synth --domain temporal",
             "sidechannel --profiles {good_profile} --pedestals 0,0,0,0",
             "sidechannel --profiles {good_profile} --shifts-ps 5,0,0,0",
+            "simulate --config {cfg} --frames 100 --seed -1 --out {out} --emit-ttags",
+            "analyze-ttags --config {cfg} --ttags {missing} --alice-log {missing} --seed -3",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):
@@ -809,6 +811,8 @@ class TestMalformedInput:
             ("--domain", "sidechannel --synth --domain spectral"),
             ("--pedestals", "sidechannel --profiles {good_profile} --pedestals 0,0,0,0"),
             ("--shifts-ps", "sidechannel --profiles {good_profile} --shifts-ps 5,0,0,0"),
+            ("--seed", "simulate --config {cfg} --frames 100 --seed -1 --out {out} --emit-ttags"),
+            ("--seed", "analyze-ttags --config {cfg} --ttags {missing} --alice-log {missing} --seed -3"),  # inputs unread
         ],
     )
     def test_message_names_the_flag(self, inputs, flag, argv, capsys):

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo, timetag
@@ -417,51 +416,25 @@ def reference_cells(cdf: np.ndarray, frames: int, seed: int, block: int) -> np.n
 
 
 class TestDraw:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        data=st.data(),
-        n=st.integers(0, 40),
-        k=st.integers(1, 11),
-        per_frame=st.booleans(),
-    )
-    def test_codes_count_the_cuts_at_or_below(self, data, n, k, per_frame):
-        # each uniform's count of cuts at or below it is searchsorted's right
-        # side, ties included, for scalar cuts and for one sorted column per frame
-        unit = st.floats(0, 1, exclude_max=True)
-        cuts = np.sort(data.draw(hnp.arrays(float, (k, n) if per_frame else k, elements=unit)), axis=0)
-        ties = cuts.ravel().tolist()
-        u = data.draw(hnp.arrays(float, n, elements=st.one_of(unit, st.sampled_from(ties)) if ties else unit))
-        if per_frame:
-            expected = np.array([np.searchsorted(cuts[:, i], u[i], side="right") for i in range(n)], dtype=np.intp)
-        else:
-            expected = np.searchsorted(cuts, u, side="right")
-        got = montecarlo._codes(u, cuts)
-        assert got.dtype == np.uint8 and np.array_equal(got, expected)
-        assert np.array_equal(montecarlo._codes(u, iter(cuts), out=np.ones(n, np.uint8)), expected + 1)
-
     @staticmethod
     def check_lane_map(cuts: np.ndarray) -> None:
-        # every lane against every bin: the lanes are a permutation of the bins, in the
-        # documented order, and a pure lane's code is the cell that holds its whole bin
-        lane_cuts, pure, hard_bins, hard_cells = montecarlo._lane_map(cuts)
+        # every lane against every bin and every inner cut: the lanes are a permutation of the
+        # bins, in the documented order, and a lane's entry is the cell holding its whole bin
+        # (for a pure lane, its no-click code), or 255 exactly when a cut lies strictly inside it
+        lane_cuts, pure, hard_bins, lane_cell = montecarlo._lane_map(cuts)
         lane_bin, expected_pure = lane_bins(cuts)
-        assert pure == expected_pure and len(lane_cuts) == 11
+        assert pure == expected_pure
         assert np.array_equal(hard_bins, lane_bin[pure:])
-        lanes = np.arange(1 << 16, dtype=np.uint16)
-        code = montecarlo._codes(lanes, lane_cuts)
-        start = lane_bin[:pure] * 2.0**-16
-        assert np.array_equal(code[:pure], np.searchsorted(cuts[:12], start, side="right"))
-        assert np.all(start + 2.0**-16 <= cuts[code[:pure]])
-        assert np.all(code[pure:] == 11)
-        # every bin against every inner cut: a hard bin's entry is the cell holding the
-        # whole bin, or 255 exactly when a cut lies strictly inside it
-        inner, lo = cuts[:107], np.arange(1 << 16)[:, None] * 2.0**-16
+        inner, lo = cuts[:107], lane_bin[:, None] * 2.0**-16
         straddle = ((inner > lo) & (inner < lo + 2.0**-16)).any(axis=1)
         holding = np.count_nonzero(inner <= lo, axis=1)
-        assert hard_cells.dtype == np.uint8 and len(hard_cells) == len(hard_bins)
-        assert np.array_equal(hard_cells, np.where(straddle, 255, holding)[hard_bins])
-        whole = hard_bins[hard_cells != 255]
+        assert lane_cell.dtype == np.uint8 and len(lane_cell) == 1 << 16
+        assert np.array_equal(lane_cell, np.where(straddle, 255, holding))
+        assert np.all(lane_cell[:pure] < 12)
+        whole = lane_cell != 255
         assert np.all(lo[whole, 0] + 2.0**-16 <= np.append(inner, 1.0)[holding[whole]])
+        # a pure lane's code changes at each lane cut, which the two class counts compare against
+        assert lane_cuts == np.searchsorted(lane_cell[:pure], np.arange(1, 12)).tolist()
 
     @pytest.mark.parametrize(
         "bins",
@@ -495,11 +468,11 @@ class TestDraw:
     def test_lane_map_of_benchmark_point(self, bench6db):
         source, link, _ = bench6db
         self.check_lane_map(joint_cdf(source, link))
-        _, pure, hard_bins, hard_cells = montecarlo._lane_map(joint_cdf(source, link))
+        _, pure, hard_bins, lane_cell = montecarlo._lane_map(joint_cdf(source, link))
         # 3.26% of frames are hard: the 2,124 bins at or above p0 and 11 that hold a cut;
         # of those, only the 64 that a cut passes through use their refinement word
         assert len(hard_bins) == 2**16 - pure == 2135
-        assert np.count_nonzero(hard_cells == 255) == 64
+        assert np.count_nonzero(lane_cell == 255) == 64
 
     @settings(max_examples=40, deadline=None)
     @given(
