@@ -136,7 +136,7 @@ def cmd_sweep(args) -> int:
     cells = ([format(v, fmt) for v in columns[name]] for name, _, fmt in decoy.SWEEP_COLUMNS)
     _write_atomic(Path(args.out), "".join(",".join(row) + "\r\n" for row in [list(columns), *zip(*cells)]))
 
-    hits = (a for a, e in zip(columns["attenuation_db"], columns["E_mu"]) if e > decoy.QBER_CUTOFF)
+    hits = (a for a, hit in zip(columns["attenuation_db"], reports.batch.qber_cutoff_hit) if hit)
     print(_kv_text({"rows": len(reports), "qber_cutoff_db": next(hits, math.nan)}), end="")
     return EXIT_OK
 
@@ -234,24 +234,14 @@ def cmd_analyze_ttags(args) -> int:
 
 
 def cmd_sidechannel(args) -> int:
-    if args.synth and args.profiles:
-        raise ConfigError("ambiguous input: give either --profiles or --synth, not both")
-    if not args.synth and not args.profiles:
-        raise ConfigError("need an input: --profiles FILE or --synth")
     if args.synth and args.domain is not None:
         raise ConfigError("--domain applies only to --profiles")
     for flag, value in (("--pedestals", args.pedestals), ("--shifts-ps", args.shifts_ps)):
-        if args.profiles and value is not None:
+        if not args.synth and value is not None:
             raise ConfigError(f"{flag} applies only to --synth")
     config = load_config(args.config) if args.config else None
 
-    if args.profiles:
-        try:
-            mi = sidechannel.leakage(sidechannel.load_profiles(args.profiles))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"malformed profiles: {exc}") from exc
-        temporal, spectral = (0.0, mi) if args.domain == "spectral" else (mi, 0.0)
-    else:
+    if args.synth:
         source = config[0] if config else SourceConfig()
         pedestals = (0.0,) * 4 if args.pedestals is None else _floats(args.pedestals, "--pedestals", 4)
         shifts_ps = (0.0,) * 4 if args.shifts_ps is None else _floats(args.shifts_ps, "--shifts-ps", 4)
@@ -260,6 +250,12 @@ def cmd_sidechannel(args) -> int:
             fwhm_s=source.pulse_fwhm_s, tbp=source.time_bandwidth_product, ase_pedestal=pedestals, shifts_s=shifts
         )
         temporal, spectral = map(sidechannel.leakage, profiles)
+    else:
+        try:
+            mi = sidechannel.leakage(sidechannel.load_profiles(args.profiles))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"malformed profiles: {exc}") from exc
+        temporal, spectral = (0.0, mi) if args.domain == "spectral" else (mi, 0.0)
     try:
         budget = sidechannel.LeakageBudget(temporal=temporal, spectral=spectral, spatial=args.spatial_bits)
     except ValueError as exc:
@@ -312,13 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="flat key=value config file")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands that draw random numbers
     seeded.add_argument("--seed", type=int, default=None)
+    convention = argparse.ArgumentParser(add_help=False)  # the commands that evaluate the analytic chain
+    convention.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
 
-    p = sub.add_parser("sweep", parents=[common], help="attenuation sweep to CSV")
+    p = sub.add_parser("sweep", parents=[common, convention], help="attenuation sweep to CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--atten-min", type=_finite, default=0.0)
     p.add_argument("--atten-max", type=_finite, default=40.0)
     p.add_argument("--atten-step", type=_finite, default=1.0)
-    p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo run; optional .ttag emission")
@@ -334,22 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze_ttags)
 
-    p = sub.add_parser("sidechannel", help="mutual-information leakage audit")
-    p.add_argument("--profiles", default=None, help="per-state profile CSV")
+    p = sub.add_parser("sidechannel", parents=[convention], help="mutual-information leakage audit")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--profiles", default=None, help="per-state profile CSV")
+    inputs.add_argument("--synth", action="store_true", help="synthesize Gaussian profiles")
     p.add_argument("--domain", choices=["temporal", "spectral"], default=None, help="--profiles only (default temporal)")
-    p.add_argument("--synth", action="store_true", help="synthesize Gaussian profiles")
     p.add_argument("--config", default=None, help="the device: --synth pulse shape, link to debit the leakage from")
     p.add_argument("--pedestals", default=None, help="--synth only: per-state ASE floor, fraction of peak (default 0)")
     p.add_argument("--shifts-ps", default=None, help="--synth only: per-state temporal shifts, ps (default 0)")
     p.add_argument("--spatial-bits", type=_finite, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
-    p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sidechannel)
 
-    p = sub.add_parser("optimize", parents=[common], help="grid search over signal/decoy intensities")
+    p = sub.add_parser("optimize", parents=[common, convention], help="grid search over signal/decoy intensities")
     p.add_argument("--mu-grid", default="0.25,0.5,0.75,1.0")
     p.add_argument("--nu1-grid", default="0.05,0.1,0.15,0.2")
-    p.add_argument("--gain-convention", choices=decoy.GAIN_CONVENTIONS, default="full-budget")
     p.set_defaults(func=cmd_optimize)
 
     return parser

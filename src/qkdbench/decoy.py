@@ -8,11 +8,11 @@ error rate, and the asymptotic secure-key-rate lower bound
 
 with the hard cutoff R = 0 once E_mu exceeds 0.11.
 
-Two gain conventions are supported and must be chosen explicitly by
-pipelines.  ``attenuation-only`` uses eta = 10^(-attenuation/10) and
-reproduces the benchmark 6 dB observables (Q_mu = 1.18e-1 etc.);
-``full-budget`` additionally applies the setup loss and detector
-efficiency and matches what the Monte Carlo engine simulates.
+Two gain conventions are supported; ``sweep``, ``optimize_intensities``
+and the CLI default to ``full-budget``.  ``attenuation-only`` uses
+eta = 10^(-attenuation/10) and reproduces the benchmark 6 dB observables
+(Q_mu = 1.18e-1 etc.); ``full-budget`` also applies the setup loss and
+detector efficiency and matches what the Monte Carlo engine simulates.
 
 The chain accepts scalars or broadcastable numpy arrays: ``gain``,
 ``qber``, ``decoy_estimates`` (the bounds), ``key_rate_lower_bound`` and
@@ -378,19 +378,18 @@ def optimize_intensities(
     link: LinkConfig,
     proto: ProtocolConfig,
     grid: GridSpec,
-    source_template: SourceConfig | None = None,
+    source_template: SourceConfig,
     gain_convention: str = "full-budget",
 ) -> OptimizeResult:
     """Grid search for the signal/decoy intensities maximizing the rate.
 
-    decoy 2 is held at exact vacuum.  The valid (mu, nu1) mesh is
-    evaluated in one array call, mu-major in ascending order, and the
-    first maximum wins, so ties break toward smaller mu.  When the rate
-    is zero everywhere the first grid point is reported with
-    ``all_zero`` set.
+    The device is the caller's ``source_template``; the search replaces
+    only its intensities, with decoy 2 held at exact vacuum.  The valid
+    (mu, nu1) mesh is evaluated in one array call, mu-major in ascending
+    order, and the first maximum wins, so ties break toward smaller mu.
+    When the rate is zero everywhere the first grid point is reported
+    with ``all_zero`` set.
     """
-    if source_template is None:
-        source_template = SourceConfig()
     mus = np.sort(np.asarray(grid.mu_values, dtype=float))
     nus = np.sort(np.asarray(grid.nu1_values, dtype=float))
     mu, nu1 = np.repeat(mus, len(nus)), np.tile(nus, len(mus))  # mu-major

@@ -73,12 +73,12 @@ def _warn_if_nonmonotonic(ticks: np.ndarray, where: str) -> None:
         warnings.warn(f"{where}: non-monotonic ticks (preserved)", stacklevel=3)
 
 
-def encode(stream: TimeTagStream) -> bytes:
-    """Pack records into the 64-bit little-endian wire format."""
+def encode(stream: TimeTagStream) -> memoryview:
+    """Pack records into the 64-bit little-endian wire format, as a byte view of the words (no copy)."""
     _warn_if_nonmonotonic(stream.ticks, "encode")
     words = stream.ticks << np.uint64(4)
     words |= stream.channels
-    return words.astype("<u8", copy=False).tobytes()
+    return memoryview(words.astype("<u8", copy=False)).cast("B")
 
 
 def decode(data: bytes) -> TimeTagStream:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qkdbench import cli, decoy, montecarlo, sidechannel, timetag
 from qkdbench.cli import _write_atomic, main
@@ -101,6 +103,29 @@ class TestSweep:
         main(["sweep", "--config", str(bench_config_file), "--out", str(out),
               "--atten-min", "0", "--atten-max", atten_max, "--atten-step", "1"])
         assert capsys.readouterr().out == f"rows = {int(atten_max) + 1}\nqber_cutoff_db = {cutoff}\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lo=st.integers(0, 300), points=st.integers(1, 80), step=st.integers(1, 50),
+        convention=st.sampled_from(decoy.GAIN_CONVENTIONS),
+    )
+    @example(lo=0, points=51, step=1, convention="full-budget")  # 0-5 dB: never crosses the cutoff
+    @example(lo=170, points=40, step=1, convention="full-budget")  # crosses it at 18.7 dB
+    def test_cutoff_is_the_first_report_past_it(self, tmp_path_factory, lo, points, step, convention):
+        # grids of tenths of a dB, ascending, some never crossing the cutoff
+        out = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+        config = ROOT / "configs" / "benchmark6db.cfg"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--gain-convention", convention,
+                "--atten-min", repr(lo / 10), "--atten-max", repr((lo + (points - 1) * step) / 10),
+                "--atten-step", repr(step / 10)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        attens = [float(row["attenuation_db"]) for row in read_csv_rows(out)]
+        source, link, proto = load_config(config)
+        reports = decoy.sweep(link, attens, source, proto, gain_convention=convention)
+        cutoff = next((r.attenuation_db for r in reports if r.qber_cutoff_hit), math.nan)
+        assert stdout.getvalue() == f"rows = {len(attens)}\nqber_cutoff_db = {cutoff!r}\n"
 
     def test_csv_is_the_one_format(self, bench_config_file, tmp_path, capsys):
         out = tmp_path / "sweep.txt"
@@ -584,10 +609,13 @@ class TestSidechannel:
         path.write_text("axis,stateH,stateV,stateD,stateA\n0,1,1,1,1\n")
         code = main(["sidechannel", "--profiles", str(path), "--synth"])
         assert code == 2
-        assert "ambiguous" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--profiles" in err and "--synth" in err, err
 
-    def test_no_input(self):
-        assert main(["sidechannel"]) == 2
+    def test_empty_profiles_path_is_a_profiles_input(self, capsys):
+        # an empty path still selects --profiles: it fails to load, it does not fall back to --synth
+        assert main(["sidechannel", "--profiles", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed profiles: ")
 
     def test_malformed_profiles(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -770,6 +798,8 @@ class TestMalformedInput:
             "sidechannel --profiles {good_profile} --shifts-ps 5,0,0,0",
             "simulate --config {cfg} --frames 100 --seed -1 --out {out} --emit-ttags",
             "analyze-ttags --config {cfg} --ttags {missing} --alice-log {missing} --seed -3",
+            "sidechannel --profiles {good_profile} --synth",
+            "sidechannel",
         ],
     )
     def test_exits_2_with_one_line(self, inputs, argv, capsys):

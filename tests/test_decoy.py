@@ -386,13 +386,13 @@ class TestBackgroundEstimate:
 class TestOptimize:
     def test_single_point(self, bench6db):
         _, link, proto = bench6db
-        res = optimize_intensities(link, proto, GridSpec((0.5,), (0.1,)))
+        res = optimize_intensities(link, proto, GridSpec((0.5,), (0.1,)), source_template=SourceConfig())
         assert (res.mu, res.nu1) == (0.5, 0.1)
 
     def test_empty_grid(self, bench6db):
         _, link, proto = bench6db
-        with pytest.raises(ValueError, match="empty"):
-            optimize_intensities(link, proto, GridSpec((0.1,), (0.5,)))  # nu1 >= mu everywhere
+        with pytest.raises(ValueError, match="empty"):  # nu1 >= mu everywhere
+            optimize_intensities(link, proto, GridSpec((0.1,), (0.5,)), source_template=SourceConfig())
 
     def test_all_zero_flag(self, bench6db):
         source, link, proto = bench6db

@@ -131,7 +131,7 @@ class TestCodec:
         expected = ["encode", "decode"] if any(b < a for a, b in zip(ticks, ticks[1:])) else []
         assert [str(w.message) for w in caught] == [f"{where}: non-monotonic ticks (preserved)" for where in expected]
 
-    def test_encode_holds_one_word_array_besides_its_bytes(self):
+    def test_encode_returns_its_word_array_uncopied(self):
         n = 1 << 20
         rng = np.random.default_rng(5)
         stream = TimeTagStream(np.sort(rng.integers(0, MAX_TICK, size=n, dtype=np.uint64)), rng.integers(0, 16, n))
@@ -141,8 +141,8 @@ class TestCodec:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 8 B/record of words and 8 B/record of returned bytes; no widened channels or byte-order copy
-        assert peak / n <= 16.5, peak / n
+        # 8 B/record of words, returned as a view; no bytes copy, widened channels or byte-order copy
+        assert peak / n <= 8.5, peak / n
         assert decode(data) == stream
 
     def test_markers_pass_through(self):
