@@ -167,10 +167,10 @@ def run(
     ceil(m/4) raw words give m lanes (little-endian 16-bit words), then one
     raw word per hard lane, in frame order (drawn for every hard lane, which
     keeps seeded outputs, but used only where a cut passes through its bin).
-    The summary
-    is identical whether or not a stream is emitted (stream offsets are
-    drawn after all of a block's tiles).
-    Emitted records are time-ordered, one per clicked frame.
+    The summary is identical whether or not a stream is emitted (stream
+    offsets are drawn after all of a block's tiles).  Emitted records are
+    time-ordered, one per clicked frame.  ``proto`` is never read: it stays
+    because the bench's mc-summary workload and the acceptance tests pass it positionally.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")

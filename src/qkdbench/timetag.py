@@ -145,16 +145,14 @@ def window_ticks_from_seconds(window_s: float) -> int:
 def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_ticks: int) -> GatingResult:
     """Keep detections within the software window around the clock phase.
 
-    A window of w ticks accepts exactly the w residues
-    d in [-(w//2), (w-1)//2] around the phase (for the 1 ns / 13-tick
-    window: d in -6..+6), d in [-P/2, P/2) being the tick's offset from the
-    phase of its :func:`frame_indices` frame, the phase lying in [0, P).  Markers pass through unconditionally.
+    A window of w ticks accepts exactly the w offsets d = t - phase - P * frame in [-(w//2), (w-1)//2]
+    (1 ns, 13 ticks: d in -6..+6), the frame and the phase check being :func:`frame_indices`'s, as in :func:`sift`.
+    Markers pass through unconditionally.
     """
     if not 0 < window_ticks <= period_ticks:
         raise ValueError("window must lie in (0, period]")
-    if not 0 <= phase_ticks < period_ticks:
-        raise ValueError(f"phase must lie in [0, {period_ticks}), got {phase_ticks}")
-    d = (stream.ticks.astype(np.int64) - phase_ticks + period_ticks // 2) % period_ticks - period_ticks // 2
+    t = stream.ticks.astype(np.int64)
+    d = t - phase_ticks - period_ticks * frame_indices(t, phase_ticks, period_ticks)
     in_window = (d >= -(window_ticks // 2)) & (d <= (window_ticks - 1) // 2)
     keep = in_window | (stream.channels >= 4)
     rejected = int(len(stream) - keep.sum())
@@ -166,7 +164,9 @@ def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_tick
 
 
 def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.ndarray:
-    """Pulse-frame index of each record: (tick - phase + P/2) div P."""
+    """Pulse-frame index of each record, (tick - phase + P//2) div P; owns the frame rule and the phase range [0, P)."""
+    if not 0 <= phase_ticks < period_ticks:
+        raise ValueError(f"phase must lie in [0, {period_ticks}), got {phase_ticks}")
     return (ticks.astype(np.int64) - phase_ticks + period_ticks // 2) // period_ticks
 
 
@@ -346,8 +346,8 @@ def sift(
 ) -> SiftedKey:
     """Sift the gated detections against Alice's emission log.
 
-    Detections (channels 0-3) are mapped to frames from their ticks;
-    those outside the log are dropped, counted in ``unattributed``.
+    Detections (channels 0-3) are mapped to frames by :func:`frame_indices`
+    (which checks the phase); those outside the log are dropped as ``unattributed``.
     Each frame keeps one detection (the others count as ``collisions``),
     and the kept ones are counted by :func:`tally` under the log's
     :func:`sent_per_class`, so a gain from the table counts each frame once.
@@ -359,8 +359,6 @@ def sift(
     chunks drawing from one generator keep what one pass keeps.  The
     records are sorted (stably) only if their frames are out of order.
     """
-    if not 0 <= gating.phase_ticks < period_ticks:
-        raise ValueError(f"phase must lie in [0, {period_ticks}), got {gating.phase_ticks}")
     acc = gating.accepted
     frames = frame_indices(acc.ticks, gating.phase_ticks, period_ticks)
     ok = (acc.channels < 4) & (frames >= 0) & (frames < len(alice))

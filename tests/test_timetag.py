@@ -285,6 +285,24 @@ class TestGate:
             d = kept.astype(np.int64) - 40 - PERIOD * frame_indices(kept, 40, PERIOD)
             assert np.all(np.abs(d) <= w / 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(st.tuples(st.integers(0, MAX_TICK), st.one_of(st.integers(0, 3), st.integers(4, 15))), max_size=50),
+        data=st.data(),
+    )
+    def test_keeps_markers_and_detections_whose_frame_offset_lies_in_the_window(self, records, data):
+        # gate's window is on the offset from frame_indices' frame, at every period, phase and width
+        period = data.draw(st.integers(1, 1000))
+        phase = data.draw(st.integers(0, period - 1))
+        w = data.draw(st.integers(1, period))
+        ticks = np.array([t for t, _ in records], dtype=np.uint64)
+        chans = np.array([c for _, c in records], dtype=np.uint8)
+        result = gate(TimeTagStream(ticks, chans), period, phase, w)
+        d = ticks.astype(np.int64) - phase - period * frame_indices(ticks, phase, period)
+        keep = (chans >= 4) | ((-(w // 2) <= d) & (d <= (w - 1) // 2))
+        assert result.accepted == TimeTagStream(ticks[keep], chans[keep])
+        assert result.rejected == len(records) - int(keep.sum())
+
     def test_markers_never_gated(self):
         stream = stream_of([(64, 15), (37, 0), (90, 14)])
         result = gate(stream, PERIOD, 37, 13)
@@ -844,6 +862,12 @@ class TestFrameIndices:
         tick = frame * period + phase + d
         assume(tick >= 0)
         assert frame_indices(np.array([tick], dtype=np.uint64), phase, period).tolist() == [frame]
+
+    @pytest.mark.parametrize("phase", [-1, PERIOD, PERIOD + 37])
+    def test_phase_outside_one_period_rejected(self, phase):
+        # the one phase check that gate and sift rely on
+        with pytest.raises(ValueError, match=rf"^phase must lie in \[0, {PERIOD}\), got {phase}$"):
+            frame_indices(np.array([PERIOD + 37], dtype=np.uint64), phase, PERIOD)
 
     @settings(max_examples=200, deadline=None)
     @given(ticks=st.lists(st.integers(0, MAX_TICK), min_size=1, max_size=50), data=st.data())
