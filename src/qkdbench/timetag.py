@@ -14,13 +14,11 @@ and Bob's detector channel is ``basis << 1 | bit``; :func:`tally` and
 They fill one (4, 3) table, rows sent, detected, sifted and errored per
 class, held by :class:`ClassCounts`; :func:`ratios` is its one gain and
 QBER rule.
-On disk it is CSV: the header ``bit,basis,class``, then one row per
-frame from frame 0 on (row i is frame i).  Each row is one of 12 lines
-of exactly 11 bytes, and lines end in LF only, so a CRLF log is
-rejected.  The codec is array code: one renderer writes the rows, three
-per copy from a table of row triples.  Reading derives each block's
-codes in place and checks its bytes against the rows rendered from
-them.  Both stream through the file a block of rows at a time.
+On disk it is CSV: the header ``code``, then line i + 2 holds frame
+i's code as one lowercase hex digit (``0``-``b``) and an LF, two bytes
+in all, so a CRLF log is rejected.  The codec streams through the file
+a block of lines at a time: it renders the lines by arithmetic and
+reads each two-byte word's code from a table.
 """
 
 from __future__ import annotations
@@ -170,37 +168,13 @@ def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.
     return (ticks.astype(np.int64) - phase_ticks + period_ticks // 2) // period_ticks
 
 
-#: the Alice log's header and its 12 rows, indexed by bit | basis << 1 | class << 2
-_ALICE_HEADER = b"bit,basis,class\n"
-_ALICE_ROWS = np.array(
-    [f"{code & 1},{'ZX'[code >> 1 & 1]},{CLASS_LABELS[code >> 2]}\n".encode() for code in range(12)], dtype="S11"
-)
-_ROW_BYTES = _ALICE_ROWS.itemsize
-#: the 1,728 runs of three rows, ``_ALICE_ROWS[a] + _ALICE_ROWS[b] + _ALICE_ROWS[c]`` at ``144 a + 12 b + c``,
-#: so one copy writes three rows; it goes with the CSV codec once the log is binary (ROADMAP item 1)
-_ALICE_TRIPLES = (_ALICE_ROWS[:, None, None] + _ALICE_ROWS[:, None] + _ALICE_ROWS).ravel()
-#: rows the codec writes, or reads and checks, at a time (and codes ``sent_per_class`` counts),
+#: the Alice log's header, and the code of each two-byte line read as a little-endian word (255: not a line)
+_ALICE_HEADER = b"code\n"
+_LINE_CODES = np.full(1 << 16, 255, np.uint8)
+_LINE_CODES[[ord(f"{code:x}") | ord("\n") << 8 for code in range(12)]] = range(12)
+#: lines the codec writes, or reads and checks, at a time (and codes ``sent_per_class`` counts),
 #: so working memory stays small
 _READ_ROWS = 1 << 16
-
-
-def _alice_rows(code: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The CSV rows of ``code``, written into the front of the ``uint8`` buffer ``buf``; returns those bytes.
-
-    The first 3 * (n // 3) codes go three rows per copy through
-    ``_ALICE_TRIPLES``, the 0-2 left through ``_ALICE_ROWS``.  Both takes
-    clip, so a code of 12..15 (one ``from_csv`` derives from a bad row)
-    still writes valid rows; so does a triple aliased by such a code.
-    """
-    n = len(code)
-    m = n - n % 3
-    triple = code[0:m:3] * np.uint16(12)
-    triple += code[1:m:3]
-    triple *= 12
-    triple += code[2:m:3]
-    np.take(_ALICE_TRIPLES, triple, out=buf[: m * _ROW_BYTES].view(_ALICE_TRIPLES.dtype), mode="clip")
-    np.take(_ALICE_ROWS, code[m:], out=buf[m * _ROW_BYTES : n * _ROW_BYTES].view(_ALICE_ROWS.dtype), mode="clip")
-    return buf[: n * _ROW_BYTES]
 
 
 @dataclass(frozen=True)
@@ -219,64 +193,50 @@ class AliceLog:
         return len(self.code)
 
     def to_csv(self, fh: BinaryIO) -> None:
-        """Write the log as CSV into a binary file object: the header, then one row per frame.
+        """Write the log as CSV into a binary file object: the header ``code``, then one line per frame.
 
-        The codes are checked before the first byte is written.  The rows
-        go out ``_READ_ROWS`` at a time, three rows per table copy, through
-        one reused buffer, so the log is never held twice.
+        The codes are checked before the first byte is written.  Each block of ``_READ_ROWS``
+        lines is rendered as little-endian words, hex digit low and LF high, in one reused buffer.
         """
-        if len(self.code) and not 0 <= self.code.min() <= self.code.max() < len(_ALICE_ROWS):
-            raise ValueError(f"alice log code out of range 0..{len(_ALICE_ROWS) - 1}")
+        code = self.code
+        if len(code) and not 0 <= code.min() <= code.max() <= 11:
+            raise ValueError("alice log code out of range 0..11")
         fh.write(_ALICE_HEADER)
-        buf = np.empty(min(len(self.code), _READ_ROWS) * _ROW_BYTES, np.uint8)
-        for i in range(0, len(self.code), _READ_ROWS):  # a block's triple index and take's intp copy stay small
-            fh.write(_alice_rows(self.code[i : i + _READ_ROWS], buf))
+        buf = np.empty((2, min(len(code), _READ_ROWS)), "<u2")
+        for i in range(0, len(code), _READ_ROWS):
+            line, past_9 = buf[:, : len(code) - i]
+            line[:] = code[i : i + _READ_ROWS]  # from any integer dtype: the range is checked
+            np.greater(line, 9, out=past_9)
+            past_9 *= 39  # 'a' lies 39 past the byte after '9'
+            line += past_9
+            line += ord("0") | ord("\n") << 8
+            fh.write(line)
 
     @classmethod
     def from_csv(cls, fh: BinaryIO) -> "AliceLog":
         """Parse a seekable binary file object, e.g. ``open(path, "rb")``; a bad line raises ValueError.
 
-        Every valid row is one of the 12 rows, 11 bytes each, so the file
-        is read as fixed-width rows: each row's code is derived in place
-        from three of its bytes, and a block is accepted when the rows
-        rendered from those codes equal its bytes, compared as 64-bit
-        words.  Rendered rows are always valid, so equal bytes mean every
-        row is valid and carries its derived code.  On a mismatch the
-        block is rebuilt one row per code: up to the first bad line every
-        line is a whole row, so the first mismatching row (or a trailing
-        partial one) starts exactly at that line.  The codes fill one
-        array sized from the file, through two reused buffers.
+        The file is read as little-endian words, ``_READ_ROWS`` at a time into one reused buffer,
+        each mapped by ``_LINE_CODES`` into one code array sized from the file.  Up to the first bad
+        line every line is one word, so the first 255 (or a trailing odd byte, a partial line) is it.
         """
         header = fh.readline()
         if header != _ALICE_HEADER:
             raise ValueError(f"bad alice log header: {header.decode('ascii', 'backslashreplace')!r}")
         start = fh.tell()
-        code = np.empty((fh.seek(0, 2) - start) // _ROW_BYTES, np.uint8)  # the whole rows
+        code = np.empty((fh.seek(0, 2) - start) // 2, np.uint8)  # the whole lines
         fh.seek(start)
-        buf = np.empty(_READ_ROWS * _ROW_BYTES, np.uint8)
-        render_buf = np.empty_like(buf)
-        done = 0  # rows accepted so far
+        buf = np.empty(2 * _READ_ROWS, np.uint8)
+        words = buf.view("<u2")
+        done = 0  # lines accepted so far
         while got := fh.readinto(buf):
-            n = got // _ROW_BYTES
-            if done + n > len(code):  # the file grew past the rows the array was sized for
+            n = got // 2
+            if done + n > len(code):  # the file grew past the lines the array was sized for
                 break
-            rows = buf[: n * _ROW_BYTES].reshape(n, _ROW_BYTES)
             block = code[done : done + n]
-            # the codes, in place: class = the label's last byte ('l', '1', '2') & 3, bit = '0' / '1' & 1,
-            # and basis from 'Z' (0x5A) or 'X' (0x58), whose shared bit 3 the ^ 0b1010 clears again
-            np.left_shift(rows[:, 9], 2, out=block)
-            block |= rows[:, 0]
-            block ^= rows[:, 2]
-            block ^= 0b1010
-            block &= 0b1111
-            rendered = _alice_rows(block, render_buf)
-            words = len(rendered) - len(rendered) % 8
-            if got != len(rendered) or not (  # a partial row after the last whole row, or a bad row
-                np.array_equal(rendered[:words].view(np.uint64), buf[:words].view(np.uint64))
-                and np.array_equal(rendered[words:], buf[words:got])
-            ):
-                rebuilt = np.take(_ALICE_ROWS, block, mode="clip").view(np.uint8).reshape(n, _ROW_BYTES)
-                bad = np.append((rebuilt != rows).any(axis=1), True)
+            np.take(_LINE_CODES, words[:n], out=block, mode="clip")  # every word is in range; clip skips the check
+            if got % 2 or block.max(initial=0) > 11:
+                bad = np.append(block > 11, True)
                 raise ValueError(f"alice log line {done + int(np.argmax(bad)) + 2}: malformed row")
             done += n
         if got or done != len(code):

@@ -323,8 +323,7 @@ class TestSimulate:
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         source, link, proto = load_config(bench_config_file)
         code = montecarlo.run(source, link, proto, 5000, 9, emit_ttags=True, phase_ticks=37).alice_log.code
-        rows = [f"{c & 1},{'ZX'[c >> 1 & 1]},{timetag.CLASS_LABELS[c >> 2]}\n".encode() for c in range(12)]
-        expected = b"bit,basis,class\n" + b"".join(rows[c] for c in code.tolist())
+        expected = b"code\n" + b"".join(b"%x\n" % c for c in code.tolist())
         assert (tmp_path / "run.alice.csv").read_bytes() == expected
 
     def test_alice_log_rows_are_frames(self, bench_config_file, tmp_path):
@@ -333,16 +332,21 @@ class TestSimulate:
              "--seed", "4", "--out", str(tmp_path / "run"), "--emit-ttags"]
         )
         lines = (tmp_path / "run.alice.csv").read_bytes().split(b"\n")
-        assert lines[0] == b"bit,basis,class" and lines[-1] == b""
+        assert lines[0] == b"code" and lines[-1] == b""
         assert len(lines) == 1000 + 2
 
     def test_alice_log_is_pinned(self, bench_config_file, tmp_path):
         # a log of two whole blocks and part of a third, streamed in many blocks
-        # of rows, as the 16-bit lane draw gives it
+        # of lines, as the 16-bit lane draw gives it; the decoded codes are pinned
+        # apart from the file, since they do not depend on the format
         argv = ["simulate", "--config", str(bench_config_file), "--frames", "2100000", "--seed", "7", "--emit-ttags"]
         assert main(argv + ["--out", str(tmp_path / "run")]) == 0
         digest = hashlib.sha256((tmp_path / "run.alice.csv").read_bytes()).hexdigest()
-        assert digest == "e689d371000af8744a0489c14291bb6e686c5b89612c45a6f75462fba102480c"
+        with open(tmp_path / "run.alice.csv", "rb") as fh:
+            code = timetag.AliceLog.from_csv(fh).code
+        assert code.dtype == np.uint8 and len(code) == 2_100_000
+        assert hashlib.sha256(code).hexdigest() == "767903ecfeffed488444f7d4f466c3a6a126ecc01c705f05c1bc838ac6f7143b"
+        assert digest == "3b2f0cccaf967a155b87f366b7312fe7c5af7d2a44754cc7ab8dd3ab0468554a"
 
 
 class TestWriteAtomic:
@@ -476,7 +480,7 @@ class TestAnalyzeTtags:
     def test_log_without_a_class_exits_2(self, bench_config_file, simulated, tmp_path, capsys):
         ttag, alice = simulated
         signal_only = tmp_path / "signal_only.alice.csv"
-        signal_only.write_text(alice.read_text().replace("decoy1", "signal").replace("decoy2", "signal"))
+        signal_only.write_bytes(alice.read_bytes().translate(bytes.maketrans(b"456789ab", b"01230123")))  # class 0
         code = main(
             ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(ttag),
              "--alice-log", str(signal_only), "--seed", "11"]
@@ -506,7 +510,7 @@ class TestAnalyzeTtags:
         empty = tmp_path / "empty.ttag"
         empty.write_bytes(b"")
         alice = tmp_path / "alice.csv"
-        alice.write_text("bit,basis,class\n0,Z,signal\n")
+        alice.write_text("code\n0\n")
         code = main(
             ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(empty),
              "--alice-log", str(alice)]
@@ -518,7 +522,7 @@ class TestAnalyzeTtags:
         bad = tmp_path / "bad.ttag"
         bad.write_bytes(b"\x01\x02\x03")
         alice = tmp_path / "alice.csv"
-        alice.write_text("bit,basis,class\n0,Z,signal\n")
+        alice.write_text("code\n0\n")
         code = main(
             ["analyze-ttags", "--config", str(bench_config_file), "--ttags", str(bad),
              "--alice-log", str(alice)]
@@ -658,7 +662,7 @@ class TestMalformedInput:
         ttag = tmp_path / "two.ttag"
         ttag.write_bytes(timetag.encode(timetag.TimeTagStream(np.array([37, 165], dtype=np.uint64), np.array([0, 1]))))
         alice = tmp_path / "good.alice.csv"
-        alice.write_text("bit,basis,class\n0,Z,signal\n1,Z,decoy1\n")
+        alice.write_text("code\n0\n5\n")  # signal Z 0, decoy-1 Z 1
         # 240 frames, every code, each detected on-phase in Alice's own state
         codes = np.tile(np.arange(12, dtype=np.uint8), 20)
         on_phase = (np.arange(len(codes)) * 128 + 37).astype(np.uint64)
@@ -668,15 +672,16 @@ class TestMalformedInput:
         (tmp_path / "frames.alice.csv").write_bytes(log.getvalue())
         rate_11 = tmp_path / "rate_11.cfg"  # a 116.36-tick period
         rate_11.write_text(bench_config_file.read_text() + "pulse_rate_hz = 1.1e8\n")
-        bad_basis = tmp_path / "bad.alice.csv"
-        bad_basis.write_text("bit,basis,class\n0,Q,signal\n")
+        bad_code = tmp_path / "bad.alice.csv"
+        bad_code.write_text("code\nc\n")  # 12 is no code
         old_log = tmp_path / "old.alice.csv"
         old_log.write_text("frame,bit,basis,class\n0,0,Z,signal\n1,1,Z,decoy1\n")
         logs = {
-            "crlf_log": b"bit,basis,class\r\n0,Z,signal\r\n1,Z,decoy1\r\n",
-            "no_lf_log": b"bit,basis,class\n0,Z,signal\n1,Z,decoy1",
-            "non_ascii_log": b"bit,basis,class\n0,Z,sign\xe9l\n1,Z,decoy1\n",
-            "cut_log": log.getvalue()[: 16 + 100 * 11],  # the header and the first 100 of the 240 rows
+            "row_log": b"bit,basis,class\n0,Z,signal\n1,Z,decoy1\n",  # the 11-byte rows before the hex lines
+            "crlf_log": b"code\r\n0\r\n5\r\n",
+            "no_lf_log": b"code\n0\n5",
+            "non_ascii_log": b"code\n\xe9\n5\n",
+            "cut_log": log.getvalue()[: 5 + 100 * 2],  # the header and the first 100 of the 240 lines
         }
         for name, data in logs.items():
             (tmp_path / f"{name}.alice.csv").write_bytes(data)
@@ -721,7 +726,7 @@ class TestMalformedInput:
             "rate_11": str(rate_11),
             "alice": str(alice),
             "missing": str(tmp_path / "nope.csv"),
-            "bad_basis": str(bad_basis),
+            "bad_code": str(bad_code),
             "old_log": str(old_log),
             **{name: str(tmp_path / f"{name}.alice.csv") for name in logs},
             "zero_bg": str(zero_bg),
@@ -741,12 +746,13 @@ class TestMalformedInput:
             "sweep --config {cfg} --out {out} --atten-min nan",
             "sweep --config {cfg} --out {out} --atten-min -100 --atten-max 0",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {missing}",
-            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {bad_basis}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {bad_code}",
             "analyze-ttags --config {window_nan} --ttags {ttag} --alice-log {alice}",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {alice}",
             "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks -1",
             "simulate --config {cfg} --frames 100 --seed 1 --out {out} --emit-ttags --phase-ticks 128",
             "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}",
+            "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {row_log}",
             "sweep --config {cfg} --out {out} --atten-min abc",
             "simulate --config {cfg} --seed 1 --out {out}",
             "sidechannel --synth --spatial-bits -1",
@@ -869,15 +875,17 @@ class TestMalformedInput:
         assert main(argv.replace("{cfg}", "{rate_11}").format(**inputs).split()) == 2
         assert "is not an integer number of" in capsys.readouterr().err
 
-    def test_old_format_alice_log_names_header(self, inputs, capsys):
-        argv = "analyze-ttags --config {cfg} --ttags {ttag} --alice-log {old_log}".format(**inputs)
+    @pytest.mark.parametrize("log", ["old_log", "row_log"])
+    def test_old_format_alice_log_names_header(self, inputs, log, capsys):
+        # no older format is read: a frame-column log and an 11-byte-row log stop at their header
+        argv = f"analyze-ttags --config {{cfg}} --ttags {{ttag}} --alice-log {{{log}}}".format(**inputs)
         assert main(argv.split()) == 2
         assert "bad alice log header" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "log, message",
         [
-            ("crlf_log", "bad alice log header: 'bit,basis,class\\r\\n'"),
+            ("crlf_log", "bad alice log header: 'code\\r\\n'"),
             ("no_lf_log", "alice log line 3: malformed row"),
             ("non_ascii_log", "alice log line 2: malformed row"),
         ],
@@ -897,11 +905,11 @@ class TestMalformedInput:
         assert "\ne1_upper = 0.0\n" in mapping
 
     def test_alice_log_that_grows_while_read_rejected(self, inputs, monkeypatch, capsys):
-        class Growing(io.BytesIO):  # a row arrives once the log is sized
+        class Growing(io.BytesIO):  # a line arrives once the log is sized
             def seek(self, pos, whence=0):
                 end = super().seek(pos, whence)
                 if whence == io.SEEK_END:
-                    self.write(b"0,Z,signal\n")
+                    self.write(b"0\n")
                 return end
 
         monkeypatch.setattr(cli, "open", lambda path, mode: Growing(Path(path).read_bytes()), raising=False)
@@ -911,7 +919,7 @@ class TestMalformedInput:
         assert (out, err) == ("", "error: cannot read alice log: alice log changed size while it was read\n")
 
     def test_alice_log_shorter_than_its_stream_rejected(self, inputs, capsys):
-        # the detections of frames 100-239 have no row to be scored against
+        # the detections of frames 100-239 have no line to be scored against
         argv = "analyze-ttags --config {cfg} --ttags {frames_ttag} --alice-log {cut_log} --seed 1"
         assert main(argv.format(**inputs).split()) == 2
         out, err = capsys.readouterr()
