@@ -9,12 +9,14 @@ files, the Alice log included, are written atomically (temp file +
 rename) with the mode the umask gives a new file; the text outputs are
 ``key = value`` lines from one writer, and every command prints the
 mapping it computes.  Sweeps, written as CSV, and intensity searches
-evaluate their whole grid in one array call of the decoy chain.
+evaluate their whole grid in one array call of the decoy chain.  The
+parser is built once per process, so repeated ``main`` calls share it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import secrets
@@ -300,6 +302,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser per process; main finds each command's function by name when it runs
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qkdbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,20 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atten-min", type=_finite, default=0.0)
     p.add_argument("--atten-max", type=_finite, default=40.0)
     p.add_argument("--atten-step", type=_finite, default=1.0)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", parents=[seeded], help="Monte Carlo run; optional .ttag emission")
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--emit-ttags", action="store_true")
     p.add_argument("--phase-ticks", type=int, default=None, help="clock phase of emitted ticks (default 37 mod period)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze-ttags", parents=[seeded], help="phase recovery, gating, sifting, key rate")
     p.add_argument("--ttags", required=True)
     p.add_argument("--alice-log", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_analyze_ttags)
 
     p = sub.add_parser("sidechannel", parents=[convention], help="mutual-information leakage audit")
     inputs = p.add_mutually_exclusive_group(required=True)
@@ -341,12 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shifts-ps", default=None, help="--synth only: per-state temporal shifts, ps (default 0)")
     p.add_argument("--spatial-bits", type=_finite, default=sidechannel.DEFAULT_SPATIAL_LEAKAGE)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sidechannel)
 
     p = sub.add_parser("optimize", parents=[common, convention], help="grid search over signal/decoy intensities")
     p.add_argument("--mu-grid", default="0.25,0.5,0.75,1.0")
     p.add_argument("--nu1-grid", default="0.05,0.1,0.15,0.2")
-    p.set_defaults(func=cmd_optimize)
 
     return parser
 
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, MemoryError) as exc:  # ConfigError included; MemoryError: a run too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

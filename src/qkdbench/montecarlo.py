@@ -232,9 +232,12 @@ def run(
             offs = np.where(j & 4, bg_off, jitter) + phase_ticks  # outcomes 5..8 are background clicks
             ticks = (base + idx.astype(np.int64)) * period + offs
             np.clip(ticks, 0, None, out=ticks)
-            order = np.argsort(ticks, kind="stable")
-            tick_chunks.append(ticks[order].astype(np.uint64))
-            chan_chunks.append((j & 3)[order])
+            chans = j & 3
+            if np.any(ticks[1:] < ticks[:-1]):  # only a jitter draw past half a period reorders frames
+                order = np.argsort(ticks, kind="stable")
+                ticks, chans = ticks[order], chans[order]
+            tick_chunks.append(ticks.view(np.uint64))  # clipped to >= 0
+            chan_chunks.append(chans)
 
     stream = TimeTagStream(np.concatenate(tick_chunks), np.concatenate(chan_chunks)) if emit_ttags else None
     alice_log = AliceLog(log) if emit_ttags else None

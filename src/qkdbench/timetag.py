@@ -165,7 +165,7 @@ def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.
     """Pulse-frame index of each record, (tick - phase + P//2) div P; owns the frame rule and the phase range [0, P)."""
     if not 0 <= phase_ticks < period_ticks:
         raise ValueError(f"phase must lie in [0, {period_ticks}), got {phase_ticks}")
-    return (ticks.astype(np.int64) - phase_ticks + period_ticks // 2) // period_ticks
+    return (ticks.astype(np.int64, copy=False) - phase_ticks + period_ticks // 2) // period_ticks
 
 
 #: the Alice log's header, and the code of each two-byte line read as a little-endian word (255: not a line)
@@ -333,8 +333,9 @@ def sift(
     np.not_equal(frames[1:], frames[:-1], out=keep[1:])  # first record of its frame
     starts = np.flatnonzero(keep[:-1] & ~keep[1:])  # first records of the shared frames
     sizes = np.searchsorted(frames, frames[starts], "right") - starts
-    keep[starts] = False  # move each shared frame's flag forward by floor(u * size)
-    keep[starts + (np.random.default_rng(seed).random(len(starts)) * sizes).astype(np.int64)] = True
+    if len(starts):  # no shared frame, no draw: numpy.random is not even imported
+        keep[starts] = False  # move each shared frame's flag forward by floor(u * size)
+        keep[starts + (np.random.default_rng(seed).random(len(starts)) * sizes).astype(np.int64)] = True
     collisions = len(frames) - int(np.count_nonzero(keep))
     frames, channels = frames[keep], channels[keep]
 

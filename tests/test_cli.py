@@ -5,6 +5,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -929,3 +931,61 @@ class TestMalformedInput:
         argv = "sweep --config {zero_bg} --out {out} --atten-min 3000 --atten-max 4000 --atten-step 10"
         assert main(argv.format(**inputs).split()) == 2
         assert capsys.readouterr().err == "error: model gain is 0 at attenuation 3230 dB, so its error rate is undefined\n"
+
+
+class TestOneProcess:
+    """``main`` called again in one process, as a script or the benchmark calls it, against fresh processes."""
+
+    @staticmethod
+    def fresh(args: list[str], cwd: Path) -> tuple[int, str, str]:
+        """Exit code, stdout and stderr of ``python *args`` in a fresh interpreter."""
+        path = os.pathsep.join(p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_after_one_another_match_fresh_processes(self, bench_config_file, tmp_path, capsys, monkeypatch):
+        # a usage error, then a run and its analysis: the shared parser keeps nothing from one call to the next
+        commands = [
+            f"simulate --config {bench_config_file} --frames ten --seed 7 --out run --emit-ttags",
+            f"simulate --config {bench_config_file} --frames 200000 --seed 7 --out run --emit-ttags",
+            f"analyze-ttags --config {bench_config_file} --ttags run.ttag --alice-log run.alice.csv --seed 7 "
+            "--out analysis.txt",
+        ]
+        here, apart = tmp_path / "here", tmp_path / "apart"
+        here.mkdir()
+        apart.mkdir()
+        monkeypatch.chdir(here)
+        ran_here = []
+        for command in commands:
+            code = main(command.split())
+            ran_here.append((code, *capsys.readouterr()))
+        ran_apart = [self.fresh(["-m", "qkdbench.cli", *command.split()], apart) for command in commands]
+
+        assert [r[0] for r in ran_here] == [2, 0, 0]
+        assert ran_here[0][1:] == ("", "error: argument --frames: invalid int value: 'ten'\n")
+        assert ran_here == ran_apart
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in apart.iterdir()) and len(names) == 5
+        for name in names:
+            assert (here / name).read_bytes() == (apart / name).read_bytes(), name
+
+    def test_analysis_without_shared_frames_draws_nothing(self, bench_config_file, tmp_path):
+        # with no frame holding two detections, sift draws no random number, so
+        # analyze-ttags never imports numpy.random (the simulate run does, in its own process)
+        simulate = f"simulate --config {bench_config_file} --frames 1000000 --seed 7 --out run --emit-ttags"
+        assert self.fresh(["-m", "qkdbench.cli", *simulate.split()], tmp_path)[0] == 0
+        code = (
+            "import sys\n"
+            "from qkdbench import cli\n"
+            f"code = cli.main('analyze-ttags --config {bench_config_file} --ttags run.ttag --alice-log run.alice.csv "
+            "--seed 7'.split())\n"
+            "print('exit =', code, 'numpy.random' in sys.modules)\n"
+        )
+        returncode, out, err = self.fresh(["-c", code], tmp_path)
+        assert returncode == 0, err
+        assert "collisions = 0\n" in out
+        assert out.endswith("exit = 0 False\n")

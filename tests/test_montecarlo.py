@@ -773,6 +773,35 @@ class TestEmission:
         assert res.alice_log is not None
         assert len(res.alice_log) == 100_000
 
+    def test_records_past_half_a_period_are_sorted_stably(self):
+        # sigma = 64 ticks, half the 128-tick period, and a lossless link: neighbouring
+        # clicks cross, so the block is sorted.  Without background each record is its
+        # frame's signal click at frame * P + phase + rint(sigma * z), clipped at 0, z the
+        # block generator's normals after the lanes' words and one word per hard lane;
+        # the records are those, stably sorted by tick (ties stay in frame order)
+        source = SourceConfig(mu=5.0, nu1=0.066, nu2=0.002)
+        link = LinkConfig(attenuation_db=0.0, background_yield=0.0, jitter_sigma_s=5e-9)
+        frames, seed, phase = 10_000, 3, 37
+        res = run(source, link, ProtocolConfig(), frames=frames, seed=seed, emit_ttags=True, phase_ticks=phase)
+        plain = run(source, replace(link, jitter_sigma_s=0.0), ProtocolConfig(), frames=frames, seed=seed,
+                    emit_ttags=True, phase_ticks=phase)  # the same clicks, in frame order
+        period = timetag.period_ticks(source.pulse_rate_hz)
+        frame = timetag.frame_indices(plain.stream.ticks, phase, period)
+        assert np.all(np.diff(frame) > 0)
+
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))  # one block of one tile
+        lanes = rng.bit_generator.random_raw(-(-frames // 4)).view("<u2")[:frames]
+        rng.bit_generator.random_raw(np.count_nonzero(lanes >= lane_bins(joint_cdf(source, link))[1]))
+        jitter = np.rint(rng.normal(0.0, link.jitter_sigma_s / timetag.TICK_SECONDS, len(frame))).astype(np.int64)
+        ticks = np.clip(frame * period + phase + jitter, 0, None)
+        order = np.argsort(ticks, kind="stable")
+        assert np.any(np.diff(ticks) < 0) and np.any(np.diff(ticks[order]) == 0)  # out of order, with ties
+
+        assert np.all(np.diff(res.stream.ticks.astype(np.int64)) >= 0)
+        assert res.stream.ticks.dtype == np.uint64
+        assert np.array_equal(res.stream.ticks, ticks[order])
+        assert np.array_equal(res.stream.channels, plain.stream.channels[order])
+
     @pytest.mark.parametrize("rate_hz", [1e8, 2e8, 4e8, 8e8])
     def test_one_record_per_clicked_frame_at_any_rate(self, bench6db, rate_hz):
         # ~3e4 clicked frames in 1.25-10 ms of simulated time: up to 26 Mcps
