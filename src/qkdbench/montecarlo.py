@@ -57,13 +57,12 @@ import numpy as np
 
 from .config import LinkConfig, ProtocolConfig, SourceConfig
 from .decoy import transmittance
-from .timetag import TICK_SECONDS, AliceLog, ClassCounts, TimeTagStream, period_ticks, tally
+from .timetag import TICK_SECONDS, AliceLog, ClassCounts, TimeTagStream, period_ticks, tally_pairs
 
 #: frames per independently seeded block
 BLOCK_FRAMES = 1 << 20
 #: frames per cache-sized tile in which a block's lanes are drawn and consumed
 TILE_FRAMES = 1 << 16
-_PAIR_CODE, _PAIR_CHANNEL = np.divmod(np.arange(48), 4)  # every (code, channel) pair, code-major
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,13 @@ def expected_tally(source: SourceConfig, link: LinkConfig) -> np.ndarray:
     """(4, 3) exact per-frame probabilities of sent, detected, sifted and errored, per class.
 
     Sent is the class marginal of the code probabilities; the rest is
-    ``tally`` over every (code, channel) pair, weighted by the code's
+    ``tally_pairs`` of each (code, channel) pair's weight, the code's
     probability times its signal or background click on that channel.
     """
     p_code = np.outer(source.class_probs, source.pol_probs)
     table = outcome_table(source, link)
     weights = p_code.reshape(12, 1) * (table[:, 1:5] + table[:, 5:])
-    return np.vstack([p_code.sum(axis=1), tally(_PAIR_CODE, _PAIR_CHANNEL, weights.ravel())])
+    return np.vstack([p_code.sum(axis=1), tally_pairs(weights.ravel())])
 
 
 def _probabilities(p, name: str) -> np.ndarray:
@@ -242,9 +241,9 @@ def run(
     stream = TimeTagStream(np.concatenate(tick_chunks), np.concatenate(chan_chunks)) if emit_ttags else None
     alice_log = AliceLog(log) if emit_ttags else None
 
-    sent = np.diff([0, below_mu, below_nu1, frames - pairs.sum()]) + pairs.reshape(3, 16).sum(axis=1)
-    counts = np.vstack([sent, tally(_PAIR_CODE, _PAIR_CHANNEL, pairs).astype(np.int64)])  # exact float sums
-    return RunResult(summary=ClassCounts(counts), stream=stream, alice_log=alice_log)
+    clicks = tally_pairs(pairs)  # detected, sifted and errored per class
+    sent = np.diff([0, below_mu, below_nu1, frames - pairs.sum()]) + clicks[0]
+    return RunResult(summary=ClassCounts(np.vstack([sent, clicks])), stream=stream, alice_log=alice_log)
 
 
 __all__ = [

@@ -17,8 +17,8 @@ QBER rule.
 On disk it is CSV: the header ``code``, then line i + 2 holds frame
 i's code as one lowercase hex digit (``0``-``b``) and an LF, two bytes
 in all, so a CRLF log is rejected.  The codec streams through the file
-a block of lines at a time: it renders the lines by arithmetic and
-reads each two-byte word's code from a table.
+a block of lines at a time, rendering the lines from the codes and the
+codes from the lines by the same arithmetic on two-byte words.
 """
 
 from __future__ import annotations
@@ -168,13 +168,12 @@ def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.
     return (ticks.astype(np.int64, copy=False) - phase_ticks + period_ticks // 2) // period_ticks
 
 
-#: the Alice log's header, and the code of each two-byte line read as a little-endian word (255: not a line)
+#: the Alice log's header, and line ``0\n`` read as a little-endian word
 _ALICE_HEADER = b"code\n"
-_LINE_CODES = np.full(1 << 16, 255, np.uint8)
-_LINE_CODES[[ord(f"{code:x}") | ord("\n") << 8 for code in range(12)]] = range(12)
-#: lines the codec writes, or reads and checks, at a time (and codes ``sent_per_class`` counts),
-#: so working memory stays small
+_LINE_ZERO = ord("0") | ord("\n") << 8
+#: lines the codec writes, or reads and checks, at a time, so working memory stays small
 _READ_ROWS = 1 << 16
+_COUNT_ROWS = 1 << 20  # codes ``sent_per_class`` counts at a time, so each compare's temporary stays at 1 MB
 
 
 @dataclass(frozen=True)
@@ -209,16 +208,17 @@ class AliceLog:
             np.greater(line, 9, out=past_9)
             past_9 *= 39  # 'a' lies 39 past the byte after '9'
             line += past_9
-            line += ord("0") | ord("\n") << 8
+            line += _LINE_ZERO
             fh.write(line)
 
     @classmethod
     def from_csv(cls, fh: BinaryIO) -> "AliceLog":
         """Parse a seekable binary file object, e.g. ``open(path, "rb")``; a bad line raises ValueError.
 
-        The file is read as little-endian words, ``_READ_ROWS`` at a time into one reused buffer,
-        each mapped by ``_LINE_CODES`` into one code array sized from the file.  Up to the first bad
-        line every line is one word, so the first 255 (or a trailing odd byte, a partial line) is it.
+        The file is read as little-endian words, ``_READ_ROWS`` at a time into one reused buffer.  Less ``0\n``,
+        a digit's line is its code and ``a``, ``b`` are 49, 50; 49 less past 9 takes those to 0, 1 and wraps the
+        lines between 9 and ``a`` past 11, then 10 more past 9 leaves the lines past ``b`` past 11.  Up to the
+        first bad line every line is one word, so the first word past 11 either time (or an odd byte) is it.
         """
         header = fh.readline()
         if header != _ALICE_HEADER:
@@ -226,18 +226,21 @@ class AliceLog:
         start = fh.tell()
         code = np.empty((fh.seek(0, 2) - start) // 2, np.uint8)  # the whole lines
         fh.seek(start)
-        buf = np.empty(2 * _READ_ROWS, np.uint8)
-        words = buf.view("<u2")
+        words, tens, steps = np.empty((3, _READ_ROWS), "<u2")
         done = 0  # lines accepted so far
-        while got := fh.readinto(buf):
+        while got := fh.readinto(words):
             n = got // 2
             if done + n > len(code):  # the file grew past the lines the array was sized for
                 break
-            block = code[done : done + n]
-            np.take(_LINE_CODES, words[:n], out=block, mode="clip")  # every word is in range; clip skips the check
-            if got % 2 or block.max(initial=0) > 11:
-                bad = np.append(block > 11, True)
+            line, ten, step = words[:n], tens[:n], steps[:n]
+            line -= _LINE_ZERO
+            line -= np.multiply(np.greater(line, 9, out=ten), 49, out=step)
+            wrapped = line.max(initial=0) > 11
+            line += np.multiply(ten, 10, out=ten)
+            if got % 2 or wrapped or line.max(initial=0) > 11:
+                bad = np.append((line > 11) | (line - ten > 11), True)
                 raise ValueError(f"alice log line {done + int(np.argmax(bad)) + 2}: malformed row")
+            code[done : done + n] = line
             done += n
         if got or done != len(code):
             raise ValueError("alice log changed size while it was read")
@@ -247,21 +250,28 @@ class AliceLog:
 def sent_per_class(code: np.ndarray) -> np.ndarray:
     """(3,) frames of each intensity class among Alice codes."""
     below = np.zeros(2, dtype=np.int64)  # codes < 4 and < 8; bincount would widen the codes to intp
-    for i in range(0, len(code), _READ_ROWS):  # a compare over the whole log would be a 1 B/frame temporary
-        block = code[i : i + _READ_ROWS]
+    for i in range(0, len(code), _COUNT_ROWS):  # a compare over the whole log would be a 1 B/frame temporary
+        block = code[i : i + _COUNT_ROWS]
         below += np.count_nonzero(block < 4), np.count_nonzero(block < 8)
     return np.array([below[0], below[1] - below[0], len(code) - below[1]])
 
 
-def tally(code: np.ndarray, channel: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """(3, 3) detected, sifted and errored counts per class of (code, channel) pairs, or their summed weights.
+_FLIPS = np.arange(48) & 3 ^ np.arange(48) >> 2 & 3  # per cell, channel ^ code & 3: bit 1 where bases differ, 0 bits
+#: which cells count as detected, sifted (Bob's basis is Alice's) and errored (sifted, and the bits differ)
+_PAIR_ROWS = np.array([_FLIPS >= 0, _FLIPS < 2, _FLIPS == 1])
 
-    A pair is sifted when Bob's basis matches Alice's, and errored when
-    it is sifted and the bits differ.
+
+def tally_pairs(pairs: np.ndarray) -> np.ndarray:
+    """(3, 3) detected, sifted and errored per class of a (48,) count or weight per cell ``code << 2 | channel``.
+
+    A class adds its 16 cells one at a time in cell order (``sum`` would add them pairwise), as a loop would.
     """
-    sifted = (channel >> 1) == (code >> 1 & 1)
-    cls, masks = code >> 2, (slice(None), sifted, sifted & ((channel & 1) != (code & 1)))
-    return np.array([np.bincount(cls[m], None if weights is None else weights[m], minlength=3) for m in masks])
+    return np.cumsum((_PAIR_ROWS * pairs).reshape(3, 3, 16), axis=2)[..., -1]
+
+
+def tally(code: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """(3, 3) detected, sifted and errored counts per class of (code, channel 0..3) pairs, by their cell histogram."""
+    return tally_pairs(np.bincount(code << 2 | channel, minlength=48))
 
 
 def ratios(counts: np.ndarray) -> np.ndarray:
@@ -359,6 +369,7 @@ __all__ = [
     "frame_indices",
     "AliceLog",
     "sent_per_class",
+    "tally_pairs",
     "tally",
     "ratios",
     "ClassCounts",

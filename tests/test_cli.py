@@ -385,6 +385,18 @@ class TestAnalyzeTtags:
     def open_gate(self, bench_config_file):
         return with_keys(bench_config_file, "open_gate.cfg", window_s=1e-8)  # the whole 10 ns period
 
+    def test_analysis_is_pinned(self, tmp_path):
+        # the written analysis of a 2.1e6-frame run, whose log spans three count blocks and
+        # 33 read blocks: a change to how the log is read or the key counted shows in these bytes
+        argv, prefix = ["--config", str(ROOT / "configs" / "benchmark6db.cfg"), "--seed", "7"], str(tmp_path / "run")
+        assert main(["simulate", *argv, "--frames", "2100000", "--out", prefix, "--emit-ttags"]) == 0
+        out = tmp_path / "analysis.txt"
+        argv += ["--ttags", prefix + ".ttag", "--alice-log", prefix + ".alice.csv", "--out", str(out)]
+        assert main(["analyze-ttags", *argv]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d50576158b74dd4c1fabd2284ed7dff200bd34ce298e87c9fa7bd66a4eee5c58"
+        )
+
     def test_pipeline_qber(self, bench_config_file, simulated, capsys):
         ttag, alice = simulated
         config = with_keys(bench_config_file, "gate_1ns.cfg", window_s=1e-9)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkdbench.config import LinkConfig, ProtocolConfig, SourceConfig
 from qkdbench import decoy, montecarlo, timetag
@@ -190,7 +190,32 @@ def inline_exact(source: SourceConfig, link: LinkConfig) -> list[float]:
     return [*(1.0 - table[::4, 0]), e_exact]
 
 
+def per_pair_rows(source: SourceConfig, link: LinkConfig) -> list[list[float]]:
+    """Detected, sifted and errored per class: each (code, channel) pair's weight added in turn, code-major."""
+    p_code = np.outer(source.class_probs, source.pol_probs).ravel().tolist()
+    table = montecarlo.outcome_table(source, link).tolist()
+    rows = [[0.0] * 3 for _ in range(3)]
+    for code in range(12):
+        bit, basis, cls = code & 1, code >> 1 & 1, code >> 2
+        for channel in range(4):
+            weight = p_code[code] * (table[code][1 + channel] + table[code][5 + channel])
+            rows[0][cls] += weight
+            if channel >> 1 == basis:
+                rows[1][cls] += weight
+                if channel & 1 != bit:
+                    rows[2][cls] += weight
+    return rows
+
+
 class TestExpectedTally:
+    @settings(max_examples=200, deadline=None)
+    @given(config=weighted_configs)
+    @example(config=(SourceConfig(mu=0.5, nu1=0.066, nu2=0.002), LinkConfig(background_suppression=1.0)))
+    def test_rows_are_the_sequential_per_pair_sums(self, config):
+        # bit for bit, not within a tolerance: a fold that adds a class's cells pairwise
+        # moves the last digit of the exact gains that simulate prints
+        assert montecarlo.expected_tally(*config)[1:].tolist() == per_pair_rows(*config)
+
     @settings(max_examples=200, deadline=None)
     @given(config=weighted_configs)
     def test_rows(self, config):

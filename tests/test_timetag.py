@@ -387,18 +387,24 @@ def reference_tally(codes, channels, weights):
 class TestTally:
     @settings(max_examples=200, deadline=None)
     @given(
-        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3), st.floats(0, 1)), max_size=100),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3)), max_size=100),
         dtype=st.sampled_from([np.uint8, np.int64]),
     )
     def test_matches_per_pair_reference(self, pairs, dtype):
-        codes = np.array([c for c, _, _ in pairs], dtype=dtype)
-        channels = np.array([ch for _, ch, _ in pairs], dtype=dtype)
-        weights = np.array([w for _, _, w in pairs], dtype=float)
+        codes = np.array([c for c, _ in pairs], dtype=dtype)
+        channels = np.array([ch for _, ch in pairs], dtype=dtype)
         counts = timetag.tally(codes, channels)
         assert counts.dtype == np.int64
         assert counts.tolist() == reference_tally(codes.tolist(), channels.tolist(), [1] * len(pairs))
-        expected = reference_tally(codes.tolist(), channels.tolist(), weights.tolist())
-        assert np.allclose(timetag.tally(codes, channels, weights), expected, rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(0, 1), min_size=48, max_size=48))
+    def test_pair_weights_sum_as_the_per_pair_loop(self, weights):
+        # each class adds its cells one at a time in cell order, so the rows equal the
+        # loop's bit for bit; a pairwise sum (numpy's sum over 16 cells) differs in the last digits
+        codes, channels = np.divmod(np.arange(48), 4)
+        expected = reference_tally(codes.tolist(), channels.tolist(), weights)
+        assert timetag.tally_pairs(np.array(weights)).tolist() == expected
 
     def test_each_basis_and_bit(self):
         # signal H sent (code 0): Bob's H is right, V wrong, D and A unsifted
@@ -412,7 +418,7 @@ class TestTally:
     @given(codes=st.lists(st.integers(0, 11), max_size=300), block=st.integers(1, 400))
     def test_sent_per_class_counts_codes(self, codes, block):
         with pytest.MonkeyPatch.context() as mp:  # counted in blocks of any size
-            mp.setattr(timetag, "_READ_ROWS", block)
+            mp.setattr(timetag, "_COUNT_ROWS", block)
             counts = timetag.sent_per_class(np.array(codes, dtype=np.uint8))
         assert counts.tolist() == [sum(c // 4 == k for c in codes) for k in range(3)]
 
