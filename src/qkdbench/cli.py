@@ -19,7 +19,7 @@ import argparse
 import functools
 import math
 import os
-import secrets
+import secrets  # numpy.random imports it too (hashlib, OpenSSL: ~2 ms); here that cost falls in setup, not a run
 import sys
 import tempfile
 import warnings

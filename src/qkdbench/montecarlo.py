@@ -44,8 +44,8 @@ uniformly over the whole frame and leaves the gating to the analysis.
 Frames are simulated in independent blocks of ``BLOCK_FRAMES`` whose
 generators derive from (seed, block index), so results are reproducible;
 each block's clicks are counted per (code, channel) pair, and an emitted
-run logs each tile's table entries, then the block's hard-frame codes
-over them.
+run logs each tile's table entries, then writes the block's hard-frame
+codes over them through a 108-entry cell-to-code table.
 An emitted stream holds one time-ordered record per clicked frame.
 """
 
@@ -63,6 +63,8 @@ from .timetag import TICK_SECONDS, AliceLog, ClassCounts, TimeTagStream, period_
 BLOCK_FRAMES = 1 << 20
 #: frames per cache-sized tile in which a block's lanes are drawn and consumed
 TILE_FRAMES = 1 << 16
+#: each cell's Alice code: a no-click cell is its code, click cell 12 + 8 code + outcome - 1
+_CELL_CODE = np.concatenate([np.arange(12), np.arange(96) >> 3]).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,9 @@ def run(
     ceil(m/4) raw words give m lanes (little-endian 16-bit words), then one
     raw word per hard lane, in frame order (drawn for every hard lane, which
     keeps seeded outputs, but used only where a cut passes through its bin).
-    The summary is identical whether or not a stream is emitted (stream
-    offsets are drawn after all of a block's tiles).  Emitted records are
-    time-ordered, one per clicked frame.  ``proto`` is never read: it stays
+    The summary is identical whether or not a stream is emitted (stream offsets are drawn after all
+    of a block's tiles: ``standard_normal`` jitter, scaled in place, then the background offsets).
+    Emitted records are time-ordered, one per clicked frame.  ``proto`` is never read: it stays
     because the bench's mc-summary workload and the acceptance tests pass it positionally.
     """
     if frames < 1:
@@ -176,6 +178,8 @@ def run(
     period = period_ticks(source.pulse_rate_hz) if emit_ttags else 0
     if emit_ttags and not 0 <= phase_ticks < period:
         raise ValueError(f"phase_ticks must lie in [0, {period}), got {phase_ticks}")
+    if emit_ttags and not link.jitter_sigma_s >= 0:  # normal() checked this before the draw was scaled in place
+        raise ValueError(f"jitter_sigma_s must be >= 0, got {link.jitter_sigma_s}")
 
     p_code = np.outer(_probabilities(source.class_probs, "class"), _probabilities(source.pol_probs, "polarization"))
     joint = p_code.reshape(12, 1) * outcome_table(source, link)  # (code, outcome) probabilities
@@ -208,7 +212,7 @@ def run(
             word_parts.append(raw(len(hard)))  # one per hard lane, used or not, so the read order is fixed
             if emit_ttags:
                 idx_parts.append(t + hard)
-                np.take(lane_cell, lane, out=log[base + t : base + t + m], mode="clip")  # hard frames: rewritten below
+                np.take(lane_cell, lane, out=log[base + t : base + t + m], mode="wrap")  # hard frames: rewritten below
         hard_lane = np.concatenate(lane_parts)  # uint16; pure is 2**16 with no hard lane, so subtract it as an intp
         cell = np.take(lane_cell, hard_lane)
         cut = np.flatnonzero(cell == 255)
@@ -223,14 +227,18 @@ def run(
 
         if emit_ttags:
             idx = np.concatenate(idx_parts)
-            log[base + idx] = np.where(cell < 12, cell, (cell - 12) >> 3)
+            log[base : base + n][idx] = np.take(_CELL_CODE, cell)
             click = cell >= 12
             idx, j = idx[click], cell[click] - 12  # cell 12 + 8 code + outcome - 1
-            jitter = np.rint(rng.normal(0.0, sigma_ticks, size=len(idx))).astype(np.int64)
-            bg_off = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=len(idx))
-            offs = np.where(j & 4, bg_off, jitter) + phase_ticks  # outcomes 5..8 are background clicks
-            ticks = (base + idx.astype(np.int64)) * period + offs
-            np.clip(ticks, 0, None, out=ticks)
+            jitter = rng.standard_normal(len(idx))  # the draws of normal(0, sigma), which adds 0 to sigma * z
+            jitter *= sigma_ticks
+            offs = rng.integers(-(bg_width // 2), (bg_width - 1) // 2 + 1, size=len(idx))
+            # signal clicks take the rounded jitter; outcomes 5..8 (j & 4) keep their background offset
+            np.copyto(offs, np.rint(jitter, out=jitter), where=(j & 4) == 0, casting="unsafe")
+            offs += base * period + phase_ticks
+            ticks = np.multiply(idx, period, dtype=np.int64)
+            ticks += offs
+            np.maximum(ticks, 0, out=ticks)
             chans = j & 3
             if np.any(ticks[1:] < ticks[:-1]):  # only a jitter draw past half a period reorders frames
                 order = np.argsort(ticks, kind="stable")

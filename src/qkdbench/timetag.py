@@ -100,19 +100,21 @@ class PhaseEstimate:
 def recover_phase(stream: TimeTagStream, period_ticks: int) -> PhaseEstimate:
     """Locate the pulse-train phase from the residues of the tick stream.
 
-    Histograms tick mod period over the detection records and returns the
-    circular-mean peak location, rounded to the nearest tick.  Streams
-    whose residue histogram has peak/mean contrast below 2 (uniform-ish
-    arrivals) are flagged low-confidence.  Fewer than 10 detection
-    records raise ValueError.
+    Histograms tick mod period, taken as t - P * (t // P) in place, over
+    the detection records and returns the circular-mean peak location,
+    rounded to the nearest tick.  Streams whose residue histogram has
+    peak/mean contrast below 2 (uniform-ish arrivals) are flagged
+    low-confidence.  Fewer than 10 detection records raise ValueError.
     """
     if period_ticks <= 0:
         raise ValueError("period must be positive")
     ticks = stream.ticks[stream.channels < 4]
     if len(ticks) < 10:
         raise ValueError(f"insufficient data: need at least 10 detection records, got {len(ticks)}")
-    residues = (ticks % np.uint64(period_ticks)).astype(np.int64)
-    hist = np.bincount(residues, minlength=period_ticks).astype(float)
+    residues = ticks // period_ticks  # t - P * (t // P): uint64 % is several times slower than //
+    residues *= period_ticks
+    np.subtract(ticks, residues, out=residues)
+    hist = np.bincount(residues.view(np.int64), minlength=period_ticks).astype(float)
     angles = 2.0 * np.pi * np.arange(period_ticks) / period_ticks
     z = np.sum(hist * np.exp(1j * angles))
     phase = int(np.round(np.angle(z) / (2.0 * np.pi) * period_ticks)) % period_ticks
@@ -144,16 +146,19 @@ def gate(stream: TimeTagStream, period_ticks: int, phase_ticks: int, window_tick
     """Keep detections within the software window around the clock phase.
 
     A window of w ticks accepts exactly the w offsets d = t - phase - P * frame in [-(w//2), (w-1)//2]
-    (1 ns, 13 ticks: d in -6..+6), the frame and the phase check being :func:`frame_indices`'s, as in :func:`sift`.
+    (1 ns, 13 ticks: d in -6..+6), the frame and the phase check being :func:`frame_indices`'s, as in :func:`sift`;
+    d + w//2 is computed in place in the frame index array, and is in the window when it lies in [0, w).
     Markers pass through unconditionally.
     """
     if not 0 < window_ticks <= period_ticks:
         raise ValueError("window must lie in (0, period]")
-    t = stream.ticks.astype(np.int64)
-    d = t - phase_ticks - period_ticks * frame_indices(t, phase_ticks, period_ticks)
-    in_window = (d >= -(window_ticks // 2)) & (d <= (window_ticks - 1) // 2)
-    keep = in_window | (stream.channels >= 4)
-    rejected = int(len(stream) - keep.sum())
+    d = frame_indices(stream.ticks, phase_ticks, period_ticks)  # turned into d + w//2 in place
+    d *= -period_ticks
+    d += stream.ticks.view(np.int64)  # exact: ticks are below 2**60
+    d -= phase_ticks - window_ticks // 2
+    keep = d.view(np.uint64) < window_ticks  # d + w//2 in [0, w); below 0 it reads as a huge unsigned value
+    keep |= stream.channels >= 4
+    rejected = len(stream) - int(np.count_nonzero(keep))
     return GatingResult(
         accepted=TimeTagStream(stream.ticks[keep], stream.channels[keep]),
         rejected=rejected,
@@ -165,7 +170,9 @@ def frame_indices(ticks: np.ndarray, phase_ticks: int, period_ticks: int) -> np.
     """Pulse-frame index of each record, (tick - phase + P//2) div P; owns the frame rule and the phase range [0, P)."""
     if not 0 <= phase_ticks < period_ticks:
         raise ValueError(f"phase must lie in [0, {period_ticks}), got {phase_ticks}")
-    return (ticks.astype(np.int64, copy=False) - phase_ticks + period_ticks // 2) // period_ticks
+    frames = np.subtract(ticks, phase_ticks - period_ticks // 2, dtype=np.int64)  # exact below 2**63: 60-bit ticks
+    frames //= period_ticks
+    return frames
 
 
 #: the Alice log's header, and line ``0\n`` read as a little-endian word
@@ -331,7 +338,7 @@ def sift(
     """
     acc = gating.accepted
     frames = frame_indices(acc.ticks, gating.phase_ticks, period_ticks)
-    ok = (acc.channels < 4) & (frames >= 0) & (frames < len(alice))
+    ok = (acc.channels < 4) & (frames.view(np.uint64) < len(alice))  # a frame below 0 reads as a huge unsigned one
     frames, channels = frames[ok], acc.channels[ok]
     unattributed = int(np.count_nonzero(acc.channels < 4)) - len(frames)
     if np.any(frames[1:] < frames[:-1]):  # out of order: a stable sort keeps stream order within a frame

@@ -790,6 +790,12 @@ class TestSummary:
 
 
 class TestEmission:
+    @pytest.mark.parametrize("sigma", [-1e-12, math.nan])
+    def test_negative_or_nan_jitter_is_rejected_before_any_draw(self, sigma):
+        # the jitter is a standard normal draw scaled in place, which checks no sign; run checks it instead
+        with pytest.raises(ValueError, match=r"^jitter_sigma_s must be >= 0, got "):
+            run(SourceConfig(), LinkConfig(jitter_sigma_s=sigma), ProtocolConfig(), frames=10, seed=1, emit_ttags=True)
+
     def test_ticks_sorted_and_decodable(self, bench6db):
         _, link, proto = bench6db
         res = run(cross_val_source(), link, proto, frames=100_000, seed=21, emit_ttags=True, phase_ticks=37)

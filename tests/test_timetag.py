@@ -903,3 +903,57 @@ class TestFrameIndices:
         d = t.astype(np.int64) - phase - period * frame_indices(t, phase, period)
         assert np.all((-(period // 2) <= d) & (d <= (period - 1) // 2))
         assert d.tolist() == [((tick - phase) % period + period // 2) % period - period // 2 for tick in ticks]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ticks=st.lists(st.one_of(st.integers(0, 1 << 12), st.integers(MAX_TICK - (1 << 12), MAX_TICK)), min_size=1, max_size=30),
+        dtype=st.sampled_from([np.uint64, np.int64]),
+        data=st.data(),
+    )
+    def test_matches_python_integer_arithmetic_near_both_ends_of_the_tick_range(self, ticks, dtype, data):
+        # the int64 arithmetic neither wraps nor rounds anywhere in [0, MAX_TICK]; a tick before
+        # the first frame's half period lands in frame -1
+        period = data.draw(st.integers(1, 1000))
+        phase = data.draw(st.integers(0, period - 1))
+        frames = frame_indices(np.array(ticks, dtype=dtype), phase, period)
+        assert frames.dtype == np.int64
+        assert frames.tolist() == [(t - phase + period // 2) // period for t in ticks]
+
+
+class TestInputsStayUntouched:
+    """The frame arithmetic works in place on arrays it owns; it never writes through to its inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 1 << 14), st.integers(0, MAX_TICK)),
+                st.one_of(st.integers(0, 3), st.integers(4, 15)),  # detections and markers
+            ),
+            max_size=40,
+        ),
+        codes=st.lists(st.integers(0, 11), max_size=64),
+        data=st.data(),
+    )
+    def test_frame_indices_recover_phase_gate_and_sift_leave_their_inputs_bit_identical(self, records, codes, data):
+        period = data.draw(st.integers(1, 300))
+        phase = data.draw(st.integers(0, period - 1))
+        w = data.draw(st.integers(1, period))
+        ticks = np.array([t for t, _ in records], dtype=np.uint64)
+        signed = ticks.astype(np.int64)  # exact: ticks are below 2**60
+        stream = TimeTagStream(ticks, np.array([c for _, c in records], dtype=np.uint8))
+        alice = AliceLog(np.array(codes, dtype=np.uint8))
+        inputs = [ticks, signed, stream.ticks, stream.channels, alice.code]
+        before = [(a.dtype, a.tobytes()) for a in inputs]
+
+        frame_indices(ticks, phase, period)
+        frame_indices(signed, phase, period)
+        if np.count_nonzero(stream.channels < 4) >= 10:
+            recover_phase(stream, period)
+        gated = gate(stream, period, phase, w)
+        accepted = [gated.accepted.ticks, gated.accepted.channels]
+        accepted_before = [a.tobytes() for a in accepted]
+        sift(alice, gated, period, seed=data.draw(st.integers(0, 2**32 - 1)))
+
+        assert [(a.dtype, a.tobytes()) for a in inputs] == before
+        assert [a.tobytes() for a in accepted] == accepted_before
